@@ -27,6 +27,7 @@ from .harness import (
     run,
     summarize_trajectory,
     sweep,
+    write_atomic,
 )
 from .oracle import run_verification_suite
 from .optim import optimizer_names
@@ -166,7 +167,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "verify_report.json"
-    report_path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    write_atomic(report_path, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
     print(f"report: {report_path}")
     if not report.all_passed:
         failed = [p.name for p in report.properties if not p.passed]

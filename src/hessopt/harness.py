@@ -14,9 +14,21 @@ iterations and emits two files:
     same-problem gradient-descent companion run.
 
 Sweeps run a cartesian grid of config overrides across seeds and aggregate
-mean and standard deviation of the final loss per cell into a CSV. A cell
-failure (numeric blow-up or a final loss beyond the divergence threshold) is
+mean and standard deviation of the final loss per cell into a CSV. Every
+cell's config is validated before the first run starts. A cell failure
+(numeric blow-up or a final loss beyond the divergence threshold) is
 recorded and the sweep continues.
+
+A sweep does its per-seed work once per ``sweep()`` call. It loops seeds
+outside and cells inside; each seed's pass draws the minibatch index stream
+once per (problem, problem_params) and times the gradient-descent companion
+once per (problem, problem_params, iters). A sweep row's ``cost_ratio_mean``
+therefore divides each cell's amortized time by a companion timed once per
+(problem, params, iters, seed) and shared across cells. Nothing outlives the
+call, so a later sweep times its own companions.
+
+The summary, the sweep CSV and the verify report are written atomically:
+to a temporary file in the target directory, then renamed over the target.
 
 The default output directory is ``$HESSOPT_OUT`` if set, else ``./runs``.
 """
@@ -24,11 +36,15 @@ The default output directory is ``$HESSOPT_OUT`` if set, else ``./runs``.
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
+import io
 import itertools
 import json
 import os
 import statistics
 import time
+import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -37,7 +53,7 @@ import numpy as np
 from .autodiff import NumericError
 from .hutchinson import HutchinsonConfig, estimate_diag, probe_rng, should_compute
 from .optim import AdaHessian, make_optimizer, make_schedule, optimizer_names
-from .problems import get_problem, problem_names
+from .problems import PROBLEM_BUILDERS, get_problem, problem_names
 
 __all__ = [
     "ConfigError",
@@ -50,6 +66,7 @@ __all__ = [
     "sweep",
     "load_trajectory",
     "summarize_trajectory",
+    "write_atomic",
 ]
 
 TRAJECTORY_SCHEMA = "hessopt-trajectory-1"
@@ -97,10 +114,24 @@ class RunConfig:
     cost_ratio: bool = True
 
     def validate(self) -> "RunConfig":
+        for name, allowed in _field_types().items():
+            value = getattr(self, name)
+            if not any(_has_type(value, tp) for tp in allowed):
+                expected = " or ".join("null" if tp is type(None) else tp.__name__
+                                       for tp in allowed)
+                raise ConfigError(f"{name} must be {expected}, got {value!r}")
         if self.problem not in problem_names():
             raise ConfigError(
                 f"unknown problem {self.problem!r}; available: {', '.join(problem_names())}"
             )
+        signature = inspect.signature(PROBLEM_BUILDERS[self.problem])
+        try:
+            signature.bind(**self.problem_params)
+        except TypeError as exc:
+            accepted = ", ".join(signature.parameters) or "none"
+            raise ConfigError(
+                f"invalid problem-params for {self.problem!r}: {exc}; accepted: {accepted}"
+            ) from None
         if self.optimizer not in optimizer_names():
             raise ConfigError(
                 f"unknown optimizer {self.optimizer!r}; available: {', '.join(optimizer_names())}"
@@ -156,6 +187,28 @@ class RunConfig:
 
     def default_run_name(self) -> str:
         return self.run_name or f"{self.problem}_{self.optimizer}_s{self.seed}"
+
+
+@functools.cache
+def _field_types() -> dict[str, tuple]:
+    """Field name -> the types its annotation allows (``X | None`` allows both).
+
+    Resolved on first use rather than at import: evaluating the string
+    annotations costs about as much as the rest of the module's import.
+    """
+    return {name: typing.get_args(tp) or (tp,)
+            for name, tp in typing.get_type_hints(RunConfig).items()}
+
+
+def _has_type(value, tp) -> bool:
+    """isinstance for config fields: an int passes as float, a bool never as a number."""
+    if tp is type(None):
+        return value is None
+    if tp in (int, float) and isinstance(value, bool):
+        return False
+    if tp is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, tp)
 
 
 @dataclass
@@ -219,6 +272,21 @@ def default_out_dir() -> Path:
     return Path(os.environ.get("HESSOPT_OUT", "runs"))
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    Readers see the old file or the whole new one, never a partial write.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _dump_json_line(data: dict) -> str:
     # Fixed separators and sorted keys keep serialization byte-stable.
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -262,17 +330,19 @@ def _amortized_iter_time(records: list[TrajectoryRecord]) -> float:
     return out
 
 
-def _sgd_companion_time(problem, iters: int, seed: int) -> float:
+def _sgd_companion_time(problem, iters: int, seed: int, batches=None) -> float:
     """Median warm per-iteration time of a plain first-order loop, same problem.
 
     The learning rate is tiny so the iterates stay in a numerically ordinary
-    region; only the timing is used.
+    region; only the timing is used. ``batches[t - 1]``, when given, replaces
+    ``problem.sample_batch(t, seed)``; either way the batch is fetched outside
+    the timed region.
     """
     opt = make_optimizer("sgd", problem.dim, lr=1e-9, momentum=0.9)
     theta = problem.theta0.copy()
     times = []
     for t in range(1, iters + 1):
-        batch = problem.sample_batch(t, seed)
+        batch = batches[t - 1] if batches is not None else problem.sample_batch(t, seed)
         start = time.perf_counter()
         _, g = problem.value_and_gradient(theta, batch)
         theta = opt.step(theta, g)
@@ -281,15 +351,56 @@ def _sgd_companion_time(problem, iters: int, seed: int) -> float:
     return statistics.median(times) if times else 0.0
 
 
-def run(config: RunConfig, write_files: bool = True) -> RunResult:
+class _SeedPass:
+    """Per-seed work shared by every cell of one sweep pass over one seed.
+
+    Holds each (problem, problem_params) key's minibatch index stream, drawn
+    once and read-only, and each (problem, problem_params, iters) key's
+    gradient-descent companion time. One instance lives for one seed of one
+    ``sweep()`` call.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._streams: dict[str, list] = {}
+        self._companions: dict[tuple[str, int], float] = {}
+
+    @staticmethod
+    def _key(config: RunConfig) -> str:
+        return _dump_json_line({"problem": config.problem,
+                                "params": config.problem_params})
+
+    def batches(self, config: RunConfig, problem) -> list:
+        """The stream's batches for t = 1..config.iters, at index t - 1."""
+        stream = self._streams.setdefault(self._key(config), [])
+        for t in range(len(stream) + 1, config.iters + 1):
+            batch = problem.sample_batch(t, self.seed)
+            if batch is not None:
+                batch.flags.writeable = False
+            stream.append(batch)
+        return stream
+
+    def companion_time(self, config: RunConfig, problem) -> float:
+        key = (self._key(config), config.iters)
+        if key not in self._companions:
+            self._companions[key] = _sgd_companion_time(
+                problem, config.iters, self.seed, batches=self.batches(config, problem))
+        return self._companions[key]
+
+
+def run(config: RunConfig, write_files: bool = True, *,
+        _shared: _SeedPass | None = None) -> RunResult:
     """Execute one configured run; optionally write trajectory and summary.
 
     Raises ConfigError for invalid configs before any compute. A numeric
     failure mid-run preserves all records up to the failing iteration, writes
-    them out, and returns with ``status="numeric_failure"``.
+    them out, and returns with ``status="numeric_failure"``. ``_shared`` is
+    internal to ``sweep``: the run reads its batches and companion time from
+    the seed pass instead of drawing and timing its own.
     """
     config.validate()
     problem = get_problem(config.problem, **config.problem_params)
+    batches = _shared.batches(config, problem) if _shared is not None else None
     is_second_order = config.optimizer == "adahessian"
     hyper: dict = {"lr": config.lr}
     if config.optimizer in ("adam", "adamw", "adahessian"):
@@ -331,7 +442,8 @@ def run(config: RunConfig, write_files: bool = True) -> RunResult:
 
     try:
         for t in range(1, config.iters + 1):
-            batch = problem.sample_batch(t, config.seed)
+            batch = (batches[t - 1] if batches is not None
+                     else problem.sample_batch(t, config.seed))
             start = time.perf_counter()
             try:
                 if is_second_order:
@@ -406,13 +518,14 @@ def run(config: RunConfig, write_files: bool = True) -> RunResult:
     if failure_detail:
         summary["failure"] = failure_detail
     if config.cost_ratio and status == "ok" and records:
-        sgd_time = _sgd_companion_time(problem, config.iters, config.seed)
+        sgd_time = (_shared.companion_time(config, problem) if _shared is not None
+                    else _sgd_companion_time(problem, config.iters, config.seed))
         if sgd_time > 0:
             summary["sgd_median_iter_seconds"] = sgd_time
             summary["cost_ratio_vs_sgd"] = summary["amortized_iter_seconds"] / sgd_time
 
     if summary_path is not None:
-        summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        write_atomic(summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
     return RunResult(config=config, records=records, theta_final=theta,
                      summary=summary, status=status,
@@ -428,12 +541,14 @@ def _is_diverged(config: RunConfig, result: RunResult) -> bool:
 
 def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
           out: str | Path | None = None,
-          csv_name: str = "sweep.csv") -> tuple[list[SweepCell], Path | None]:
+          csv_name: str = "sweep.csv") -> tuple[list[SweepCell], Path]:
     """Cartesian grid of config overrides, each cell repeated across seeds.
 
-    Returns the per-cell aggregates and the CSV path (None if ``out`` is
-    unset and the base config has no output directory). Individual cell
-    failures are counted as diverged; the sweep always completes.
+    Returns the per-cell aggregates and the CSV path (``out``, else the base
+    config's output directory, else the default). Every cell's config is
+    validated before any run starts. Individual cell failures are counted as
+    diverged; the sweep always completes. Seeds loop outside and cells
+    inside, sharing one ``_SeedPass`` per seed.
     """
     base.validate()
     if not seeds:
@@ -443,31 +558,30 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
             raise ConfigError(f"unknown sweep axis {axis!r}")
         if not axes[axis]:
             raise ConfigError(f"sweep axis {axis!r} has no values")
-    cells: list[SweepCell] = []
     axis_names = sorted(axes)
-    for combo in itertools.product(*(axes[a] for a in axis_names)):
-        overrides = dict(zip(axis_names, combo))
-        losses, ratios = [], []
-        diverged = 0
-        for seed in seeds:
-            cfg = base.with_overrides({**overrides, "seed": seed}).validate()
+    grid = [dict(zip(axis_names, combo))
+            for combo in itertools.product(*(axes[a] for a in axis_names))]
+    configs = [[base.with_overrides({**overrides, "seed": seed}).validate()
+                for seed in seeds] for overrides in grid]
+    cells = [SweepCell(overrides=overrides, seeds=list(seeds), final_losses=[],
+                       diverged=0, cost_ratios=[]) for overrides in grid]
+    for i, seed in enumerate(seeds):
+        shared = _SeedPass(seed)
+        for cell, cell_configs in zip(cells, configs):
+            cfg = cell_configs[i]
             try:
-                result = run(cfg, write_files=False)
+                result = run(cfg, write_files=False, _shared=shared)
             except NumericError:
-                diverged += 1
-                losses.append(float("inf"))
+                cell.diverged += 1
+                cell.final_losses.append(float("inf"))
                 continue
             if _is_diverged(cfg, result):
-                diverged += 1
-            losses.append(result.final_loss)
+                cell.diverged += 1
+            cell.final_losses.append(result.final_loss)
             ratio = result.summary.get("cost_ratio_vs_sgd")
             if ratio is not None:
-                ratios.append(ratio)
-        cells.append(SweepCell(overrides=overrides, seeds=list(seeds),
-                               final_losses=losses, diverged=diverged,
-                               cost_ratios=ratios))
+                cell.cost_ratios.append(ratio)
 
-    csv_path = None
     out_dir = Path(out) if out is not None else (
         Path(base.out) if base.out else default_out_dir()
     )
@@ -475,10 +589,11 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
     csv_path = out_dir / csv_name
     rows = [cell.row() for cell in cells]
     fieldnames = list(rows[0].keys()) if rows else axis_names
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+    text = io.StringIO(newline="")
+    writer = csv.DictWriter(text, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    write_atomic(csv_path, text.getvalue())
     return cells, csv_path
 
 

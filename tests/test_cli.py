@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hessopt import cli, optim
+from hessopt import cli, harness, optim
 from hessopt.cli import main
 
 
@@ -107,6 +107,40 @@ class TestSweepCommand:
         code = main(["sweep", "--grid", "lr=0.1", "--seeds", "a,b",
                      "--out", str(tmp_path)])
         assert code == 1
+
+
+class TestBadInput:
+    """Each reproducer exits 1 with one ``config error:`` line and no traceback."""
+
+    def assert_config_error(self, capsys, code, needle):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error:") and needle in err
+
+    def test_string_in_float_field_of_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "f.json"
+        cfg.write_text('{"lr": "0.1"}')
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, "lr must be float")
+
+    def test_float_in_int_grid_axis(self, tmp_path, capsys):
+        code = main(["sweep", "--grid", "iters=2,1.5", "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, "iters must be int")
+
+    def test_unknown_problem_param(self, tmp_path, capsys):
+        code = main(["run", "--problem", "logreg", "--problem-params", '{"bogus": 1}',
+                     "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, "'bogus'")
+
+    def test_bad_grid_cell_stops_sweep_before_any_run(self, tmp_path, capsys,
+                                                       monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
+        code = main(["sweep", "--grid", "lr=0.1,-1", "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, "lr must be positive")
+        assert calls == []
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestVerifyCommand:

@@ -16,6 +16,7 @@ from hessopt.harness import (
     summarize_trajectory,
     sweep,
 )
+from hessopt.problems import LogisticRegression, get_problem
 
 
 def quick_config(tmp_path, **overrides):
@@ -44,11 +45,32 @@ class TestRunConfig:
             {"k": 2.0},
             {"schedule": "cosine"},
             {"schedule": "step_decay", "schedule_params": {"milestones": [0]}},
+            {"lr": "0.1"},
+            {"lr": True},
+            {"iters": 1.5},
+            {"seed": None},
+            {"hessian_ema": 1},
+            {"problem_params": None},
+            {"out": 3},
+            {"problem": "logreg", "problem_params": {"bogus": 1}},
+            {"problem": "fig1-quadratic", "problem_params": {"d": 2}},
         ],
     )
     def test_invalid_fields_raise_config_error(self, overrides):
         with pytest.raises(ConfigError):
             RunConfig(**overrides).validate()
+
+    def test_type_check_follows_annotations(self):
+        RunConfig(lr=1, loss_threshold=2, divergence_loss=None, out=None).validate()
+        with pytest.raises(ConfigError, match="lr must be float, got '0.1'"):
+            RunConfig(lr="0.1").validate()
+        with pytest.raises(ConfigError, match="loss_threshold must be float or null"):
+            RunConfig(loss_threshold="low").validate()
+
+    def test_problem_params_error_names_bad_and_accepted_keys(self):
+        RunConfig(problem="logreg", problem_params={"batch_size": 32, "n": 50}).validate()
+        with pytest.raises(ConfigError, match="'bogus'.*accepted: n, p, seed, batch_size"):
+            RunConfig(problem="logreg", problem_params={"bogus": 1}).validate()
 
     def test_unknown_override_keys_raise(self):
         with pytest.raises(ConfigError, match="learning_rate"):
@@ -279,3 +301,129 @@ class TestSweep:
             sweep(base, {"lr": [0.1]}, seeds=[], out=tmp_path)
         with pytest.raises(ConfigError):
             sweep(base, {"lr": []}, seeds=[0], out=tmp_path)
+
+    def test_grid_is_validated_before_any_run(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
+        base = quick_config(tmp_path)
+        with pytest.raises(ConfigError, match="lr must be positive"):
+            sweep(base, {"lr": [0.1, -1.0]}, seeds=[0, 1], out=tmp_path)
+        with pytest.raises(ConfigError, match="iters must be int"):
+            sweep(base, {"iters": [2, 1.5]}, seeds=[0], out=tmp_path)
+        assert calls == []
+        assert not (tmp_path / "sweep.csv").exists()
+
+
+def sharing_base(tmp_path, **overrides):
+    """Minibatched logistic regression: every run draws a batch per iteration."""
+    return quick_config(tmp_path, problem="logreg", problem_params={"batch_size": 32},
+                        iters=30, cost_ratio=True, **overrides)
+
+
+SHARING_AXES = {"lr": [0.05, 0.2], "hessian_freq": [1, 10]}
+SHARING_SEEDS = [0, 1, 2]
+
+
+@pytest.fixture
+def companion_calls(monkeypatch):
+    """Record (iters, seed) of every companion timing; the timing still runs."""
+    calls = []
+    original = harness._sgd_companion_time
+
+    def counting(problem, iters, seed, batches=None):
+        calls.append((iters, seed))
+        return original(problem, iters, seed, batches=batches)
+
+    monkeypatch.setattr(harness, "_sgd_companion_time", counting)
+    return calls
+
+
+class TestSweepSharing:
+    def test_csv_equals_standalone_runs_except_cost_ratio(self, tmp_path):
+        base = sharing_base(tmp_path)
+        _, csv_path = sweep(base, SHARING_AXES, seeds=SHARING_SEEDS, out=tmp_path)
+        with csv_path.open() as fh:
+            swept = list(csv.DictReader(fh))
+        expected = []
+        # rows follow the grid: axes in sorted order, the last one fastest
+        for freq, lr in [(1, 0.05), (1, 0.2), (10, 0.05), (10, 0.2)]:
+            overrides = {"hessian_freq": freq, "lr": lr}
+            results = [run(base.with_overrides({**overrides, "seed": s}), write_files=False)
+                       for s in SHARING_SEEDS]
+            cell = harness.SweepCell(
+                overrides=overrides, seeds=SHARING_SEEDS,
+                final_losses=[r.final_loss for r in results],
+                diverged=sum(harness._is_diverged(r.config, r) for r in results),
+                cost_ratios=[r.summary["cost_ratio_vs_sgd"] for r in results])
+            expected.append({k: str(v) for k, v in cell.row().items()})
+        assert len(swept) == 4
+        for row, want in zip(swept, expected):
+            assert row.keys() == want.keys()
+            row.pop("cost_ratio_mean")
+            want.pop("cost_ratio_mean")
+            assert row == want
+
+    def test_companion_timed_once_per_seed_not_per_cell(self, tmp_path, companion_calls):
+        cells, _ = sweep(sharing_base(tmp_path), SHARING_AXES, seeds=SHARING_SEEDS,
+                         out=tmp_path)
+        assert companion_calls == [(30, 0), (30, 1), (30, 2)]
+        assert all(len(c.cost_ratios) == 3 for c in cells)
+
+    def test_iters_axis_gets_one_companion_per_value(self, tmp_path, companion_calls):
+        sweep(sharing_base(tmp_path), {"iters": [12, 20], "lr": [0.05, 0.2]},
+              seeds=[0], out=tmp_path)
+        assert companion_calls == [(12, 0), (20, 0)]
+
+    def test_consecutive_sweeps_time_their_own_companions(self, tmp_path,
+                                                          companion_calls):
+        for _ in range(2):
+            sweep(sharing_base(tmp_path), {"lr": [0.05, 0.2]}, seeds=[0], out=tmp_path)
+        assert companion_calls == [(30, 0), (30, 0)]
+
+    def test_sweep_draws_each_seed_stream_once(self, tmp_path, monkeypatch):
+        draws = []
+        original = LogisticRegression.sample_batch
+
+        def counting(self, t, seed):
+            draws.append((t, seed))
+            return original(self, t, seed)
+
+        monkeypatch.setattr(LogisticRegression, "sample_batch", counting)
+        sweep(sharing_base(tmp_path), SHARING_AXES, seeds=SHARING_SEEDS, out=tmp_path)
+        assert sorted(draws) == [(t, s) for t in range(1, 31) for s in SHARING_SEEDS]
+
+    def test_shared_batches_equal_sample_batch_and_are_read_only(self, tmp_path):
+        cfg = sharing_base(tmp_path, seed=4)
+        problem = get_problem(cfg.problem, **cfg.problem_params)
+        shared = harness._SeedPass(4)
+        stream = shared.batches(cfg, problem)
+        assert len(stream) == cfg.iters
+        for t, batch in enumerate(stream, start=1):
+            np.testing.assert_array_equal(batch, problem.sample_batch(t, 4))
+            assert not batch.flags.writeable
+        with pytest.raises(ValueError):
+            stream[0][0] = 0
+        longer = shared.batches(cfg.with_overrides({"iters": 40}), problem)
+        assert longer is stream and len(stream) == 40
+
+
+class TestAtomicWrite:
+    def test_replaces_target_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old")
+        harness.write_atomic(target, "new\r\n")
+        assert target.read_bytes() == b"new\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "summary.json"
+        target.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            harness.write_atomic(target, "new")
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
