@@ -8,6 +8,17 @@ second derivatives possible: the gradient returned by :func:`backward` is a
 graph node, and backpropagating the scalar ``dot(gradient, z)`` a second time
 yields the exact Hessian-vector product ``H @ z``.
 
+A pass that will not be differentiated again can skip the graph:
+``backward(output, wrt, create_graph=False)`` computes the same cotangents,
+bit for bit, but the nodes it builds record no parents or VJP closures. The
+switch is a module-level recording flag, set for the duration of the pass
+and restored in ``finally``, so the tape is not safe to share between
+threads. Nodes that cannot reach a :func:`variable` (``needs_grad`` false)
+never record parents either, whatever the flag: no backward pass visits
+them. In ``hessopt.problems`` only the gradient that Hessian-vector products
+are taken through records a graph; plain gradients and each HVP probe's own
+backward pass do not.
+
 Conventions:
   - all data is float64; inputs are coerced on construction
   - ``relu`` is treated as exactly linear away from 0. Its derivative at 0 is
@@ -61,13 +72,19 @@ class NumericError(RuntimeError):
     """A computation produced a non-finite (NaN/Inf) value."""
 
 
+_FLOAT64 = np.dtype(np.float64)
+# Whether new nodes record parents and VJPs; cleared by backward(create_graph=False).
+_recording = True
+
+
 class Tensor:
     """A node in the computation graph.
 
     ``vjps`` holds one closure per parent; each maps the cotangent of this
     node to the cotangent contribution for that parent, expressed with taped
     operations so it can be differentiated again. ``needs_grad`` marks whether
-    any :func:`variable` leaf is reachable; backward skips everything else.
+    any :func:`variable` leaf is reachable; backward skips everything else, so
+    a node without it keeps ``parents`` and ``vjps`` empty.
     """
 
     __slots__ = ("data", "parents", "vjps", "needs_grad", "op")
@@ -80,13 +97,23 @@ class Tensor:
         op: str = "leaf",
         needs_grad: bool | None = None,
     ):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.parents = parents
-        self.vjps = vjps
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.op = op
         if needs_grad is None:
-            needs_grad = any(p.needs_grad for p in parents)
+            needs_grad = False
+            if _recording:
+                for parent in parents:
+                    if parent.needs_grad:
+                        needs_grad = True
+                        break
         self.needs_grad = needs_grad
+        if needs_grad:
+            self.parents = parents
+            self.vjps = vjps
+        else:
+            self.parents = self.vjps = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -142,9 +169,9 @@ def constant(data) -> Tensor:
 
 
 def as_tensor(value) -> Tensor:
-    if isinstance(value, Tensor):
+    if type(value) is Tensor:
         return value
-    return constant(value)
+    return Tensor(value, op="constant", needs_grad=False)
 
 
 def _sum_to(t: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -225,7 +252,8 @@ def square(a) -> Tensor:
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.exp(a.data), (a,), (), "exp")
-    out.vjps = (lambda cot: mul(cot, out),)
+    if out.needs_grad:
+        out.vjps = (lambda cot: mul(cot, out),)
     return out
 
 
@@ -237,7 +265,8 @@ def log(a) -> Tensor:
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.tanh(a.data), (a,), (), "tanh")
-    out.vjps = (lambda cot: mul(cot, sub(constant(1.0), square(out))),)
+    if out.needs_grad:
+        out.vjps = (lambda cot: mul(cot, sub(constant(1.0), square(out))),)
     return out
 
 
@@ -275,8 +304,10 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 
 def broadcast_to(a, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
+    data = np.empty(shape)
+    data[...] = a.data
     return Tensor(
-        np.broadcast_to(a.data, shape),
+        data,
         (a,),
         (lambda cot: _sum_to(cot, a.data.shape),),
         "broadcast",
@@ -315,27 +346,26 @@ def dot(a, b) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     an, bn = a.data.ndim, b.data.ndim
-    out = Tensor(a.data @ b.data, (a, b), (), "matmul")
     if an == 2 and bn == 2:
-        out.vjps = (
+        vjps = (
             lambda cot: matmul(cot, transpose(b)),
             lambda cot: matmul(transpose(a), cot),
         )
     elif an == 2 and bn == 1:
         n, p = a.data.shape
-        out.vjps = (
+        vjps = (
             lambda cot: matmul(reshape(cot, (n, 1)), reshape(b, (1, p))),
             lambda cot: matmul(transpose(a), cot),
         )
     elif an == 1 and bn == 2:
         p, m = b.data.shape
-        out.vjps = (
+        vjps = (
             lambda cot: matmul(b, cot),
             lambda cot: matmul(reshape(a, (p, 1)), reshape(cot, (1, m))),
         )
     else:
         raise ValueError(f"matmul supports 2Dx2D, 2Dx1D, 1Dx2D; got {an}D @ {bn}D")
-    return out
+    return Tensor(a.data @ b.data, (a, b), vjps, "matmul")
 
 
 def narrow(a, start: int, length: int) -> Tensor:
@@ -382,64 +412,77 @@ def logsumexp_rows(a) -> Tensor:
 
 
 def _toposort(output: Tensor) -> list[Tensor]:
-    """Iterative topological order of the needs_grad subgraph ending at output."""
+    """Iterative topological order of the needs_grad subgraph ending at output.
+
+    A ``None`` pushed above a node marks it as expanded: popping the marker
+    emits the node beneath it.
+    """
     topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(output, False)]
+    visited: set[Tensor] = set()
+    stack: list[Tensor | None] = [output]
     while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
+        node = stack.pop()
+        if node is None:
+            topo.append(stack.pop())
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
+        visited.add(node)
+        stack.append(node)
+        stack.append(None)
         for parent in node.parents:
-            if parent.needs_grad and id(parent) not in visited:
-                stack.append((parent, False))
+            if parent.needs_grad and parent not in visited:
+                stack.append(parent)
     return topo
 
 
-def backward(output: Tensor, wrt: Sequence[Tensor]) -> list[Tensor]:
+def backward(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = True) -> list[Tensor]:
     """Reverse-mode pass from a scalar ``output`` to the ``wrt`` leaves.
 
-    Returns one cotangent tensor per entry of ``wrt``. The cotangents are
-    graph nodes built from taped operations, so they can be fed back into
-    ``backward`` (this is how Hessian-vector products are formed). Leaves not
-    reachable from ``output`` get a zero cotangent.
+    Returns one cotangent tensor per entry of ``wrt``. With ``create_graph``
+    (the default) the cotangents are graph nodes built from taped operations,
+    so they can be fed back into ``backward``; this is how Hessian-vector
+    products are formed. Without it, the same values are computed, but no node
+    built during the pass records parents, so the cotangents cannot be
+    differentiated and the pass costs less. Leaves not reachable from
+    ``output`` get a zero cotangent.
     """
+    global _recording
     if output.data.ndim != 0:
         raise ValueError("backward requires a scalar output")
-    cotangents: dict[int, Tensor] = {id(output): constant(1.0)}
-    for node in reversed(_toposort(output)):
-        cot = cotangents.get(id(node))
-        if cot is None:
-            continue
-        for parent, vjp in zip(node.parents, node.vjps):
-            if not parent.needs_grad or vjp is None:
+    previous, _recording = _recording, create_graph
+    try:
+        cotangents: dict[Tensor, Tensor] = {output: constant(1.0)}
+        for node in reversed(_toposort(output)):
+            cot = cotangents.get(node)
+            if cot is None:
                 continue
-            contribution = vjp(cot)
-            prev = cotangents.get(id(parent))
-            cotangents[id(parent)] = contribution if prev is None else add(prev, contribution)
-    results = []
-    for w in wrt:
-        cot = cotangents.get(id(w))
-        results.append(cot if cot is not None else constant(np.zeros_like(w.data)))
-    return results
+            for parent, vjp in zip(node.parents, node.vjps):
+                if not parent.needs_grad or vjp is None:
+                    continue
+                contribution = vjp(cot)
+                prev = cotangents.get(parent)
+                cotangents[parent] = contribution if prev is None else add(prev, contribution)
+        results = []
+        for w in wrt:
+            cot = cotangents.get(w)
+            results.append(cot if cot is not None else constant(np.zeros_like(w.data)))
+        return results
+    finally:
+        _recording = previous
 
 
 def find_nonfinite(output: Tensor) -> Tensor | None:
     """First node (in forward order) holding a non-finite value, if any."""
     for node in _toposort(output):
-        if not np.all(np.isfinite(node.data)):
+        if not np.isfinite(node.data).all():
             return node
     return None
 
 
 def check_finite(output: Tensor, context: str) -> None:
     """Raise :class:`NumericError` naming the offending op if non-finite."""
-    if np.all(np.isfinite(output.data)):
+    if np.isfinite(output.data).all():
         return
     bad = find_nonfinite(output)
     op = bad.op if bad is not None else "unknown"

@@ -15,9 +15,10 @@ iterations and emits two files:
 
 Sweeps run a cartesian grid of config overrides across seeds and aggregate
 mean and standard deviation of the final loss per cell into a CSV. Every
-cell's config is validated before the first run starts. A cell failure
-(numeric blow-up or a final loss beyond the divergence threshold) is
-recorded and the sweep continues.
+cell's config is validated, and each distinct problem is built once, before
+the first run starts. ``seed`` is not a grid axis, since the sweep's own seeds
+set it. A cell failure (numeric blow-up or a final loss beyond the divergence
+threshold) is recorded and the sweep continues.
 
 A sweep does its per-seed work once per ``sweep()`` call. It loops seeds
 outside and cells inside; each seed's pass draws the minibatch index stream
@@ -388,18 +389,27 @@ class _SeedPass:
         return self._companions[key]
 
 
+def _build_problem(config: RunConfig):
+    """The config's problem; a builder's TypeError or ValueError is a ConfigError."""
+    try:
+        return get_problem(config.problem, **config.problem_params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid problem-params for {config.problem!r}: {exc}") from None
+
+
 def run(config: RunConfig, write_files: bool = True, *,
         _shared: _SeedPass | None = None) -> RunResult:
     """Execute one configured run; optionally write trajectory and summary.
 
-    Raises ConfigError for invalid configs before any compute. A numeric
-    failure mid-run preserves all records up to the failing iteration, writes
-    them out, and returns with ``status="numeric_failure"``. ``_shared`` is
+    Raises ConfigError for invalid configs, and for problem parameters the
+    problem builder rejects, before any compute. A numeric failure mid-run
+    preserves all records up to the failing iteration, writes them out, and
+    returns with ``status="numeric_failure"``. ``_shared`` is
     internal to ``sweep``: the run reads its batches and companion time from
     the seed pass instead of drawing and timing its own.
     """
     config.validate()
-    problem = get_problem(config.problem, **config.problem_params)
+    problem = _build_problem(config)
     batches = _shared.batches(config, problem) if _shared is not None else None
     is_second_order = config.optimizer == "adahessian"
     hyper: dict = {"lr": config.lr}
@@ -446,21 +456,20 @@ def run(config: RunConfig, write_files: bool = True, *,
                      else problem.sample_batch(t, config.seed))
             start = time.perf_counter()
             try:
-                if is_second_order:
+                lr_factor = schedule(t)
+                # Only an iteration with a fresh estimate needs the gradient's
+                # graph; the rest take the same gradient without building one,
+                # and AdaHessian reuses its last estimate.
+                computed = is_second_order and should_compute(t, hcfg)
+                if computed:
                     loss, g, hvp_fn = problem.full_tape(theta, batch)
-                    computed = should_compute(t, hcfg)
-                    Ds = None
-                    if computed:
-                        est = estimate_diag(problem, theta, batch, hcfg,
-                                            probe_rng(config.seed, t),
-                                            iteration=t, hvp=hvp_fn)
-                        Ds = opt.average_diagonal(est.values)
-                    lr_factor = schedule(t)
-                    theta = opt.step(theta, g, Ds=Ds, lr_factor=lr_factor)
+                    est = estimate_diag(problem, theta, batch, hcfg,
+                                        probe_rng(config.seed, t),
+                                        iteration=t, hvp=hvp_fn)
+                    theta = opt.step(theta, g, Ds=opt.average_diagonal(est.values),
+                                     lr_factor=lr_factor)
                 else:
                     loss, g = problem.value_and_gradient(theta, batch)
-                    computed = False
-                    lr_factor = schedule(t)
                     theta = opt.step(theta, g, lr_factor=lr_factor)
             except NumericError as exc:
                 status = "numeric_failure"
@@ -546,13 +555,17 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
 
     Returns the per-cell aggregates and the CSV path (``out``, else the base
     config's output directory, else the default). Every cell's config is
-    validated before any run starts. Individual cell failures are counted as
+    validated, and each distinct problem built, before any run starts; a
+    ``seed`` axis is refused. Individual cell failures are counted as
     diverged; the sweep always completes. Seeds loop outside and cells
     inside, sharing one ``_SeedPass`` per seed.
     """
     base.validate()
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    if "seed" in axes:
+        raise ConfigError("seed cannot be a sweep axis: every cell runs each of the "
+                          "sweep's seeds (--seeds)")
     for axis in axes:
         if axis not in {f.name for f in fields(base)}:
             raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -563,6 +576,8 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
             for combo in itertools.product(*(axes[a] for a in axis_names))]
     configs = [[base.with_overrides({**overrides, "seed": seed}).validate()
                 for seed in seeds] for overrides in grid]
+    for cfg in {_SeedPass._key(c[0]): c[0] for c in configs}.values():
+        _build_problem(cfg)
     cells = [SweepCell(overrides=overrides, seeds=list(seeds), final_losses=[],
                        diverged=0, cost_ratios=[]) for overrides in grid]
     for i, seed in enumerate(seeds):

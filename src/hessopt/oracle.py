@@ -276,10 +276,30 @@ def _check_hvp_symmetry(rng) -> tuple[bool, str]:
     return worst <= 1e-8, f"worst symmetry deviation {worst:.3e} (tol 1e-8)"
 
 
+def _crosses_kink(problem: DifferentiableProblem, theta: np.ndarray, steps) -> bool:
+    """Whether a finite difference at ``theta`` could straddle a ReLU kink.
+
+    ``steps`` are the perturbations the difference adds to and subtracts from
+    ``theta``. True when some ReLU input is no farther from 0 than the
+    largest amount any of them moves that input. Decided from the problem's
+    own ReLU inputs, never from the finite difference itself.
+    """
+    base = problem.relu_inputs(theta)
+    if base.size == 0:
+        return False
+    reach = np.zeros_like(base)
+    for step in steps:
+        for moved in (theta + step, theta - step):
+            np.maximum(reach, np.abs(problem.relu_inputs(moved) - base), out=reach)
+    return bool((np.abs(base) <= reach).any())
+
+
 def _check_gradient_fd(rng) -> tuple[bool, str]:
     worst = 0.0
     for problem in _suite_problems():
         theta = _sample_theta(problem, rng)
+        while _crosses_kink(problem, theta, np.diag(_steps(theta, DEFAULT_FD_STEP))):
+            theta = _sample_theta(problem, rng)
         dev = np.abs(problem.gradient(theta) - fd_gradient(problem, theta)).max()
         worst = max(worst, dev)
     return worst <= 1e-5, f"worst |grad - fd| {worst:.3e} (tol 1e-5)"
@@ -291,6 +311,8 @@ def _check_hvp_fd(rng) -> tuple[bool, str]:
         for _ in range(20):
             theta = _sample_theta(problem, rng)
             z = rng.standard_normal(problem.dim)
+            while _crosses_kink(problem, theta, [DEFAULT_FD_STEP / np.linalg.norm(z) * z]):
+                theta = _sample_theta(problem, rng)
             hz = problem.hvp(theta, z)
             fd = fd_hvp(problem, theta, z)
             rel = np.abs(hz - fd).max() / max(1.0, np.abs(hz).max())

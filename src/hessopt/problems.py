@@ -79,6 +79,14 @@ class DifferentiableProblem:
     def n_samples(self) -> int:
         return 0
 
+    def relu_inputs(self, theta, batch=None) -> np.ndarray:
+        """Every value the loss passes through a ReLU, flattened; empty if none.
+
+        The loss is not differentiable where one of these is 0, so the oracle
+        keeps its finite differences from moving any of them across 0.
+        """
+        return np.empty(0)
+
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.dim,):
@@ -95,12 +103,7 @@ class DifferentiableProblem:
         return loss.item()
 
     def value_and_gradient(self, theta, batch=None) -> tuple[float, np.ndarray]:
-        theta = self._check_theta(theta)
-        t = ad.variable(theta)
-        loss = self.build_loss(t, batch)
-        ad.check_finite(loss, f"{self.name} loss")
-        (g,) = ad.backward(loss, [t])
-        ad.check_finite(g, f"{self.name} gradient")
+        _, loss, g = self._gradient_tape(theta, batch, create_graph=False)
         return loss.item(), g.data.copy()
 
     def gradient(self, theta, batch=None) -> np.ndarray:
@@ -111,42 +114,46 @@ class DifferentiableProblem:
 
     def hvp_operator(self, theta, batch=None) -> Callable[[np.ndarray], np.ndarray]:
         """Build one gradient tape and return ``z -> H @ z`` over it."""
-        theta = self._check_theta(theta)
-        t = ad.variable(theta)
-        loss = self.build_loss(t, batch)
-        (g,) = ad.backward(loss, [t])
-
-        def apply(z: np.ndarray) -> np.ndarray:
-            z = np.asarray(z, dtype=np.float64)
-            if z.shape != (self.dim,):
-                raise ValueError(f"{self.name}: probe length must be {self.dim}")
-            s = ad.dot(g, ad.constant(z))
-            (hz,) = ad.backward(s, [t])
-            ad.check_finite(hz, f"{self.name} hvp")
-            return hz.data.copy()
-
-        return apply
+        return self.full_tape(theta, batch)[2]
 
     def full_tape(self, theta, batch=None):
         """One tape yielding (loss, gradient, hvp-callable) without rebuilding.
 
         Used by the harness so that iterations needing a Hessian probe reuse
-        the gradient's graph instead of paying a second forward pass.
+        the gradient's graph instead of paying a second forward pass. Only
+        this gradient records a graph; each probe's backward pass does not.
         """
-        theta = self._check_theta(theta)
-        t = ad.variable(theta)
-        loss = self.build_loss(t, batch)
-        ad.check_finite(loss, f"{self.name} loss")
-        (g,) = ad.backward(loss, [t])
-        ad.check_finite(g, f"{self.name} gradient")
+        t, loss, g = self._gradient_tape(theta, batch, create_graph=True)
 
         def apply(z: np.ndarray) -> np.ndarray:
-            s = ad.dot(g, ad.constant(np.asarray(z, dtype=np.float64)))
-            (hz,) = ad.backward(s, [t])
-            ad.check_finite(hz, f"{self.name} hvp")
+            z = np.asarray(z, dtype=np.float64)
+            if z.shape != (self.dim,):
+                raise ValueError(f"{self.name}: probe length must be {self.dim}")
+            hz = self._checked_backward(ad.dot(g, ad.constant(z)), t, "hvp",
+                                        create_graph=False)
             return hz.data.copy()
 
         return loss.item(), g.data.copy(), apply
+
+    def _gradient_tape(self, theta, batch, create_graph: bool):
+        """The parameter leaf, the checked loss and its checked gradient."""
+        t = ad.variable(self._check_theta(theta))
+        loss = self.build_loss(t, batch)
+        ad.check_finite(loss, f"{self.name} loss")
+        return t, loss, self._checked_backward(loss, t, "gradient", create_graph)
+
+    def _checked_backward(self, output, t, what: str, create_graph: bool) -> ad.Tensor:
+        """``d output / d t``, raising NumericError if it is not finite.
+
+        A pass without a graph leaves nothing to search for the offending op,
+        so on that failure path the pass is redone with recording on.
+        """
+        (grad,) = ad.backward(output, [t], create_graph=create_graph)
+        if not np.isfinite(grad.data).all():
+            if not create_graph:
+                (grad,) = ad.backward(output, [t])
+            ad.check_finite(grad, f"{self.name} {what}")
+        return grad
 
 
 class QuadraticProblem(DifferentiableProblem):
@@ -234,6 +241,17 @@ class NoisyParabola(DifferentiableProblem):
         return self.analytic_second_derivative(x) * np.asarray(z, dtype=np.float64)
 
 
+def _check_batch_size(batch_size, n: int) -> int | None:
+    """``batch_size`` as given: None (full batch) or an int in [1, n]."""
+    if batch_size is None:
+        return None
+    if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)):
+        raise TypeError(f"batch_size must be an int or null, got {batch_size!r}")
+    if not 1 <= batch_size <= n:
+        raise ValueError(f"batch_size must lie in [1, {n}] for {n} samples, got {batch_size}")
+    return int(batch_size)
+
+
 class SyntheticDataset:
     """Seeded feature matrix and labels for the small learning problems."""
 
@@ -268,7 +286,7 @@ class LogisticRegression(DifferentiableProblem):
         self.data = data
         self.dim = data.p
         self.name = name
-        self.batch_size = batch_size
+        self.batch_size = _check_batch_size(batch_size, data.n)
         super().__init__()
 
     @property
@@ -327,7 +345,7 @@ class _MLPBase(DifferentiableProblem):
         self.data = data
         self._slices, self.dim = _mlp_slices(layers)
         self.name = name
-        self.batch_size = batch_size
+        self.batch_size = _check_batch_size(batch_size, data.n)
         if self.dim > 64:
             raise ValueError("tiny MLP exceeds d = 64; shrink the layer widths")
         super().__init__()
@@ -351,10 +369,12 @@ class _MLPBase(DifferentiableProblem):
             return self.data.X, self.data.y
         return self.data.X[batch], self.data.y[batch]
 
-    def _forward(self, theta, X: np.ndarray) -> ad.Tensor:
+    def _forward(self, theta, X: np.ndarray, hidden: list | None = None) -> ad.Tensor:
+        """Output layer of the network; ``hidden``, if given, collects each
+        hidden layer's pre-activation data."""
         params = []
-        for start, shape in self._slices:
-            flat = ad.narrow(theta, start, int(np.prod(shape)))
+        for (start, shape), size in zip(self._slices, self.group_sizes):
+            flat = ad.narrow(theta, start, size)
             params.append(ad.reshape(flat, shape) if len(shape) == 2 else flat)
         h = ad.constant(X)
         n_layers = len(self.layers) - 1
@@ -362,8 +382,17 @@ class _MLPBase(DifferentiableProblem):
             W, b = params[2 * i], params[2 * i + 1]
             h = ad.add(ad.matmul(h, W), b)
             if i < n_layers - 1:
+                if hidden is not None:
+                    hidden.append(h.data)
                 h = ad.tanh(h) if self.activation == "tanh" else ad.relu(h)
         return h
+
+    def relu_inputs(self, theta, batch=None) -> np.ndarray:
+        if self.activation != "relu":
+            return np.empty(0)
+        hidden: list[np.ndarray] = []
+        self._forward(ad.constant(self._check_theta(theta)), self._select(batch)[0], hidden)
+        return np.concatenate([h.ravel() for h in hidden])
 
 
 class TinyMLPRegression(_MLPBase):
@@ -383,9 +412,9 @@ class TinyMLPClassifier(_MLPBase):
     """Small ReLU network with softmax cross-entropy on seeded cluster data.
 
     ReLU is treated as exactly linear away from 0 (zero second derivative),
-    so Hessian-vector products are well-defined almost everywhere; test
-    comparisons against finite differences use seeds that keep perturbations
-    away from the kinks.
+    so Hessian-vector products are well-defined almost everywhere. The
+    oracle's finite-difference checks redraw any point whose perturbations
+    would move a ReLU input (:meth:`relu_inputs`) across its kink.
     """
 
     activation = "relu"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hessopt import autodiff as ad
+from hessopt.problems import DifferentiableProblem, get_problem
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -211,3 +212,93 @@ def test_operator_sugar_matches_functions():
     np.testing.assert_allclose((a / b).data, [1 / 3, 0.5])
     np.testing.assert_allclose((a**2).data, [1.0, 4.0])
     np.testing.assert_allclose((2.0 * a).data, [2.0, 4.0])
+
+
+def _mlp_hvp_tapes(create_graph):
+    """Gradient and one HVP of tiny-mlp-relu's loss, the HVP pass with ``create_graph``."""
+    problem = get_problem("tiny-mlp-relu")
+    z = np.random.default_rng(5).choice([-1.0, 1.0], size=problem.dim)
+    t = ad.variable(problem.theta0 + 0.1)
+    loss = problem.build_loss(t, problem.sample_batch(1, 0))
+    (g,) = ad.backward(loss, [t])
+    (hz,) = ad.backward(ad.dot(g, ad.constant(z)), [t], create_graph=create_graph)
+    (g_again,) = ad.backward(loss, [t], create_graph=create_graph)
+    return g_again.data, hz.data
+
+
+def test_no_graph_backward_is_bitwise_equal_to_default():
+    for got, want in zip(_mlp_hvp_tapes(False), _mlp_hvp_tapes(True)):
+        assert got.tobytes() == want.tobytes()
+
+    def gradient(create_graph):
+        x = ad.variable(np.array([0.3, -1.2, 2.0]))
+        f = ad.tsum(ad.mul(ad.tanh(x), ad.softplus(ad.power(ad.square(x), 0.7))))
+        return ad.backward(f, [x], create_graph=create_graph)[0].data
+
+    assert gradient(False).tobytes() == gradient(True).tobytes()
+
+
+def test_no_graph_backward_records_no_parents(monkeypatch):
+    x = ad.variable(np.array([0.5, -1.0, 2.0]))
+    loss = ad.tsum(ad.mul(ad.exp(x), ad.matmul(ad.constant(np.eye(3)), ad.tanh(x))))
+    built = []
+    plain_init = ad.Tensor.__init__
+
+    def spy(self, *args, **kwargs):
+        plain_init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", spy)
+    (g,) = ad.backward(loss, [x], create_graph=False)
+    assert built and g in built
+    assert all(n.parents == () and n.vjps == () and not n.needs_grad for n in built)
+    del built[:]
+    ad.backward(loss, [x])
+    assert any(n.parents for n in built)
+
+
+def test_graph_recording_resumes_after_a_no_graph_pass():
+    x = ad.variable(np.array(2.0).reshape(()))
+    f = ad.tsum(ad.power(ad.reshape(x, (1,)), 3.0))
+    ad.backward(f, [x], create_graph=False)
+    (g,) = ad.backward(f, [x])
+    (h,) = ad.backward(ad.tsum(g), [x])
+    (third,) = ad.backward(ad.tsum(h), [x])
+    np.testing.assert_allclose([g.data, h.data, third.data], [12.0, 12.0, 6.0], rtol=1e-12)
+
+    def failing_vjp(cot):
+        raise RuntimeError("vjp failed")
+
+    broken = ad.Tensor(x.data, (x,), (failing_vjp,), "broken")
+    with pytest.raises(RuntimeError, match="vjp failed"):
+        ad.backward(broken, [x], create_graph=False)
+    assert ad.add(x, 1.0).needs_grad
+
+
+class _SqrtProblem(DifferentiableProblem):
+    """sum(theta ** exponent): finite at 0, with an infinite derivative there."""
+
+    name = "sqrt"
+    dim = 2
+
+    def __init__(self, exponent):
+        super().__init__()
+        self.exponent = exponent
+
+    def build_loss(self, theta, batch):
+        return ad.tsum(ad.power(theta, self.exponent))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_gradient_under_finite_loss_names_its_op():
+    problem = _SqrtProblem(0.5)
+    assert problem.value(np.zeros(2)) == 0.0
+    with pytest.raises(ad.NumericError, match=r"sqrt gradient \(produced by op 'pow-0.5'\)"):
+        problem.value_and_gradient(np.zeros(2))
+    # The HVP probe's own pass records no graph either; x^1.5 has a finite
+    # value and gradient at 0 but an infinite second derivative.
+    problem = _SqrtProblem(1.5)
+    _, g, hvp = problem.full_tape(np.zeros(2))
+    assert np.all(g == 0.0)
+    with pytest.raises(ad.NumericError, match=r"sqrt hvp \(produced by op 'pow-0.5'\)"):
+        hvp(np.ones(2))

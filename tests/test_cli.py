@@ -142,6 +142,34 @@ class TestBadInput:
         assert calls == []
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("problem,params,needle", [
+        ("logreg", '{"batch_size": "32"}', "batch_size must be an int or null"),
+        ("logreg", '{"batch_size": 500}', "batch_size must lie in [1, 200]"),
+        ("logreg", '{"batch_size": 0}', "batch_size must lie in [1, 200]"),
+        ("spd-quadratic", '{"condition_number": -1}', "condition_number must be at least 1"),
+    ], ids=["string-batch-size", "batch-size-above-n", "zero-batch-size",
+            "negative-condition-number"])
+    def test_problem_param_value_rejected_by_builder(self, tmp_path, capsys, problem,
+                                                     params, needle):
+        code = main(["run", "--problem", problem, "--problem-params", params,
+                     "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, needle)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_problem_param_value_stops_sweep_before_any_run(self, tmp_path, capsys,
+                                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
+        code = main(["sweep", "--problem", "logreg", "--problem-params", '{"batch_size": 0}',
+                     "--grid", "lr=0.1,0.2", "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, "batch_size must lie in [1, 200]")
+        assert calls == []
+
+    def test_seed_grid_axis_points_to_seeds_flag(self, tmp_path, capsys):
+        code = main(["sweep", "--grid", "seed=5", "--seeds", "0,1", "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, "--seeds")
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestVerifyCommand:
     def test_subset_passes_and_writes_report(self, tmp_path, capsys):

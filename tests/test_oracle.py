@@ -203,6 +203,16 @@ class TestVerificationSuite:
         with pytest.raises(KeyError, match="no_such_property"):
             run_verification_suite(names=["no_such_property"])
 
+    @pytest.mark.parametrize("seed,name", [
+        (18, "hvp_vs_fd"), (780196821, "hvp_vs_fd"), (1165790218, "hvp_vs_fd"),
+        (1933990464, "gradient_vs_fd"),
+    ])
+    def test_finite_differences_keep_clear_of_relu_kinks(self, seed, name):
+        # At these suite seeds a first draw of theta puts a tiny-mlp-relu
+        # ReLU input within a finite-difference step of its kink.
+        report = run_verification_suite(names=[name], seed=seed)
+        assert report.all_passed, report.properties[0].detail
+
     def test_results_are_deterministic_in_seed(self):
         a = run_verification_suite(names=["hutchinson_variance"], seed=3)
         b = run_verification_suite(names=["hutchinson_variance"], seed=3)

@@ -240,6 +240,21 @@ class TestSharedInterface:
             p.value(np.zeros(3))
         with pytest.raises(ValueError):
             p.hvp(np.zeros(2), np.zeros(3), None)
+        with pytest.raises(ValueError):
+            p.full_tape(np.zeros(2))[2](np.zeros(3))
+
+    @pytest.mark.parametrize("name", pr.problem_names())
+    def test_relu_inputs_are_the_hidden_pre_activations(self, name):
+        p = pr.get_problem(name)
+        theta = p.theta0 + 0.1
+        got = p.relu_inputs(theta)
+        if name != "tiny-mlp-relu":
+            assert got.size == 0
+            return
+        (w_start, w_shape), (b_start, b_shape) = p._slices[:2]
+        W = theta[w_start:w_start + w_shape[0] * w_shape[1]].reshape(w_shape)
+        b = theta[b_start:b_start + b_shape[0]]
+        np.testing.assert_allclose(got, (p.data.X @ W + b).ravel(), rtol=1e-14)
 
     def test_unknown_problem_name_raises(self):
         with pytest.raises(KeyError):
