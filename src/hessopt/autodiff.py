@@ -29,6 +29,7 @@ Conventions:
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,12 +83,16 @@ class Tensor:
 
     ``vjps`` holds one closure per parent; each maps the cotangent of this
     node to the cotangent contribution for that parent, expressed with taped
-    operations so it can be differentiated again. ``needs_grad`` marks whether
-    any :func:`variable` leaf is reachable; backward skips everything else, so
-    a node without it keeps ``parents`` and ``vjps`` empty.
+    operations so it can be differentiated again. A VJP that needs the node
+    itself (``exp``, ``tanh``) holds it by weak reference: a VJP only runs
+    while its node is alive, and a strong one would make every tape a
+    reference cycle that outlives its call until the cyclic collector runs.
+    ``needs_grad`` marks whether any :func:`variable` leaf is reachable;
+    backward skips everything else, so a node without it keeps ``parents``
+    and ``vjps`` empty.
     """
 
-    __slots__ = ("data", "parents", "vjps", "needs_grad", "op")
+    __slots__ = ("data", "parents", "vjps", "needs_grad", "op", "__weakref__")
 
     def __init__(
         self,
@@ -253,7 +258,8 @@ def exp(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.exp(a.data), (a,), (), "exp")
     if out.needs_grad:
-        out.vjps = (lambda cot: mul(cot, out),)
+        ref = weakref.ref(out)
+        out.vjps = (lambda cot: mul(cot, ref()),)
     return out
 
 
@@ -266,7 +272,8 @@ def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.tanh(a.data), (a,), (), "tanh")
     if out.needs_grad:
-        out.vjps = (lambda cot: mul(cot, sub(constant(1.0), square(out))),)
+        ref = weakref.ref(out)
+        out.vjps = (lambda cot: mul(cot, sub(constant(1.0), square(ref()))),)
     return out
 
 

@@ -29,7 +29,6 @@ from .harness import (
     sweep,
     write_atomic,
 )
-from .oracle import run_verification_suite
 from .optim import optimizer_names
 from .problems import problem_names
 
@@ -156,6 +155,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import run_verification_suite  # only verify needs the oracle
+
     names = [n for n in args.properties.split(",") if n] if args.properties else None
     try:
         report = run_verification_suite(names=names, seed=args.seed)

@@ -12,7 +12,9 @@ every iteration so bias corrections see the true iteration count.
 
 Randomness comes from numpy's Philox generator (counter-based, explicitly
 seeded), so estimates are reproducible bit-for-bit across platforms for a
-given (seed, stream) pair.
+given (seed, stream) pair. :func:`rademacher` draws one probe or a whole
+``(n, d)`` batch of them in one call; the batch's rows are the probes that n
+one-probe calls would have drawn, in order.
 """
 
 from __future__ import annotations
@@ -82,11 +84,25 @@ def probe_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream])))
 
 
-def rademacher(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Vector of d i.i.d. entries drawn uniformly from {-1.0, +1.0}."""
-    if d < 1:
+def rademacher(shape: int | tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. entries drawn uniformly from {-1.0, +1.0}.
+
+    ``shape`` is an int ``d`` for one probe of length d, or a pair ``(n, d)``
+    for n probes stacked as rows. Row i of an ``(n, d)`` draw equals the i-th
+    of n successive ``rademacher(d, rng)`` calls on an identically keyed
+    generator, and leaves the generator in the same state: the batch consumes
+    the same Philox output words in the same order.
+    """
+    # Plain-Python checks: np.atleast_1d would add microseconds to every probe.
+    if type(shape) is tuple:
+        if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+            raise ValueError(f"shape must be d or (n, d) with n, d >= 1, got {shape!r}")
+    elif shape < 1:
         raise ValueError("d must be >= 1")
-    return 2.0 * rng.integers(0, 2, size=d).astype(np.float64) - 1.0
+    z = rng.integers(0, 2, size=shape).astype(np.float64)
+    z *= 2.0
+    z -= 1.0
+    return z
 
 
 def estimate_diag(problem, theta, batch, cfg: HutchinsonConfig,

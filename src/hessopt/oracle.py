@@ -364,8 +364,10 @@ def _check_hutchinson_variance(rng) -> tuple[bool, str]:
     M = np.random.default_rng(99).standard_normal((8, 8))
     H = 0.5 * (M + M.T)
     n = 400_000
-    Z = 2.0 * gen.integers(0, 2, size=(n, 8)).astype(np.float64) - 1.0
-    est = Z * (Z @ H.T)
+    Z = rademacher((n, 8), gen)
+    est = Z @ H.T
+    est *= Z
+    del Z  # free the probes before var() allocates its own temporaries
     sample_var = est.var(axis=0, ddof=1)
     expected = (H**2).sum(axis=1) - np.diag(H) ** 2
     rel = np.abs(sample_var - expected).max() / expected.max()
@@ -374,7 +376,7 @@ def _check_hutchinson_variance(rng) -> tuple[bool, str]:
 
 def _check_rademacher_mean(rng) -> tuple[bool, str]:
     gen = probe_rng(7, 0)
-    draws = np.stack([rademacher(6, gen) for _ in range(100_000)])
+    draws = rademacher((100_000, 6), gen)
     worst = np.abs(draws.mean(axis=0)).max()
     in_support = np.all(np.isin(draws, (-1.0, 1.0)))
     ok = worst <= 0.02 and in_support

@@ -252,6 +252,23 @@ def _check_batch_size(batch_size, n: int) -> int | None:
     return int(batch_size)
 
 
+def _check_counts(**counts) -> None:
+    """Builders' sample and feature counts must be at least 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _check_layers(layers: Sequence[int]) -> list[int]:
+    """MLP widths, input first: at least two, each at least 1."""
+    layers = list(layers)
+    if len(layers) < 2:
+        raise ValueError(f"layers needs an input and an output width, got {layers}")
+    if min(layers) < 1:
+        raise ValueError(f"layer widths must be at least 1, got {layers}")
+    return layers
+
+
 class SyntheticDataset:
     """Seeded feature matrix and labels for the small learning problems."""
 
@@ -469,6 +486,7 @@ def make_logreg(n: int = 200, p: int = 8, seed: int = 7, batch_size=None) -> Log
     Column scales span [1, 15], giving an ill-conditioned Hessian: a good
     stress test for fixed-learning-rate methods while staying convex.
     """
+    _check_counts(n=n, p=p)
     rng = np.random.default_rng(seed)
     scales = np.linspace(1.0, 15.0, p)
     X = rng.normal(size=(n, p)) * scales
@@ -480,7 +498,8 @@ def make_logreg(n: int = 200, p: int = 8, seed: int = 7, batch_size=None) -> Log
 def make_tiny_mlp(layers: Sequence[int] = (5, 8, 1), seed: int = 3, n: int = 256,
                   batch_size: int | None = 32) -> TinyMLPRegression:
     """Regression set from a fixed random tanh teacher plus mild noise."""
-    layers = list(layers)
+    layers = _check_layers(layers)
+    _check_counts(n=n)
     rng = np.random.default_rng(seed)
     p = layers[0]
     X = rng.normal(size=(n, p))
@@ -493,7 +512,8 @@ def make_tiny_mlp(layers: Sequence[int] = (5, 8, 1), seed: int = 3, n: int = 256
 def make_tiny_mlp_classifier(layers: Sequence[int] = (4, 6, 3), seed: int = 11, n: int = 240,
                              batch_size: int | None = 32) -> TinyMLPClassifier:
     """Three Gaussian clusters in 4-D, labelled by cluster."""
-    layers = list(layers)
+    layers = _check_layers(layers)
+    _check_counts(n=n)
     rng = np.random.default_rng(seed)
     p, classes = layers[0], layers[-1]
     centers = 2.0 * rng.normal(size=(classes, p))

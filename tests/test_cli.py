@@ -1,9 +1,14 @@
 """Tests for the command-line interface: subcommands, exit codes, output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hessopt
 from hessopt import cli, harness, optim
 from hessopt.cli import main
 
@@ -147,8 +152,14 @@ class TestBadInput:
         ("logreg", '{"batch_size": 500}', "batch_size must lie in [1, 200]"),
         ("logreg", '{"batch_size": 0}', "batch_size must lie in [1, 200]"),
         ("spd-quadratic", '{"condition_number": -1}', "condition_number must be at least 1"),
+        ("tiny-mlp", '{"layers": []}', "layers needs an input and an output width"),
+        ("tiny-mlp", '{"layers": [5]}', "layers needs an input and an output width"),
+        ("tiny-mlp", '{"layers": [5, 0, 1]}', "layer widths must be at least 1"),
+        ("logreg", '{"n": 0}', "n must be at least 1"),
+        ("logreg", '{"p": 0}', "p must be at least 1"),
     ], ids=["string-batch-size", "batch-size-above-n", "zero-batch-size",
-            "negative-condition-number"])
+            "negative-condition-number", "no-layers", "one-layer", "zero-width-layer",
+            "zero-samples", "zero-features"])
     def test_problem_param_value_rejected_by_builder(self, tmp_path, capsys, problem,
                                                      params, needle):
         code = main(["run", "--problem", problem, "--problem-params", params,
@@ -172,6 +183,19 @@ class TestBadInput:
 
 
 class TestVerifyCommand:
+    def test_importing_the_cli_leaves_the_oracle_unloaded(self):
+        # Only verify uses the oracle, so run and sweep should not pay its import.
+        src = str(Path(hessopt.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = ("import sys, hessopt.cli; "
+                 "assert hessopt.cli.__file__.startswith(sys.argv[1]), hessopt.cli.__file__; "
+                 "print(sorted(m for m in sys.modules if m.startswith('hessopt')))")
+        out = subprocess.run([sys.executable, "-c", probe, src], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert "'hessopt.cli'" in out
+        assert "hessopt.oracle" not in out
+
     def test_subset_passes_and_writes_report(self, tmp_path, capsys):
         code = main(["verify", "--properties", "rademacher_mean,hvp_linearity",
                      "--out", str(tmp_path)])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hessopt import problems as pr
 from hessopt.hutchinson import (
@@ -56,6 +58,47 @@ class TestRademacher:
     def test_empirical_mean_is_near_zero(self):
         z = rademacher(100_000, probe_rng(1, 0))
         assert abs(z.mean()) < 0.02
+
+
+def assert_batch_matches_one_probe_loop(n, d, seed, stream):
+    """An (n, d) draw is n one-probe draws stacked, and leaves the same state."""
+    g, g2 = probe_rng(seed, stream), probe_rng(seed, stream)
+    batch = rademacher((n, d), g)
+    loop = np.stack([rademacher(d, g2) for _ in range(n)])
+    assert batch.shape == (n, d) and batch.dtype == np.float64
+    np.testing.assert_array_equal(batch, loop)
+    np.testing.assert_array_equal(rademacher(d, g), rademacher(d, g2))
+
+
+class TestRademacherBatch:
+    # Fixed cases: odd and even widths, and the 6, 8 and 57 that the oracle
+    # and the problems draw.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        d=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        stream=st.integers(0, 2**16),
+    )
+    @example(n=100, d=1, seed=7, stream=0)
+    @example(n=100, d=3, seed=7, stream=0)
+    @example(n=100, d=6, seed=7, stream=0)
+    @example(n=100, d=7, seed=7, stream=0)
+    @example(n=100, d=8, seed=7, stream=0)
+    @example(n=100, d=57, seed=7, stream=0)
+    def test_rows_are_successive_one_probe_draws(self, n, d, seed, stream):
+        assert_batch_matches_one_probe_loop(n, d, seed, stream)
+
+    def test_mixed_call_sizes_share_one_stream(self):
+        g, g2 = probe_rng(3, 1), probe_rng(3, 1)
+        parts = [rademacher((4, 7), g), rademacher(7, g)[None], rademacher((2, 7), g)]
+        loop = np.stack([rademacher(7, g2) for _ in range(7)])
+        np.testing.assert_array_equal(np.concatenate(parts), loop)
+
+    @pytest.mark.parametrize("shape", [0, -1, (0, 5), (5, 0), (0, 0), (-2, 3), (3,), (2, 2, 2)])
+    def test_rejects_empty_or_malformed_shapes(self, shape):
+        with pytest.raises(ValueError):
+            rademacher(shape, probe_rng(0, 0))
 
 
 class TestEstimateDiag:

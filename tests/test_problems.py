@@ -1,9 +1,13 @@
 """Tests for benchmark problems: analytic values, tape agreement, batching."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from hessopt import autodiff as ad
 from hessopt import problems as pr
+from hessopt.hutchinson import probe_rng, rademacher
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -264,3 +268,31 @@ class TestSharedInterface:
         p = pr.get_problem("spd-quadratic", d=4, condition_number=3.0)
         assert p.dim == 4
         assert p.beta / p.alpha == pytest.approx(3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("tiny-mlp", {"batch_size": None}), ("logreg", {}), ("tiny-mlp-relu", {}),
+])
+def test_tapes_are_freed_without_the_cyclic_collector(name, params):
+    # exp and tanh VJPs need their own output node; holding it strongly would
+    # make each tape a reference cycle that outlives the call.
+    p = pr.get_problem(name, **params)
+    batch = p.sample_batch(1, 0)
+    z = rademacher(p.dim, probe_rng(0, 0))
+
+    def live_tensors():
+        return sum(type(o) is ad.Tensor for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_tensors()
+        p.value_and_gradient(p.theta0, batch)
+        after_gradient = live_tensors()
+        _, _, hvp = p.full_tape(p.theta0, batch)
+        hvp(z)
+        del hvp
+        after_probe = live_tensors()
+    finally:
+        gc.enable()
+    assert (after_gradient - before, after_probe - before) == (0, 0)
