@@ -6,9 +6,9 @@ Subcommands:
   verify  run the independent property suite, write a JSON report
   report  print a readable digest of a trajectory, summary, or sweep file
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure during a
-run, 3 verification failure. The default output directory is taken from
-``$HESSOPT_OUT`` when set, else ``./runs``.
+Exit codes: 0 success, 1 configuration error (or a file ``report`` cannot
+read), 2 numeric failure during a run, 3 verification failure. The default
+output directory is taken from ``$HESSOPT_OUT`` when set, else ``./runs``.
 """
 
 from __future__ import annotations
@@ -183,14 +183,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not path.exists():
         raise ConfigError(f"no such file: {path}")
     if path.suffix == ".jsonl":
-        digest = summarize_trajectory(path)
+        try:
+            digest = summarize_trajectory(path)
+            _, records = load_trajectory(path)
+        except ValueError as exc:  # also a line that is not JSON
+            raise ConfigError(f"cannot report on {path.name!r}: {exc}") from None
         config = digest.pop("config", {})
         print(f"trajectory: {path}")
         print(f"problem: {config.get('problem')}  optimizer: {config.get('optimizer')}"
               f"  seed: {config.get('seed')}")
         for key, value in digest.items():
             print(f"{key}: {value}")
-        _, records = load_trajectory(path)
         if records:
             show = records[:3] + ([] if len(records) <= 6 else records[-3:])
             for r in show:
@@ -199,7 +202,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     elif path.suffix == ".csv":
         print(path.read_text().rstrip())
     elif path.suffix == ".json":
-        data = json.loads(path.read_text())
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"cannot report on {path.name!r}: not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"cannot report on {path.name!r}: expected a JSON object")
         for key, value in data.items():
             print(f"{key}: {value}")
     else:

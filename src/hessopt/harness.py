@@ -11,7 +11,8 @@ iterations and emits two files:
   - ``<name>.summary.json``: final full-batch loss, iterations-to-threshold,
     per-iteration wall-time statistics (median over iterations after the
     first 10), and the measured per-iteration cost ratio against a
-    same-problem gradient-descent companion run.
+    gradient-descent companion: a ``run`` of SGD on the same problem, timed
+    by the same loop.
 
 Sweeps run a cartesian grid of config overrides across seeds and aggregate
 mean and standard deviation of the final loss per cell into a CSV. Every
@@ -53,7 +54,7 @@ import numpy as np
 
 from .autodiff import NumericError
 from .hutchinson import HutchinsonConfig, estimate_diag, probe_rng, should_compute
-from .optim import AdaHessian, make_optimizer, make_schedule, optimizer_names
+from .optim import OPTIMIZERS, make_optimizer, make_schedule, optimizer_names
 from .problems import PROBLEM_BUILDERS, get_problem, problem_names
 
 __all__ = [
@@ -152,6 +153,10 @@ class RunConfig:
         if not 0.0 <= self.k <= 1.0:
             raise ConfigError("k must lie in [0, 1]")
         try:
+            make_optimizer(self.optimizer, 1, **_optimizer_args(self))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        try:
             make_schedule(self.schedule, **self.schedule_params)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid schedule: {exc}") from None
@@ -199,6 +204,25 @@ def _field_types() -> dict[str, tuple]:
     """
     return {name: typing.get_args(tp) or (tp,)
             for name, tp in typing.get_type_hints(RunConfig).items()}
+
+
+@functools.cache
+def _optimizer_fields(name: str) -> tuple[str, ...]:
+    """The config fields that the optimizer's constructor takes, by name.
+
+    ``block_size`` joins them where the constructor takes a block layout;
+    ``make_optimizer`` turns it into one. Cached: the signature lookup costs
+    more than the rest of a config check.
+    """
+    params = inspect.signature(OPTIMIZERS[name]).parameters
+    names = [f.name for f in fields(RunConfig) if f.name in params]
+    if "block_spec" in params:
+        names.append("block_size")
+    return tuple(names)
+
+
+def _optimizer_args(config: RunConfig) -> dict:
+    return {name: getattr(config, name) for name in _optimizer_fields(config.optimizer)}
 
 
 def _has_type(value, tp) -> bool:
@@ -293,63 +317,29 @@ def _dump_json_line(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _warm_times(times: list[float]) -> list[float]:
-    # Discard cold-cache iterations before aggregating.
-    return times[10:] if len(times) > 10 else times
+def _iter_seconds(records: list[TrajectoryRecord]) -> dict:
+    """The summary's median, mean and amortized per-iteration seconds.
 
-
-def _median_iter_time(records: list[TrajectoryRecord]) -> float:
-    times = _warm_times([r.elapsed_s for r in records])
-    return statistics.median(times) if times else 0.0
-
-
-def _mean_iter_time(records: list[TrajectoryRecord]) -> float:
-    times = _warm_times([r.elapsed_s for r in records])
-    return statistics.fmean(times) if times else 0.0
-
-
-def _amortized_iter_time(records: list[TrajectoryRecord]) -> float:
-    """Robust amortized per-iteration time.
-
-    Iterations that computed a curvature estimate cost more than ones that
-    reused the last estimate, so a plain mean is dominated by scheduler
-    noise while a plain median forgets the expensive class entirely once it
-    is in the minority. Instead: take the median within each class and weight
-    by how often the class occurs.
+    All three skip the first 10 iterations, which pay for cold caches. The
+    amortized time is robust to the mix of iterations: those that computed a
+    curvature estimate cost more than ones that reused the last estimate, so
+    a plain mean is dominated by scheduler noise while a plain median forgets
+    the expensive class entirely once it is in the minority. Instead it takes
+    the median within each class and weights it by how often the class occurs.
     """
     warm = records[10:] if len(records) > 10 else records
     if not warm:
-        return 0.0
-    with_est = [r.elapsed_s for r in warm if r.hessian_computed]
-    without = [r.elapsed_s for r in warm if not r.hessian_computed]
-    total = len(warm)
-    out = 0.0
-    if with_est:
-        out += statistics.median(with_est) * (len(with_est) / total)
-    if without:
-        out += statistics.median(without) * (len(without) / total)
-    return out
-
-
-def _sgd_companion_time(problem, iters: int, seed: int, batches=None) -> float:
-    """Median warm per-iteration time of a plain first-order loop, same problem.
-
-    The learning rate is tiny so the iterates stay in a numerically ordinary
-    region; only the timing is used. ``batches[t - 1]``, when given, replaces
-    ``problem.sample_batch(t, seed)``; either way the batch is fetched outside
-    the timed region.
-    """
-    opt = make_optimizer("sgd", problem.dim, lr=1e-9, momentum=0.9)
-    theta = problem.theta0.copy()
-    times = []
-    for t in range(1, iters + 1):
-        batch = batches[t - 1] if batches is not None else problem.sample_batch(t, seed)
-        start = time.perf_counter()
-        _, g = problem.value_and_gradient(theta, batch)
-        theta = opt.step(theta, g)
-        times.append(time.perf_counter() - start)
-    times = _warm_times(times)
-    return statistics.median(times) if times else 0.0
+        return {"median_iter_seconds": 0.0, "mean_iter_seconds": 0.0,
+                "amortized_iter_seconds": 0.0}
+    times = [r.elapsed_s for r in warm]
+    amortized = 0.0
+    for computed in (True, False):
+        group = [r.elapsed_s for r in warm if r.hessian_computed == computed]
+        if group:
+            amortized += statistics.median(group) * (len(group) / len(warm))
+    return {"median_iter_seconds": statistics.median(times),
+            "mean_iter_seconds": statistics.fmean(times),
+            "amortized_iter_seconds": amortized}
 
 
 class _SeedPass:
@@ -358,7 +348,7 @@ class _SeedPass:
     Holds each (problem, problem_params) key's minibatch index stream, drawn
     once and read-only, and each (problem, problem_params, iters) key's
     gradient-descent companion time. One instance lives for one seed of one
-    ``sweep()`` call.
+    ``sweep()`` call, or for the companion of one standalone run.
     """
 
     def __init__(self, seed: int):
@@ -381,11 +371,18 @@ class _SeedPass:
             stream.append(batch)
         return stream
 
-    def companion_time(self, config: RunConfig, problem) -> float:
+    def companion_time(self, config: RunConfig) -> float:
+        """Median warm per-iteration seconds of a ``run`` of plain SGD on the
+        config's problem, stream and iteration count. Its learning rate is tiny
+        so the iterates stay numerically ordinary; only its timing is used.
+        """
         key = (self._key(config), config.iters)
         if key not in self._companions:
-            self._companions[key] = _sgd_companion_time(
-                problem, config.iters, self.seed, batches=self.batches(config, problem))
+            companion = RunConfig(problem=config.problem, problem_params=config.problem_params,
+                                  optimizer="sgd", lr=1e-9, momentum=0.9,
+                                  iters=config.iters, seed=self.seed, cost_ratio=False)
+            result = run(companion, write_files=False, _shared=self)
+            self._companions[key] = result.summary["median_iter_seconds"]
         return self._companions[key]
 
 
@@ -404,29 +401,16 @@ def run(config: RunConfig, write_files: bool = True, *,
     Raises ConfigError for invalid configs, and for problem parameters the
     problem builder rejects, before any compute. A numeric failure mid-run
     preserves all records up to the failing iteration, writes them out, and
-    returns with ``status="numeric_failure"``. ``_shared`` is
-    internal to ``sweep``: the run reads its batches and companion time from
-    the seed pass instead of drawing and timing its own.
+    returns with ``status="numeric_failure"``. ``_shared`` is internal to
+    ``sweep`` and the companion: the run reads its batches and companion time
+    from the seed pass instead of drawing and timing its own.
     """
     config.validate()
     problem = _build_problem(config)
     batches = _shared.batches(config, problem) if _shared is not None else None
     is_second_order = config.optimizer == "adahessian"
-    hyper: dict = {"lr": config.lr}
-    if config.optimizer in ("adam", "adamw", "adahessian"):
-        hyper.update(beta1=config.beta1, beta2=config.beta2, eps=config.eps,
-                     weight_decay=config.weight_decay)
-    elif config.optimizer == "rmsprop":
-        hyper.update(beta2=config.beta2, eps=config.eps, weight_decay=config.weight_decay)
-    elif config.optimizer == "adagrad":
-        hyper.update(eps=config.eps, weight_decay=config.weight_decay)
-    elif config.optimizer == "sgd":
-        hyper.update(momentum=config.momentum, weight_decay=config.weight_decay)
-    if is_second_order:
-        hyper.update(k=config.k, block_size=config.block_size,
-                     hessian_ema=config.hessian_ema)
-    opt = make_optimizer(config.optimizer, problem.dim,
-                         group_sizes=problem.group_sizes, **hyper)
+    opt = make_optimizer(config.optimizer, problem.dim, group_sizes=problem.group_sizes,
+                         **_optimizer_args(config))
     schedule = make_schedule(config.schedule, **config.schedule_params)
     hcfg = HutchinsonConfig(samples_per_estimate=config.samples,
                             frequency=config.hessian_freq,
@@ -507,7 +491,6 @@ def run(config: RunConfig, write_files: bool = True, *,
                 iters_to_threshold = r.t
                 break
 
-    mean_time = _mean_iter_time(records)
     summary = {
         "schema": "hessopt-summary-1",
         "status": status,
@@ -520,15 +503,12 @@ def run(config: RunConfig, write_files: bool = True, *,
         "best_recorded_loss": min((r.loss for r in records), default=None),
         "iterations_to_threshold": iters_to_threshold,
         "hessian_estimates_computed": sum(r.hessian_computed for r in records),
-        "median_iter_seconds": _median_iter_time(records),
-        "mean_iter_seconds": mean_time,
-        "amortized_iter_seconds": _amortized_iter_time(records),
+        **_iter_seconds(records),
     }
     if failure_detail:
         summary["failure"] = failure_detail
     if config.cost_ratio and status == "ok" and records:
-        sgd_time = (_shared.companion_time(config, problem) if _shared is not None
-                    else _sgd_companion_time(problem, config.iters, config.seed))
+        sgd_time = (_shared or _SeedPass(config.seed)).companion_time(config)
         if sgd_time > 0:
             summary["sgd_median_iter_seconds"] = sgd_time
             summary["cost_ratio_vs_sgd"] = summary["amortized_iter_seconds"] / sgd_time
@@ -618,7 +598,7 @@ def load_trajectory(path: str | Path) -> tuple[dict, list[dict]]:
     if not lines:
         raise ValueError(f"empty trajectory file: {path}")
     header = json.loads(lines[0])
-    if header.get("schema") != TRAJECTORY_SCHEMA:
+    if not isinstance(header, dict) or header.get("schema") != TRAJECTORY_SCHEMA:
         raise ValueError(f"unrecognized trajectory schema in {path}")
     return header, [json.loads(line) for line in lines[1:]]
 

@@ -2,8 +2,7 @@
 
 All optimizers share one shape of interface: ``step(theta, grad, ...)``
 returns the next parameter vector and advances internal state by exactly one
-iteration. State is serializable to plain JSON types via ``state_dict`` /
-``load_state_dict`` for resume and inspection.
+iteration.
 
 The second-order method preconditions with a moving root-mean-square of the
 spatially averaged Hessian diagonal:
@@ -43,7 +42,6 @@ __all__ = [
     "optimizer_names",
     "Schedule",
     "make_schedule",
-    "lr_schedule",
 ]
 
 
@@ -112,7 +110,7 @@ def _check_beta(name: str, value: float) -> float:
 
 
 class Optimizer:
-    """Common hyperparameter plumbing and JSON state round-tripping."""
+    """Common hyperparameter checks, shape checks and the finite-update guard."""
 
     kind = "base"
 
@@ -150,27 +148,6 @@ class Optimizer:
             )
         return update
 
-    # State snapshots use only JSON-native types (ints, floats, lists).
-    def _hyper_dict(self) -> dict:
-        return {"lr": self.lr, "weight_decay": self.weight_decay, "eps": self.eps}
-
-    def _buffers(self) -> dict:
-        return {}
-
-    def state_dict(self) -> dict:
-        buffers = {k: np.asarray(v).tolist() for k, v in self._buffers().items()}
-        return {"kind": self.kind, "dim": self.dim, "t": self.t,
-                "hyper": self._hyper_dict(), "buffers": buffers}
-
-    def load_state_dict(self, state: dict) -> None:
-        if state.get("kind") != self.kind:
-            raise ValueError(f"state is for {state.get('kind')!r}, not {self.kind!r}")
-        if state.get("dim") != self.dim:
-            raise ValueError("state dimension mismatch")
-        self.t = int(state["t"])
-        for name, value in state["buffers"].items():
-            setattr(self, name, np.asarray(value, dtype=np.float64))
-
 
 class SGD(Optimizer):
     """Gradient descent with an exponentially averaged momentum buffer.
@@ -201,12 +178,6 @@ class SGD(Optimizer):
             direction = grad
         return theta - self._guard_update(self.lr * lr_factor * direction)
 
-    def _hyper_dict(self):
-        return {**super()._hyper_dict(), "momentum": self.momentum}
-
-    def _buffers(self):
-        return {"buffer": self.buffer}
-
 
 class Adagrad(Optimizer):
     """Accumulated squared gradients; denominator sqrt(sum g^2) + eps."""
@@ -225,9 +196,6 @@ class Adagrad(Optimizer):
         self.accum = self.accum + grad * grad
         update = self.lr * lr_factor * grad / (np.sqrt(self.accum) + self.eps)
         return theta - self._guard_update(update)
-
-    def _buffers(self):
-        return {"accum": self.accum}
 
 
 class RMSProp(Optimizer):
@@ -249,12 +217,6 @@ class RMSProp(Optimizer):
         self.v = ema_square_update(self.v, grad, self.beta2)
         update = self.lr * lr_factor * grad / (np.sqrt(self.v) + self.eps)
         return theta - self._guard_update(update)
-
-    def _hyper_dict(self):
-        return {**super()._hyper_dict(), "beta2": self.beta2}
-
-    def _buffers(self):
-        return {"v": self.v}
 
 
 class Adam(Optimizer):
@@ -290,12 +252,6 @@ class Adam(Optimizer):
         v_hat = self.v / (1.0 - self.beta2**self.t)
         update = eff_lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return theta - self._guard_update(update)
-
-    def _hyper_dict(self):
-        return {**super()._hyper_dict(), "beta1": self.beta1, "beta2": self.beta2}
-
-    def _buffers(self):
-        return {"m": self.m, "v": self.v}
 
 
 class AdamW(Adam):
@@ -369,34 +325,6 @@ class AdaHessian(Optimizer):
         update = eff_lr * m_hat / (v + self.eps)
         return theta - self._guard_update(update)
 
-    def hessian_momentum(self, Ds: np.ndarray) -> np.ndarray:
-        """Advance the squared-Ds average one step and return Dbar_t.
-
-        Exposed for direct inspection of the curvature track; ``step``
-        performs the same update inline.
-        """
-        Ds = np.asarray(Ds, dtype=np.float64)
-        self.t += 1
-        self.last_Ds = Ds
-        self.v_raw = hessian_ema_square_update(self.v_raw, Ds, self.beta2)
-        return np.sqrt(self.v_raw / (1.0 - self.beta2**self.t))
-
-    def _hyper_dict(self):
-        return {**super()._hyper_dict(), "beta1": self.beta1, "beta2": self.beta2,
-                "k": self.k, "block_size": self.block_spec.block_size,
-                "hessian_ema": self.hessian_ema}
-
-    def _buffers(self):
-        buffers = {"m": self.m, "v_raw": self.v_raw}
-        if self.last_Ds is not None:
-            buffers["last_Ds"] = self.last_Ds
-        return buffers
-
-    def load_state_dict(self, state):
-        super().load_state_dict(state)
-        if "last_Ds" not in state["buffers"]:
-            self.last_Ds = None
-
 
 OPTIMIZERS: dict[str, type] = {
     "sgd": SGD,
@@ -434,8 +362,6 @@ def make_optimizer(kind: str, dim: int, group_sizes: Sequence[int] | None = None
 class Schedule:
     """Learning-rate multiplier as a function of the 1-based iteration."""
 
-    kind = "constant"
-
     def __call__(self, t: int) -> float:
         if t < 1:
             raise ValueError("iterations are 1-based")
@@ -444,14 +370,9 @@ class Schedule:
     def factor_at(self, t: int) -> float:
         return 1.0
 
-    def params(self) -> dict:
-        return {}
-
 
 class StepDecay(Schedule):
     """Multiply by ``factor`` at each milestone iteration (inclusive)."""
-
-    kind = "step_decay"
 
     def __init__(self, milestones: Sequence[int], factor: float = 0.1):
         milestones = sorted(int(m) for m in milestones)
@@ -466,14 +387,9 @@ class StepDecay(Schedule):
         passed = sum(1 for m in self.milestones if m <= t)
         return self.factor**passed
 
-    def params(self):
-        return {"milestones": self.milestones, "factor": self.factor}
-
 
 class LinearWarmupThenDecay(Schedule):
     """Ramp linearly 0 -> 1 over the warmup, then linearly 1 -> 0 by the end."""
-
-    kind = "linear_warmup_then_decay"
 
     def __init__(self, warmup_steps: int, total_steps: int):
         if warmup_steps < 1:
@@ -488,9 +404,6 @@ class LinearWarmupThenDecay(Schedule):
             return t / self.warmup_steps
         remaining = self.total_steps - t
         return max(remaining / (self.total_steps - self.warmup_steps), 0.0)
-
-    def params(self):
-        return {"warmup_steps": self.warmup_steps, "total_steps": self.total_steps}
 
 
 _SCHEDULES = {
@@ -508,8 +421,3 @@ def make_schedule(kind: str = "constant", **params) -> Schedule:
             f"unknown schedule {kind!r}; available: {', '.join(sorted(_SCHEDULES))}"
         ) from None
     return cls(**params)
-
-
-def lr_schedule(kind: str, t: int, params: dict | None = None) -> float:
-    """Multiplier applied to the base learning rate at iteration t."""
-    return make_schedule(kind, **(params or {}))(t)

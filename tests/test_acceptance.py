@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from hessopt import harness, optim
+from hessopt import optim
 from hessopt.harness import RunConfig, run
 from hessopt.hutchinson import HutchinsonConfig, estimate_diag, probe_rng
 from hessopt.oracle import (
@@ -177,8 +177,11 @@ def test_c7_cost_ratio_falls_as_estimates_become_sparser(criterion):
     # noise; the loss check uses the deterministic first repeat
     start = time.perf_counter()
     repeats = 5
-    problem = get_problem("tiny-mlp", batch_size=None)
-    sgd_time = min(harness._sgd_companion_time(problem, 300, 0)
+    # the harness's gradient-descent companion, timed by the same run loop
+    companion = RunConfig(problem="tiny-mlp", problem_params={"batch_size": None},
+                          optimizer="sgd", lr=1e-9, momentum=0.9, iters=300, seed=0,
+                          cost_ratio=False)
+    sgd_time = min(run(companion, write_files=False).summary["median_iter_seconds"]
                    for _ in range(repeats))
     ratios = []
     losses = []

@@ -176,6 +176,28 @@ class TestBadInput:
         self.assert_config_error(capsys, code, "batch_size must lie in [1, 200]")
         assert calls == []
 
+    @pytest.mark.parametrize("flags,needle", [
+        (["--optimizer", "sgd", "--momentum", "1.5"], "momentum must lie in [0, 1)"),
+        (["--beta2", "1.5"], "beta2 must lie strictly between 0 and 1"),
+        (["--optimizer", "adam", "--beta1", "0"], "beta1 must lie strictly between 0 and 1"),
+        (["--weight-decay", "-1"], "weight_decay must be >= 0"),
+        (["--eps", "-1"], "eps must be >= 0"),
+    ], ids=["sgd-momentum", "beta2", "adam-beta1", "weight-decay", "eps"])
+    def test_optimizer_hyperparameter_rejected_by_constructor(self, tmp_path, capsys,
+                                                              flags, needle):
+        code = main(["run", *flags, "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, needle)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_optimizer_hyperparameter_stops_sweep_before_any_run(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
+        code = main(["sweep", "--grid", "beta2=0.9,1.5", "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, "beta2 must lie strictly between 0 and 1")
+        assert calls == []
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_seed_grid_axis_points_to_seeds_flag(self, tmp_path, capsys):
         code = main(["sweep", "--grid", "seed=5", "--seeds", "0,1", "--out", str(tmp_path)])
         self.assert_config_error(capsys, code, "--seeds")
@@ -264,6 +286,22 @@ class TestReportCommand:
         path = tmp_path / "notes.txt"
         path.write_text("hello")
         assert main(["report", str(path)]) == 1
+
+    @pytest.mark.parametrize("name,text,needle", [
+        ("run.summary.json", "{not json", "not valid JSON"),
+        ("run.summary.json", "[1, 2]", "expected a JSON object"),
+        ("run.trajectory.jsonl", "", "empty trajectory file"),
+        ("run.trajectory.jsonl", '{"schema": "other-1"}\n',
+         "unrecognized trajectory schema"),
+    ], ids=["invalid-json", "json-list", "empty-trajectory", "unknown-schema"])
+    def test_malformed_file_is_a_config_error(self, tmp_path, capsys, name, text, needle):
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["report", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"config error: cannot report on {name!r}") and needle in err
 
 
 class TestParser:

@@ -1,7 +1,9 @@
 """Tests for the run/sweep harness: configs, trajectories, failure paths."""
 
 import csv
+import inspect
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hessopt.harness import (
     summarize_trajectory,
     sweep,
 )
+from hessopt.optim import OPTIMIZERS
 from hessopt.problems import LogisticRegression, get_problem
 
 
@@ -71,6 +74,34 @@ class TestRunConfig:
         RunConfig(problem="logreg", problem_params={"batch_size": 32, "n": 50}).validate()
         with pytest.raises(ConfigError, match="'bogus'.*accepted: n, p, seed, batch_size"):
             RunConfig(problem="logreg", problem_params={"bogus": 1}).validate()
+
+    def test_every_optimizer_parameter_is_a_config_field(self):
+        # run() passes an optimizer the config fields its constructor names, so a
+        # constructor parameter without a field would silently keep its default.
+        config_fields = {f.name for f in fields(RunConfig)}
+        for name, cls in OPTIMIZERS.items():
+            params = set(inspect.signature(cls).parameters) - {"dim", "block_spec"}
+            assert params <= config_fields, (name, params - config_fields)
+
+    def test_optimizer_receives_its_config_fields(self, tmp_path, monkeypatch):
+        built = []
+        original = harness.make_optimizer
+
+        def recording(kind, dim, group_sizes=None, **hyper):
+            built.append((kind, dim, hyper))
+            return original(kind, dim, group_sizes=group_sizes, **hyper)
+
+        monkeypatch.setattr(harness, "make_optimizer", recording)
+        run(quick_config(tmp_path, optimizer="sgd", momentum=0.5, weight_decay=0.25,
+                         iters=1), write_files=False)
+        run(quick_config(tmp_path, k=0.5, block_size=2, hessian_ema=False, iters=1),
+            write_files=False)
+        # validate() builds each optimizer at dim 1 before run() builds it for real
+        assert [(kind, hyper) for kind, dim, hyper in built if dim > 1] == [
+            ("sgd", {"lr": 0.1, "momentum": 0.5, "weight_decay": 0.25}),
+            ("adahessian", {"lr": 0.1, "beta1": 0.9, "beta2": 0.999, "k": 0.5, "eps": 1e-8,
+                            "weight_decay": 0.0, "hessian_ema": False, "block_size": 2}),
+        ]
 
     def test_unknown_override_keys_raise(self):
         with pytest.raises(ConfigError, match="learning_rate"):
@@ -176,6 +207,26 @@ class TestRun:
         assert all(r.loss > 0.5 for r in result.records[: t - 1])
         unset = run(quick_config(tmp_path, iters=3), write_files=False)
         assert unset.summary["iterations_to_threshold"] is None
+
+    def test_companion_is_an_sgd_run_of_the_same_problem(self, tmp_path, monkeypatch):
+        calls = []
+        original = harness.run
+
+        def recording(config, write_files=True, **kwargs):
+            calls.append((config, write_files))
+            return original(config, write_files, **kwargs)
+
+        monkeypatch.setattr(harness, "run", recording)
+        cfg = quick_config(tmp_path, problem="logreg", problem_params={"batch_size": 32},
+                           iters=12, seed=3, cost_ratio=True, schedule="step_decay",
+                           schedule_params={"milestones": [5]}, weight_decay=0.1)
+        result = original(cfg, write_files=False)
+        [(companion, write_files)] = calls
+        assert not write_files
+        assert companion == RunConfig(problem="logreg", problem_params={"batch_size": 32},
+                                      optimizer="sgd", lr=1e-9, momentum=0.9, iters=12,
+                                      seed=3, cost_ratio=False)
+        assert result.summary["sgd_median_iter_seconds"] > 0
 
     def test_cost_ratio_toggle(self, tmp_path):
         with_ratio = run(quick_config(tmp_path, iters=12, cost_ratio=True),
@@ -326,15 +377,16 @@ SHARING_SEEDS = [0, 1, 2]
 
 @pytest.fixture
 def companion_calls(monkeypatch):
-    """Record (iters, seed) of every companion timing; the timing still runs."""
+    """Record (iters, seed) of every SGD companion ``run``; the run still happens."""
     calls = []
-    original = harness._sgd_companion_time
+    original = harness.run
 
-    def counting(problem, iters, seed, batches=None):
-        calls.append((iters, seed))
-        return original(problem, iters, seed, batches=batches)
+    def counting(config, *args, **kwargs):
+        if config.optimizer == "sgd":
+            calls.append((config.iters, config.seed))
+        return original(config, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_sgd_companion_time", counting)
+    monkeypatch.setattr(harness, "run", counting)
     return calls
 
 
