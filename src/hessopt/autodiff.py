@@ -19,17 +19,34 @@ them. In ``hessopt.problems`` only the gradient that Hessian-vector products
 are taken through records a graph; plain gradients and each HVP probe's own
 backward pass do not.
 
+Record and replay: inside ``Program.recording()`` every op also appends one
+step to the program: the node it made, the numpy function that computed the
+node's data, and the input nodes. :meth:`Program.replay` reruns the steps in
+order after new arrays are written into the leaves' ``data``. The same numpy
+functions then run on the same operands in the same order, and the cotangent
+accumulation order is the one fixed at recording, so every node ends up bit
+for bit where a fresh tape at the new leaves would put it. Only the leaves a
+caller rewrites change between replays; every other leaf is baked into the
+program. So any data an op derives from its inputs (``relu``'s mask,
+``softplus``'s shift, ``logsumexp_rows``'s row max) is made by a recorded
+step, never captured as a constant leaf. Outside a recording the ops build
+the eager tape exactly as before; it stays the only path for one-off
+evaluations and for locating the op behind a non-finite value.
+
 Conventions:
   - all data is float64; inputs are coerced on construction
   - ``relu`` is treated as exactly linear away from 0. Its derivative at 0 is
     taken to be 0, and its second derivative is 0 almost everywhere.
-  - constants (datasets, probe vectors, masks) enter through :func:`constant`
-    and never receive cotangents
+  - constants (datasets, probe vectors) enter through :func:`constant` and
+    never receive cotangents; neither do the masks and shifts an op computes
+    from its input, which are recorded steps of their own
 """
 
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
+from operator import itemgetter, methodcaller
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +54,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "NumericError",
+    "Program",
     "variable",
     "constant",
     "as_tensor",
@@ -76,6 +94,9 @@ class NumericError(RuntimeError):
 _FLOAT64 = np.dtype(np.float64)
 # Whether new nodes record parents and VJPs; cleared by backward(create_graph=False).
 _recording = True
+# The step list of the Program being recorded, or None; see Program.recording.
+# Module-level like _recording, because the ops are module-level functions.
+_steps: list | None = None
 
 
 class Tensor:
@@ -193,24 +214,42 @@ def _sum_to(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     return out
 
 
+def _derived(fn, a: Tensor) -> Tensor:
+    """Constant ``fn(a.data)``, such as a mask or a shift.
+
+    No cotangent flows through it, but it is a recorded step, so a replay
+    recomputes it from ``a``'s new data instead of keeping the old result.
+    """
+    out = Tensor(fn(a.data), op="constant", needs_grad=False)
+    if _steps is not None:
+        _steps.append((out, fn, a, None))
+    return out
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor(
+    out = Tensor(
         a.data + b.data,
         (a, b),
         (lambda cot: _sum_to(cot, a.data.shape), lambda cot: _sum_to(cot, b.data.shape)),
         "add",
     )
+    if _steps is not None:
+        _steps.append((out, np.add, a, b))
+    return out
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return Tensor(-a.data, (a,), (lambda cot: neg(cot),), "neg")
+    out = Tensor(-a.data, (a,), (lambda cot: neg(cot),), "neg")
+    if _steps is not None:
+        _steps.append((out, np.negative, a, None))
+    return out
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor(
+    out = Tensor(
         a.data - b.data,
         (a, b),
         (
@@ -219,11 +258,14 @@ def sub(a, b) -> Tensor:
         ),
         "sub",
     )
+    if _steps is not None:
+        _steps.append((out, np.subtract, a, b))
+    return out
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor(
+    out = Tensor(
         a.data * b.data,
         (a, b),
         (
@@ -232,6 +274,9 @@ def mul(a, b) -> Tensor:
         ),
         "mul",
     )
+    if _steps is not None:
+        _steps.append((out, np.multiply, a, b))
+    return out
 
 
 def div(a, b) -> Tensor:
@@ -247,7 +292,10 @@ def power(a, exponent: float) -> Tensor:
         vjp = lambda cot: mul(cot, mul(a, constant(2.0)))  # noqa: E731
     else:
         vjp = lambda cot: mul(cot, mul(power(a, p - 1.0), constant(p)))  # noqa: E731
-    return Tensor(a.data**p, (a,), (vjp,), f"pow{p:g}")
+    out = Tensor(a.data**p, (a,), (vjp,), f"pow{p:g}")
+    if _steps is not None:
+        _steps.append((out, lambda x: x**p, a, None))
+    return out
 
 
 def square(a) -> Tensor:
@@ -260,12 +308,17 @@ def exp(a) -> Tensor:
     if out.needs_grad:
         ref = weakref.ref(out)
         out.vjps = (lambda cot: mul(cot, ref()),)
+    if _steps is not None:
+        _steps.append((out, np.exp, a, None))
     return out
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return Tensor(np.log(a.data), (a,), (lambda cot: div(cot, a),), "log")
+    out = Tensor(np.log(a.data), (a,), (lambda cot: div(cot, a),), "log")
+    if _steps is not None:
+        _steps.append((out, np.log, a, None))
+    return out
 
 
 def tanh(a) -> Tensor:
@@ -274,51 +327,88 @@ def tanh(a) -> Tensor:
     if out.needs_grad:
         ref = weakref.ref(out)
         out.vjps = (lambda cot: mul(cot, sub(constant(1.0), square(ref()))),)
+    if _steps is not None:
+        _steps.append((out, np.tanh, a, None))
     return out
 
 
 def sin(a) -> Tensor:
     a = as_tensor(a)
-    return Tensor(np.sin(a.data), (a,), (lambda cot: mul(cot, cos(a)),), "sin")
+    out = Tensor(np.sin(a.data), (a,), (lambda cot: mul(cot, cos(a)),), "sin")
+    if _steps is not None:
+        _steps.append((out, np.sin, a, None))
+    return out
 
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
-    return Tensor(np.cos(a.data), (a,), (lambda cot: neg(mul(cot, sin(a))),), "cos")
+    out = Tensor(np.cos(a.data), (a,), (lambda cot: neg(mul(cot, sin(a))),), "cos")
+    if _steps is not None:
+        _steps.append((out, np.cos, a, None))
+    return out
+
+
+def _positive(x: np.ndarray) -> np.ndarray:
+    return (x > 0.0).astype(np.float64)
+
+
+def _clip_negative(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    # The mask is captured as a constant: zero curvature almost everywhere,
-    # derivative 0 at exactly 0.
+    # The mask is a derived constant: zero curvature almost everywhere,
+    # derivative 0 at exactly 0. The eager path inlines what the recorded
+    # steps compute, so it pays no extra call (so do broadcast_to and embed).
     mask = constant((a.data > 0.0).astype(np.float64))
-    return Tensor(np.maximum(a.data, 0.0), (a,), (lambda cot: mul(cot, mask),), "relu")
+    out = Tensor(np.maximum(a.data, 0.0), (a,), (lambda cot: mul(cot, mask),), "relu")
+    if _steps is not None:
+        _steps.append((mask, _positive, a, None))
+        _steps.append((out, _clip_negative, a, None))
+    return out
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
-    return Tensor(a.data.T, (a,), (lambda cot: transpose(cot),), "transpose")
+    out = Tensor(a.data.T, (a,), (lambda cot: transpose(cot),), "transpose")
+    if _steps is not None:
+        _steps.append((out, np.ndarray.transpose, a, None))
+    return out
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
-    return Tensor(
+    out = Tensor(
         a.data.reshape(shape), (a,), (lambda cot: reshape(cot, a.data.shape),), "reshape"
     )
+    if _steps is not None:
+        _steps.append((out, methodcaller("reshape", shape), a, None))
+    return out
+
+
+def _broadcast(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """What :func:`broadcast_to` computes, as a step."""
+    data = np.empty(shape)
+    data[...] = x
+    return data
 
 
 def broadcast_to(a, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
     data = np.empty(shape)
     data[...] = a.data
-    return Tensor(
+    out = Tensor(
         data,
         (a,),
         (lambda cot: _sum_to(cot, a.data.shape),),
         "broadcast",
     )
+    if _steps is not None:
+        _steps.append((out, lambda x: _broadcast(x, shape), a, None))
+    return out
 
 
 def tsum(a, axis=None) -> Tensor:
@@ -335,7 +425,10 @@ def tsum(a, axis=None) -> Tensor:
     def vjp(cot):
         return broadcast_to(reshape(cot, kept), a.data.shape)
 
-    return Tensor(a.data.sum(axis=axes or None), (a,), (vjp,), "sum")
+    out = Tensor(a.data.sum(axis=axes or None), (a,), (vjp,), "sum")
+    if _steps is not None:
+        _steps.append((out, methodcaller("sum", axis=axes or None), a, None))
+    return out
 
 
 def mean(a, axis=None) -> Tensor:
@@ -372,7 +465,10 @@ def matmul(a, b) -> Tensor:
         )
     else:
         raise ValueError(f"matmul supports 2Dx2D, 2Dx1D, 1Dx2D; got {an}D @ {bn}D")
-    return Tensor(a.data @ b.data, (a, b), vjps, "matmul")
+    out = Tensor(a.data @ b.data, (a, b), vjps, "matmul")
+    if _steps is not None:
+        _steps.append((out, np.matmul, a, b))
+    return out
 
 
 def narrow(a, start: int, length: int) -> Tensor:
@@ -381,12 +477,22 @@ def narrow(a, start: int, length: int) -> Tensor:
     if a.data.ndim != 1:
         raise ValueError("narrow expects a 1-D tensor")
     total = a.data.shape[0]
-    return Tensor(
+    out = Tensor(
         a.data[start : start + length],
         (a,),
         (lambda cot: embed(cot, start, total),),
         "narrow",
     )
+    if _steps is not None:
+        _steps.append((out, itemgetter(slice(start, start + length)), a, None))
+    return out
+
+
+def _embedded(x: np.ndarray, start: int, total: int) -> np.ndarray:
+    """What :func:`embed` computes, as a step."""
+    data = np.zeros(total)
+    data[start : start + x.shape[0]] = x
+    return data
 
 
 def embed(a, start: int, total: int) -> Tensor:
@@ -395,27 +501,80 @@ def embed(a, start: int, total: int) -> Tensor:
     length = a.data.shape[0]
     data = np.zeros(total)
     data[start : start + length] = a.data
-    return Tensor(data, (a,), (lambda cot: narrow(cot, start, length),), "embed")
+    out = Tensor(data, (a,), (lambda cot: narrow(cot, start, length),), "embed")
+    if _steps is not None:
+        _steps.append((out, lambda x: _embedded(x, start, total), a, None))
+    return out
 
 
 def softplus(a) -> Tensor:
     """Numerically stable ``log(1 + exp(a))``.
 
-    Uses a constant shift ``m = max(a, 0)`` so both exponentials stay in
-    (0, 1]; since the shift is constant, derivatives of every order match the
-    smooth function exactly (first derivative is the logistic sigmoid).
+    Uses a shift ``m = max(a, 0)``, a derived constant, so both exponentials
+    stay in (0, 1]; since no cotangent flows through the shift, derivatives of
+    every order match the smooth function exactly (first derivative is the
+    logistic sigmoid).
     """
     a = as_tensor(a)
-    m = constant(np.maximum(a.data, 0.0))
+    m = _derived(_clip_negative, a)
     return add(m, log(add(exp(neg(m)), exp(sub(a, m)))))
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    return np.max(x, axis=1, keepdims=True)
+
+
+def _first_column(x: np.ndarray) -> np.ndarray:
+    return x[:, 0]
 
 
 def logsumexp_rows(a) -> Tensor:
     """Row-wise ``log(sum(exp(a), axis=1))`` for a 2-D tensor, stably."""
     a = as_tensor(a)
-    m = np.max(a.data, axis=1, keepdims=True)
-    shifted = sub(a, constant(m))
-    return add(constant(m[:, 0]), log(tsum(exp(shifted), axis=1)))
+    m = _derived(_row_max, a)
+    shifted = sub(a, m)
+    return add(_derived(_first_column, m), log(tsum(exp(shifted), axis=1)))
+
+
+class Program:
+    """The numpy steps that built a tape, in order, rerun on new leaf data.
+
+    Inside :meth:`recording` every op appends one step: the node it made,
+    the numpy function that computed the node's data, and its input nodes.
+    The caller keeps the leaves it means to rewrite; after writing new
+    arrays (float64, of the recorded shapes) into their ``data``,
+    :meth:`replay` stores in each node what a fresh tape would hold.
+    """
+
+    __slots__ = ("steps",)
+
+    def __init__(self):
+        self.steps: list = []
+
+    @contextmanager
+    def recording(self):
+        """Record the steps of every op run inside the block.
+
+        Steps of a block that raises are discarded. A step that makes a 0-d
+        node coerces its result to an array as :class:`Tensor` does, since
+        numpy hands back a scalar there.
+        """
+        global _steps
+        previous, _steps = _steps, []
+        try:
+            yield self
+            self.steps = [(node, fn if node.data.ndim else _as_array(fn), a, b)
+                          for node, fn, a, b in _steps]
+        finally:
+            _steps = previous
+
+    def replay(self) -> None:
+        for node, fn, a, b in self.steps:
+            node.data = fn(a.data) if b is None else fn(a.data, b.data)
+
+
+def _as_array(fn):
+    return lambda *args: np.asarray(fn(*args), dtype=np.float64)
 
 
 def _toposort(output: Tensor) -> list[Tensor]:

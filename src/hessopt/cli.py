@@ -183,10 +183,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not path.exists():
         raise ConfigError(f"no such file: {path}")
     if path.suffix == ".jsonl":
+        # A line that is not JSON, or a record whose fields have the wrong
+        # types, fails here as a ValueError or a TypeError.
         try:
             digest = summarize_trajectory(path)
             _, records = load_trajectory(path)
-        except ValueError as exc:  # also a line that is not JSON
+            show = records[:3] + ([] if len(records) <= 6 else records[-3:])
+            rows = [f"  t={r['t']:<5d} loss={r['loss']:.6e} |g|={r['grad_norm']:.3e}"
+                    f" lr={r['lr']:.4g} hess={'Y' if r['hessian_computed'] else 'n'}"
+                    for r in show]
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"cannot report on {path.name!r}: {exc}") from None
         config = digest.pop("config", {})
         print(f"trajectory: {path}")
@@ -194,11 +200,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
               f"  seed: {config.get('seed')}")
         for key, value in digest.items():
             print(f"{key}: {value}")
-        if records:
-            show = records[:3] + ([] if len(records) <= 6 else records[-3:])
-            for r in show:
-                print(f"  t={r['t']:<5d} loss={r['loss']:.6e} |g|={r['grad_norm']:.3e}"
-                      f" lr={r['lr']:.4g} hess={'Y' if r['hessian_computed'] else 'n'}")
+        for row in rows:
+            print(row)
     elif path.suffix == ".csv":
         print(path.read_text().rstrip())
     elif path.suffix == ".json":

@@ -74,6 +74,8 @@ __all__ = [
 TRAJECTORY_SCHEMA = "hessopt-trajectory-1"
 CONFIG_SCHEMA = "hessopt-run-1"
 SNAPSHOT_MAX_DIM = 16
+# Keys of every trajectory record; ``theta`` is there only for small problems.
+RECORD_KEYS = frozenset({"t", "loss", "grad_norm", "lr", "hessian_computed"})
 
 
 class ConfigError(ValueError):
@@ -150,8 +152,6 @@ class RunConfig:
             raise ConfigError("samples must be >= 1")
         if self.block_size < 1:
             raise ConfigError("block-size must be >= 1")
-        if not 0.0 <= self.k <= 1.0:
-            raise ConfigError("k must lie in [0, 1]")
         try:
             make_optimizer(self.optimizer, 1, **_optimizer_args(self))
         except ValueError as exc:
@@ -600,7 +600,12 @@ def load_trajectory(path: str | Path) -> tuple[dict, list[dict]]:
     header = json.loads(lines[0])
     if not isinstance(header, dict) or header.get("schema") != TRAJECTORY_SCHEMA:
         raise ValueError(f"unrecognized trajectory schema in {path}")
-    return header, [json.loads(line) for line in lines[1:]]
+    records = [json.loads(line) for line in lines[1:]]
+    for number, record in enumerate(records, start=2):
+        if not isinstance(record, dict) or not RECORD_KEYS <= record.keys():
+            raise ValueError(f"line {number} of {path} is not a record with the keys "
+                             f"{', '.join(sorted(RECORD_KEYS))}")
+    return header, records
 
 
 def summarize_trajectory(path: str | Path) -> dict:

@@ -17,6 +17,21 @@ Hessian-vector product within one optimizer iteration always share a batch.
 Parameters are flat float64 vectors. ``group_sizes`` records the parameter
 tensor layout (weight matrices, biases) so block-structured operations never
 straddle tensor boundaries.
+
+Tapes are recorded once and replayed (see ``hessopt.autodiff``). A problem
+keeps, per batch shape (``None`` for full batch), one recorded program for
+``value_and_gradient`` and one for ``full_tape``; a full tape also keeps the
+program of its HVP probe, recorded on its first probe. A replay writes theta,
+the batch's arrays (``batch_inputs``) and the probe into the recorded leaves
+and reruns the numpy steps, so its outputs equal a fresh tape's bit for bit.
+Everything a loss computes from those leaves must therefore be a taped op:
+data selected by the batch enters only through ``batch_inputs``. These stay
+eager: ``value`` (so finite differences keep an independent path), every
+path of a problem that overrides ``build_loss`` without declaring its batch
+inputs, an hvp callable whose tape a later ``full_tape`` call has replayed,
+and the rerun of any replay whose loss, gradient or HVP is not finite, which
+raises the ``NumericError`` naming the op. A recording that raised is never
+kept.
 """
 
 from __future__ import annotations
@@ -48,13 +63,49 @@ __all__ = [
 ]
 
 
+class _Tape:
+    """A gradient tape: its leaves, its checked loss and its checked gradient.
+
+    ``leaves`` are the parameter leaf and then one leaf per batch input.
+    ``program`` is None for an eager tape, built once and never rerun.
+    Otherwise the tape is recorded and ``generation`` counts its replays, so
+    an hvp callable can tell that the nodes it would read now hold another
+    point's data. ``probe`` holds the recorded probe program over this tape,
+    its probe leaf and its output, once a first probe has succeeded.
+    """
+
+    __slots__ = ("leaves", "loss", "grad", "program", "generation", "probe")
+
+    def __init__(self, leaves: list, loss: ad.Tensor, grad: ad.Tensor):
+        self.leaves = leaves
+        self.loss = loss
+        self.grad = grad
+        self.program: ad.Program | None = None
+        self.generation = 0
+        self.probe: tuple[ad.Program, ad.Tensor, ad.Tensor] | None = None
+
+    def replay(self, theta: np.ndarray, inputs) -> bool:
+        """Rerun the recorded tape at new leaf data; False if the loss or
+        the gradient came out non-finite."""
+        self.leaves[0].data = theta
+        for leaf, x in zip(self.leaves[1:], inputs):
+            leaf.data = np.asarray(x, dtype=np.float64)
+        self.program.replay()
+        self.generation += 1
+        return bool(np.isfinite(self.loss.data) and np.isfinite(self.grad.data).all())
+
+
 class DifferentiableProblem:
     """Base class for scalar objectives with exact second-order products.
 
-    Subclasses implement :meth:`build_loss`, which constructs the taped scalar
-    loss from a parameter tensor and an optional batch of sample indices.
-    Everything else (values, gradients, Hessian-vector products) derives from
-    that single definition, so the three are consistent by construction.
+    A subclass declares the arrays its loss reads of a batch
+    (:meth:`batch_inputs`) and builds the taped loss from the parameter
+    tensor and one leaf per array (:meth:`loss`). Everything else (values,
+    gradients, Hessian-vector products) derives from that single definition,
+    so the three are consistent by construction.
+
+    A subclass may instead override :meth:`build_loss` alone; its tapes are
+    then always eager (see the module docstring on record and replay).
     """
 
     name: str = "problem"
@@ -64,9 +115,20 @@ class DifferentiableProblem:
     def __init__(self):
         self.theta0 = np.zeros(self.dim)
         self.group_sizes: list[int] = [self.dim]
+        self._tapes: dict[tuple, _Tape] = {}
+
+    def batch_inputs(self, batch: np.ndarray | None) -> tuple[np.ndarray, ...] | None:
+        """The arrays the loss reads of ``batch``, each entering the tape as
+        a leaf; None if undeclared, which keeps every tape eager."""
+        return None
+
+    def loss(self, theta: ad.Tensor, *inputs: ad.Tensor) -> ad.Tensor:
+        """The taped scalar loss from the parameter tensor and one leaf per
+        array of :meth:`batch_inputs`."""
+        raise NotImplementedError
 
     def build_loss(self, theta: ad.Tensor, batch: np.ndarray | None) -> ad.Tensor:
-        raise NotImplementedError
+        return self.loss(theta, *map(ad.constant, self.batch_inputs(batch)))
 
     def sample_batch(self, t: int, seed: int) -> np.ndarray | None:
         """Deterministic index batch for iteration ``t``; None if full-batch."""
@@ -103,8 +165,8 @@ class DifferentiableProblem:
         return loss.item()
 
     def value_and_gradient(self, theta, batch=None) -> tuple[float, np.ndarray]:
-        _, loss, g = self._gradient_tape(theta, batch, create_graph=False)
-        return loss.item(), g.data.copy()
+        tape = self._gradient_tape(self._check_theta(theta), batch, create_graph=False)
+        return tape.loss.item(), tape.grad.data.copy()
 
     def gradient(self, theta, batch=None) -> np.ndarray:
         return self.value_and_gradient(theta, batch)[1]
@@ -122,31 +184,95 @@ class DifferentiableProblem:
         Used by the harness so that iterations needing a Hessian probe reuse
         the gradient's graph instead of paying a second forward pass. Only
         this gradient records a graph; each probe's backward pass does not.
+        Once a later ``full_tape`` call on the same batch shape has replayed
+        the recorded tape, the callable builds its own eager tape at its
+        ``theta`` and ``batch`` instead of reading the replayed nodes.
         """
-        t, loss, g = self._gradient_tape(theta, batch, create_graph=True)
+        theta = self._check_theta(theta)
+        tape = self._gradient_tape(theta, batch, create_graph=True)
+        generation = tape.generation
 
         def apply(z: np.ndarray) -> np.ndarray:
+            nonlocal tape, generation
             z = np.asarray(z, dtype=np.float64)
             if z.shape != (self.dim,):
                 raise ValueError(f"{self.name}: probe length must be {self.dim}")
-            hz = self._checked_backward(ad.dot(g, ad.constant(z)), t, "hvp",
-                                        create_graph=False)
-            return hz.data.copy()
+            if tape.generation != generation:
+                tape = self._eager_tape(theta, batch, create_graph=True)
+                generation = tape.generation
+            return self._probe(tape, z)
 
-        return loss.item(), g.data.copy(), apply
+        return tape.loss.item(), tape.grad.data.copy(), apply
 
-    def _gradient_tape(self, theta, batch, create_graph: bool):
-        """The parameter leaf, the checked loss and its checked gradient."""
-        t = ad.variable(self._check_theta(theta))
-        loss = self.build_loss(t, batch)
+    def _gradient_tape(self, theta: np.ndarray, batch, create_graph: bool) -> _Tape:
+        """A tape holding the checked loss and gradient at ``theta``.
+
+        Replays the recorded tape of this batch shape, recording it on first
+        use. It is eager if the problem does not declare its batch inputs,
+        or if the replay is not finite: the eager tape then raises the
+        NumericError that names the op.
+        """
+        inputs = self.batch_inputs(batch)
+        if inputs is None:
+            return self._eager_tape(theta, batch, create_graph)
+        key = (create_graph, None if batch is None else np.shape(batch))
+        tape = self._tapes.get(key)
+        if tape is None:
+            tape = self._tapes[key] = self._record_tape(theta, inputs, create_graph)
+        elif not tape.replay(theta, inputs):
+            return self._eager_tape(theta, batch, create_graph)
+        return tape
+
+    def _eager_tape(self, theta: np.ndarray, batch, create_graph: bool) -> _Tape:
+        t = ad.variable(theta)
+        return self._checked_tape([t], self.build_loss(t, batch), create_graph)
+
+    def _record_tape(self, theta: np.ndarray, inputs, create_graph: bool) -> _Tape:
+        """An eager tape whose steps are recorded; raises as the eager one does."""
+        leaves = [ad.variable(theta), *[ad.constant(x) for x in inputs]]
+        program = ad.Program()
+        with program.recording():
+            tape = self._checked_tape(leaves, self.loss(*leaves), create_graph)
+        tape.program = program
+        return tape
+
+    def _checked_tape(self, leaves: list, loss: ad.Tensor, create_graph: bool) -> _Tape:
         ad.check_finite(loss, f"{self.name} loss")
-        return t, loss, self._checked_backward(loss, t, "gradient", create_graph)
+        return _Tape(leaves, loss, self._checked_backward(loss, leaves[0], "gradient",
+                                                          create_graph))
+
+    def _probe(self, tape: _Tape, z: np.ndarray) -> np.ndarray:
+        """``H @ z`` over a tape holding its current generation.
+
+        Replays the tape's probe program if it has one and the result is
+        finite. Otherwise runs the probe's backward pass eagerly, which
+        raises the NumericError naming the op, and records that pass as the
+        probe program if the tape is a recorded one without a probe yet.
+        """
+        if tape.probe is not None:
+            program, leaf, hz = tape.probe
+            leaf.data = z
+            program.replay()
+            if np.isfinite(hz.data).all():
+                return hz.data.copy()
+        leaf = ad.constant(z)
+        if tape.program is None or tape.probe is not None:
+            return self._hvp_pass(tape, leaf).data.copy()
+        program = ad.Program()
+        with program.recording():
+            hz = self._hvp_pass(tape, leaf)
+        tape.probe = (program, leaf, hz)
+        return hz.data.copy()
+
+    def _hvp_pass(self, tape: _Tape, z: ad.Tensor) -> ad.Tensor:
+        return self._checked_backward(ad.dot(tape.grad, z), tape.leaves[0], "hvp",
+                                      create_graph=False)
 
     def _checked_backward(self, output, t, what: str, create_graph: bool) -> ad.Tensor:
         """``d output / d t``, raising NumericError if it is not finite.
 
         A pass without a graph leaves nothing to search for the offending op,
-        so on that failure path the pass is redone with recording on.
+        so on that failure path the pass is redone with the graph recorded.
         """
         (grad,) = ad.backward(output, [t], create_graph=create_graph)
         if not np.isfinite(grad.data).all():
@@ -186,7 +312,10 @@ class QuadraticProblem(DifferentiableProblem):
         if theta0 is not None:
             self.theta0 = np.asarray(theta0, dtype=np.float64)
 
-    def build_loss(self, theta, batch):
+    def batch_inputs(self, batch):
+        return ()
+
+    def loss(self, theta):
         Ax = ad.matmul(ad.constant(self.A), theta)
         quad = ad.mul(ad.constant(0.5), ad.dot(theta, Ax))
         return ad.add(quad, ad.dot(ad.constant(self.c), theta))
@@ -219,7 +348,10 @@ class NoisyParabola(DifferentiableProblem):
         super().__init__()
         self.theta0 = np.array([1.0])
 
-    def build_loss(self, theta, batch):
+    def batch_inputs(self, batch):
+        return ()
+
+    def loss(self, theta):
         x = theta  # length-1 vector; taped ops are elementwise
         ripple = ad.mul(ad.mul(ad.constant(0.1), x), ad.sin(ad.mul(ad.constant(20.0 * math.pi), x)))
         return ad.tsum(ad.add(ad.square(x), ripple))
@@ -310,24 +442,23 @@ class LogisticRegression(DifferentiableProblem):
     def n_samples(self) -> int:
         return self.data.n
 
-    def _select(self, batch):
+    def batch_inputs(self, batch):
         if batch is None:
             return self.data.X, self.data.y
         return self.data.X[batch], self.data.y[batch]
 
-    def build_loss(self, theta, batch):
-        X, y = self._select(batch)
-        margins = ad.mul(ad.constant(y), ad.matmul(ad.constant(X), theta))
+    def loss(self, theta, X, y):
+        margins = ad.mul(y, ad.matmul(X, theta))
         return ad.mean(ad.softplus(ad.neg(margins)))
 
     def analytic_gradient(self, theta, batch=None) -> np.ndarray:
-        X, y = self._select(batch)
+        X, y = self.batch_inputs(batch)
         theta = self._check_theta(theta)
         s = 1.0 / (1.0 + np.exp(y * (X @ theta)))  # sigmoid(-margin)
         return -(X.T @ (y * s)) / X.shape[0]
 
     def analytic_hessian(self, theta, batch=None) -> np.ndarray:
-        X, y = self._select(batch)
+        X, y = self.batch_inputs(batch)
         theta = self._check_theta(theta)
         p = 1.0 / (1.0 + np.exp(-(X @ theta)))
         S = p * (1.0 - p)
@@ -376,24 +507,26 @@ class _MLPBase(DifferentiableProblem):
             else:
                 init.append(np.zeros(shape))
         self.theta0 = np.concatenate(init)
+        # What the loss compares the network's output with, one row per sample.
+        self.targets = data.y
 
     @property
     def n_samples(self) -> int:
         return self.data.n
 
-    def _select(self, batch):
+    def batch_inputs(self, batch):
         if batch is None:
-            return self.data.X, self.data.y
-        return self.data.X[batch], self.data.y[batch]
+            return self.data.X, self.targets
+        return self.data.X[batch], self.targets[batch]
 
-    def _forward(self, theta, X: np.ndarray, hidden: list | None = None) -> ad.Tensor:
+    def _forward(self, theta, X: ad.Tensor, hidden: list | None = None) -> ad.Tensor:
         """Output layer of the network; ``hidden``, if given, collects each
         hidden layer's pre-activation data."""
         params = []
         for (start, shape), size in zip(self._slices, self.group_sizes):
             flat = ad.narrow(theta, start, size)
             params.append(ad.reshape(flat, shape) if len(shape) == 2 else flat)
-        h = ad.constant(X)
+        h = X
         n_layers = len(self.layers) - 1
         for i in range(n_layers):
             W, b = params[2 * i], params[2 * i + 1]
@@ -408,7 +541,8 @@ class _MLPBase(DifferentiableProblem):
         if self.activation != "relu":
             return np.empty(0)
         hidden: list[np.ndarray] = []
-        self._forward(ad.constant(self._check_theta(theta)), self._select(batch)[0], hidden)
+        X = ad.constant(self.batch_inputs(batch)[0])
+        self._forward(ad.constant(self._check_theta(theta)), X, hidden)
         return np.concatenate([h.ravel() for h in hidden])
 
 
@@ -418,10 +552,9 @@ class TinyMLPRegression(_MLPBase):
 
     activation = "tanh"
 
-    def build_loss(self, theta, batch):
-        X, y = self._select(batch)
+    def loss(self, theta, X, y):
         out = self._forward(theta, X)  # (n, 1)
-        resid = ad.sub(ad.reshape(out, (X.shape[0],)), ad.constant(y))
+        resid = ad.sub(ad.reshape(out, (X.shape[0],)), y)
         return ad.mean(ad.square(resid))
 
 
@@ -436,12 +569,13 @@ class TinyMLPClassifier(_MLPBase):
 
     activation = "relu"
 
-    def build_loss(self, theta, batch):
-        X, y = self._select(batch)
+    def __init__(self, data: SyntheticDataset, layers: Sequence[int], name, batch_size):
+        super().__init__(data, layers, name, batch_size)
+        self.targets = np.eye(self.layers[-1])[data.y]  # one-hot labels
+
+    def loss(self, theta, X, onehot):
         logits = self._forward(theta, X)  # (n, classes)
-        onehot = np.zeros(logits.shape)
-        onehot[np.arange(X.shape[0]), y] = 1.0
-        picked = ad.tsum(ad.mul(logits, ad.constant(onehot)), axis=1)
+        picked = ad.tsum(ad.mul(logits, onehot), axis=1)
         return ad.mean(ad.sub(ad.logsumexp_rows(logits), picked))
 
 

@@ -182,12 +182,23 @@ class TestBadInput:
         (["--optimizer", "adam", "--beta1", "0"], "beta1 must lie strictly between 0 and 1"),
         (["--weight-decay", "-1"], "weight_decay must be >= 0"),
         (["--eps", "-1"], "eps must be >= 0"),
-    ], ids=["sgd-momentum", "beta2", "adam-beta1", "weight-decay", "eps"])
+        (["--k", "2"], "hessian power k must lie in [0, 1]"),
+    ], ids=["sgd-momentum", "beta2", "adam-beta1", "weight-decay", "eps", "k"])
     def test_optimizer_hyperparameter_rejected_by_constructor(self, tmp_path, capsys,
                                                               flags, needle):
         code = main(["run", *flags, "--out", str(tmp_path)])
         self.assert_config_error(capsys, code, needle)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [["--k", "2"], ["--beta2", "1.5"]], ids=["k", "beta2"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_another_optimizers_hyperparameter_is_ignored(self, tmp_path, capsys, command,
+                                                         flags):
+        # Only the configured optimizer's constructor checks its arguments.
+        grid = ["--grid", "lr=0.01"] if command == "sweep" else []
+        code = main([command, "--problem", "fig1-quadratic", "--optimizer", "sgd", *flags,
+                     *grid, "--iters", "2", "--no-cost-ratio", "--out", str(tmp_path)])
+        assert (code, capsys.readouterr().err) == (0, "")
 
     def test_bad_optimizer_hyperparameter_stops_sweep_before_any_run(self, tmp_path, capsys,
                                                                      monkeypatch):
@@ -293,7 +304,15 @@ class TestReportCommand:
         ("run.trajectory.jsonl", "", "empty trajectory file"),
         ("run.trajectory.jsonl", '{"schema": "other-1"}\n',
          "unrecognized trajectory schema"),
-    ], ids=["invalid-json", "json-list", "empty-trajectory", "unknown-schema"])
+        ("run.trajectory.jsonl", '{"schema": "hessopt-trajectory-1"}\n{}\n',
+         "line 2 of"),
+        ("run.trajectory.jsonl", '{"schema": "hessopt-trajectory-1"}\n[1, 2]\n',
+         "line 2 of"),
+        ("run.trajectory.jsonl", '{"schema": "hessopt-trajectory-1"}\n'
+         '{"t": 1, "loss": "low", "grad_norm": 1.0, "lr": 0.1, "hessian_computed": false}\n',
+         "Unknown format code"),
+    ], ids=["invalid-json", "json-list", "empty-trajectory", "unknown-schema",
+            "empty-record", "list-record", "string-loss"])
     def test_malformed_file_is_a_config_error(self, tmp_path, capsys, name, text, needle):
         path = tmp_path / name
         path.write_text(text)

@@ -274,11 +274,21 @@ class TestSharedInterface:
     ("tiny-mlp", {"batch_size": None}), ("logreg", {}), ("tiny-mlp-relu", {}),
 ])
 def test_tapes_are_freed_without_the_cyclic_collector(name, params):
-    # exp and tanh VJPs need their own output node; holding it strongly would
-    # make each tape a reference cycle that outlives the call.
+    # A problem keeps its recorded tapes and replays them in place, so calls
+    # after the first add no Tensors, and the problem is the tapes' only
+    # owner. exp and tanh VJPs need their own output node; holding it
+    # strongly would make each tape a reference cycle that outlives its
+    # problem until the cyclic collector runs.
     p = pr.get_problem(name, **params)
-    batch = p.sample_batch(1, 0)
     z = rademacher(p.dim, probe_rng(0, 0))
+
+    def calls(t):
+        batch = p.sample_batch(t, 0)
+        theta = p.theta0 + 0.01 * t
+        p.value_and_gradient(theta, batch)
+        _, _, hvp = p.full_tape(theta, batch)
+        hvp(z)
+        hvp(-z)
 
     def live_tensors():
         return sum(type(o) is ad.Tensor for o in gc.get_objects())
@@ -287,12 +297,14 @@ def test_tapes_are_freed_without_the_cyclic_collector(name, params):
     gc.disable()
     try:
         before = live_tensors()
-        p.value_and_gradient(p.theta0, batch)
-        after_gradient = live_tensors()
-        _, _, hvp = p.full_tape(p.theta0, batch)
-        hvp(z)
-        del hvp
-        after_probe = live_tensors()
+        calls(1)
+        after_first = live_tensors()
+        calls(2)
+        calls(3)
+        after_repeats = live_tensors()
+        del p
+        after_del = live_tensors()
     finally:
         gc.enable()
-    assert (after_gradient - before, after_probe - before) == (0, 0)
+    assert after_first > before
+    assert (after_repeats - after_first, after_del - before) == (0, 0)

@@ -1,0 +1,203 @@
+"""Recorded tapes replayed at new points against fresh eager tapes.
+
+A problem records its gradient tape, full tape and probe program once per
+batch shape and afterwards replays them. A replay must leave every output
+bit for bit equal to what a fresh eager tape at the same point gives.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hessopt import autodiff as ad
+from hessopt.oracle import fd_gradient, fd_hvp
+from hessopt.problems import DifferentiableProblem, get_problem, problem_names
+
+DATA_PROBLEMS = ("logreg", "tiny-mlp", "tiny-mlp-relu")
+CASES = [(name, False) for name in problem_names()] + [(name, True) for name in DATA_PROBLEMS]
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def eager(problem, theta, batch, probes=()):
+    """Loss and gradient of a fresh eager tape, and its HVP for each probe."""
+    t = ad.variable(theta)
+    loss = problem.build_loss(t, batch)
+    (g,) = ad.backward(loss, [t], create_graph=len(probes) > 0)
+    hvps = [ad.backward(ad.dot(g, ad.constant(z)), [t], create_graph=False)[0].data
+            for z in probes]
+    return loss.data, g.data, hvps
+
+
+def as_bytes(*arrays):
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+
+
+def make_problem(name: str, batched: bool):
+    if name in DATA_PROBLEMS:
+        return get_problem(name, batch_size=32 if batched else None)
+    return get_problem(name)
+
+
+@pytest.mark.parametrize("name,batched", CASES,
+                         ids=[f"{n}-{'batch' if b else 'full'}" for n, b in CASES])
+@settings(max_examples=15, deadline=None)
+@given(theta_seed=SEEDS, probe_seed=SEEDS, batch_seed=SEEDS)
+def test_replays_equal_a_fresh_eager_tape(name, batched, theta_seed, probe_seed, batch_seed):
+    problem = make_problem(name, batched)
+    rng = np.random.default_rng(theta_seed)
+    probes = np.random.default_rng(probe_seed).standard_normal((3, problem.dim))
+    # The first calls record, at their own point and batch; the rest replay.
+    problem.value_and_gradient(problem.theta0, problem.sample_batch(0, batch_seed))
+    problem.full_tape(problem.theta0, problem.sample_batch(0, batch_seed))[2](probes[0])
+    for t in (1, 2):
+        theta = problem.theta0 + 0.5 * rng.standard_normal(problem.dim)
+        batch = problem.sample_batch(t, batch_seed)
+        loss, g, hvps = eager(problem, theta, batch, probes[1:])
+        assert as_bytes(*problem.value_and_gradient(theta, batch)) == as_bytes(loss, g)
+        tape_loss, tape_g, hvp = problem.full_tape(theta, batch)
+        assert as_bytes(tape_loss, tape_g) == as_bytes(loss, g)
+        assert as_bytes(*[hvp(z) for z in probes[1:]]) == as_bytes(*hvps)
+
+
+def test_an_earlier_hvp_keeps_its_own_point():
+    problem = get_problem("tiny-mlp")
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal(problem.dim)
+    points = [(problem.theta0 + 0.3 * rng.standard_normal(problem.dim),
+               problem.sample_batch(t, 0)) for t in (1, 2, 3)]
+    hvps = [problem.full_tape(theta, batch)[2] for theta, batch in points[:2]]
+    hvps[0](z)
+    hvps.append(problem.full_tape(*points[2])[2])
+    # Every full_tape call after the first replayed the same recorded tape.
+    for hvp, (theta, batch) in zip(hvps, points):
+        want = as_bytes(*eager(problem, theta, batch, [z, -z])[2])
+        assert as_bytes(hvp(z), hvp(-z)) == want
+
+
+class _Power(DifferentiableProblem):
+    """sum(theta ** exponent), declaring its (empty) batch inputs so it replays."""
+
+    name = "sqrt"
+    dim = 2
+
+    def __init__(self, exponent):
+        super().__init__()
+        self.exponent = exponent
+
+    def batch_inputs(self, batch):
+        return ()
+
+    def loss(self, theta):
+        return ad.tsum(ad.power(theta, self.exponent))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_replays_raise_naming_the_op():
+    problem = _Power(0.5)
+    with pytest.raises(ad.NumericError, match=r"sqrt gradient \(produced by op 'pow-0.5'\)"):
+        problem.value_and_gradient(np.zeros(2))
+    # The failed recording was not kept: this call records afresh.
+    assert problem.value_and_gradient(np.ones(2))[0] == 2.0
+    with pytest.raises(ad.NumericError, match=r"sqrt gradient \(produced by op 'pow-0.5'\)"):
+        problem.value_and_gradient(np.zeros(2))
+    np.testing.assert_array_equal(problem.gradient(np.full(2, 4.0)), [0.25, 0.25])
+
+    # x^1.5 has a finite value and gradient at 0 but an infinite second
+    # derivative: the replayed tape is finite and the replayed probe is not.
+    problem = _Power(1.5)
+    problem.full_tape(np.ones(2))[2](np.ones(2))
+    _, g, hvp = problem.full_tape(np.zeros(2))
+    assert np.all(g == 0.0)
+    with pytest.raises(ad.NumericError, match=r"sqrt hvp \(produced by op 'pow-0.5'\)"):
+        hvp(np.ones(2))
+    np.testing.assert_array_equal(problem.full_tape(np.full(2, 4.0))[2](np.ones(2)),
+                                  [0.375, 0.375])
+
+
+# Random compositions of smooth ops. Every op keeps its input clear of its
+# singularities (log sees 1 + e^2, powers see tanh(e)^2 + 0.5), and no op
+# grows faster than linearly, so values stay small enough for finite
+# differences at the oracle's tolerances.
+D = 4
+MIX = ad.constant(np.linspace(-0.6, 0.6, D * D).reshape(D, D))
+WEIGHTS = ad.constant(np.linspace(0.5, 1.5, D))
+
+UNARY = {
+    "tanh": ad.tanh,
+    "sin": ad.sin,
+    "cos": ad.cos,
+    "exp-sin": lambda e: ad.exp(ad.sin(e)),
+    "softplus": ad.softplus,
+    "neg": ad.neg,
+    "scale": lambda e: ad.mul(e, 0.7),
+    "log1p-square": lambda e: ad.log(ad.add(ad.square(e), 1.0)),
+    "square-tanh": lambda e: ad.square(ad.tanh(e)),
+    "mix": lambda e: ad.matmul(MIX, e),
+    "shift": lambda e: ad.embed(ad.narrow(e, 1, D - 1), 0, D),
+    **{f"pow{p:g}": (lambda p: lambda e: ad.power(ad.add(ad.square(ad.tanh(e)), 0.5), p))(p)
+       for p in (0.5, -1.0, 1.5, 0.7)},
+}
+BINARY = {
+    "add": ad.add,
+    "sub": ad.sub,
+    "mul": lambda a, b: ad.mul(ad.tanh(a), b),
+    "div": lambda a, b: ad.div(a, ad.add(ad.square(b), 1.0)),
+}
+REDUCE = {
+    "sum": ad.tsum,
+    "mean": ad.mean,
+    "dot": lambda e: ad.dot(e, WEIGHTS),
+    "logsumexp": lambda e: ad.tsum(ad.logsumexp_rows(ad.reshape(e, (2, D // 2)))),
+}
+
+EXPRESSIONS = st.recursive(
+    st.just("x"),
+    lambda inner: (st.tuples(st.sampled_from(sorted(UNARY)), inner)
+                   | st.tuples(st.sampled_from(sorted(BINARY)), inner, inner)),
+    max_leaves=5,
+)
+POINTS = st.lists(st.floats(-2.0, 2.0), min_size=D, max_size=D).map(np.array)
+
+
+def evaluate(expr, x):
+    if expr == "x":
+        return x
+    if len(expr) == 2:
+        return UNARY[expr[0]](evaluate(expr[1], x))
+    return BINARY[expr[0]](evaluate(expr[1], x), evaluate(expr[2], x))
+
+
+class _Composed(DifferentiableProblem):
+    name = "composed"
+    dim = D
+
+    def __init__(self, expr, reduce):
+        super().__init__()
+        self.expr, self.reduce = expr, reduce
+
+    def batch_inputs(self, batch):
+        return ()
+
+    def loss(self, theta):
+        return REDUCE[self.reduce](evaluate(self.expr, theta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(expr=EXPRESSIONS, reduce=st.sampled_from(sorted(REDUCE)),
+       first=POINTS, second=POINTS, probe_seed=SEEDS)
+def test_random_compositions_replay_bit_for_bit_and_match_finite_differences(
+        expr, reduce, first, second, probe_seed):
+    problem = _Composed(expr, reduce)
+    probes = np.random.default_rng(probe_seed).standard_normal((3, D))
+    problem.value_and_gradient(first)
+    problem.full_tape(first)[2](probes[0])
+
+    loss, g, hvps = eager(problem, second, None, probes[1:])
+    assert as_bytes(*problem.value_and_gradient(second)) == as_bytes(loss, g)
+    tape_loss, tape_g, hvp = problem.full_tape(second)
+    assert as_bytes(tape_loss, tape_g, *[hvp(z) for z in probes[1:]]) == as_bytes(loss, g, *hvps)
+    # The oracle's tolerances: absolute for gradients, relative for HVPs.
+    assert np.abs(g - fd_gradient(problem, second)).max() <= 1e-5
+    fd = fd_hvp(problem, second, probes[1])
+    assert np.abs(hvps[0] - fd).max() <= 1e-5 * max(1.0, np.abs(hvps[0]).max())
