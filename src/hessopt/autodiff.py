@@ -88,7 +88,15 @@ __all__ = [
 
 
 class NumericError(RuntimeError):
-    """A computation produced a non-finite (NaN/Inf) value."""
+    """A computation produced a non-finite (NaN/Inf) value.
+
+    ``phase`` names the part of an optimizer iteration that failed (``loss``,
+    ``gradient``, ``hvp`` or ``step``), or is None where none applies.
+    """
+
+    def __init__(self, message: str, phase: str | None = None):
+        super().__init__(message)
+        self.phase = phase
 
 
 _FLOAT64 = np.dtype(np.float64)
@@ -646,10 +654,10 @@ def find_nonfinite(output: Tensor) -> Tensor | None:
     return None
 
 
-def check_finite(output: Tensor, context: str) -> None:
+def check_finite(output: Tensor, context: str, phase: str | None = None) -> None:
     """Raise :class:`NumericError` naming the offending op if non-finite."""
     if np.isfinite(output.data).all():
         return
     bad = find_nonfinite(output)
     op = bad.op if bad is not None else "unknown"
-    raise NumericError(f"non-finite value in {context} (produced by op '{op}')")
+    raise NumericError(f"non-finite value in {context} (produced by op '{op}')", phase)

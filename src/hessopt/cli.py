@@ -7,7 +7,8 @@ Subcommands:
   report  print a readable digest of a trajectory, summary, or sweep file
 
 Exit codes: 0 success, 1 configuration error (or a file ``report`` cannot
-read), 2 numeric failure during a run, 3 verification failure. The default
+read), 2 numeric failure during a run (one ``numeric failure:`` line on
+stderr names its iteration and phase), 3 verification failure. The default
 output directory is taken from ``$HESSOPT_OUT`` when set, else ``./runs``.
 """
 
@@ -110,7 +111,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.trajectory_path:
         print(f"trajectory: {result.trajectory_path}")
         print(f"summary: {result.summary_path}")
-    return 0 if result.status == "ok" else 2
+    if result.status != "ok":
+        print(f"numeric failure: {result.summary['failure']}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _parse_grid_value(text: str):

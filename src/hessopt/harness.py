@@ -54,7 +54,7 @@ import numpy as np
 
 from .autodiff import NumericError
 from .hutchinson import HutchinsonConfig, estimate_diag, probe_rng, should_compute
-from .optim import OPTIMIZERS, make_optimizer, make_schedule, optimizer_names
+from .optim import OPTIMIZERS, _is_finite, make_optimizer, make_schedule, optimizer_names
 from .problems import PROBLEM_BUILDERS, get_problem, problem_names
 
 __all__ = [
@@ -124,6 +124,8 @@ class RunConfig:
                 expected = " or ".join("null" if tp is type(None) else tp.__name__
                                        for tp in allowed)
                 raise ConfigError(f"{name} must be {expected}, got {value!r}")
+            if float in allowed and value is not None and not _is_finite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.problem not in problem_names():
             raise ConfigError(
                 f"unknown problem {self.problem!r}; available: {', '.join(problem_names())}"
@@ -401,7 +403,8 @@ def run(config: RunConfig, write_files: bool = True, *,
     Raises ConfigError for invalid configs, and for problem parameters the
     problem builder rejects, before any compute. A numeric failure mid-run
     preserves all records up to the failing iteration, writes them out, and
-    returns with ``status="numeric_failure"``. ``_shared`` is internal to
+    returns with ``status="numeric_failure"`` and the summary's ``failure``
+    reading ``iteration <t>, <phase>: <message>``. ``_shared`` is internal to
     ``sweep`` and the companion: the run reads its batches and companion time
     from the seed pass instead of drawing and timing its own.
     """
@@ -457,7 +460,7 @@ def run(config: RunConfig, write_files: bool = True, *,
                     theta = opt.step(theta, g, lr_factor=lr_factor)
             except NumericError as exc:
                 status = "numeric_failure"
-                failure_detail = str(exc)
+                failure_detail = f"iteration {t}, {exc.phase}: {exc}"
                 break
             elapsed = time.perf_counter() - start
             record = TrajectoryRecord(

@@ -19,6 +19,8 @@ decay is decoupled: applied directly to theta, outside the adaptive term.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -103,6 +105,23 @@ def ema_square_update(prev: np.ndarray, value: np.ndarray, beta2: float) -> np.n
 hessian_ema_square_update = ema_square_update
 
 
+def _is_finite(value) -> bool:
+    """math.isfinite, with an int too large for a float counted as not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _iteration(name: str, value) -> int:
+    """``value`` as an iteration count: an int, or a float holding a whole number."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{name} must be a whole number of iterations, got {value!r}")
+    return int(value)
+
+
 def _check_beta(name: str, value: float) -> float:
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie strictly between 0 and 1")
@@ -117,6 +136,9 @@ class Optimizer:
     def __init__(self, dim: int, lr: float, weight_decay: float = 0.0, eps: float = 1e-8):
         if dim < 1:
             raise ValueError("dim must be >= 1")
+        for name, value in (("lr", lr), ("weight_decay", weight_decay), ("eps", eps)):
+            if not _is_finite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if lr <= 0:
             raise ValueError("lr must be positive")
         if weight_decay < 0:
@@ -144,7 +166,7 @@ class Optimizer:
             bad = int(np.flatnonzero(~np.isfinite(update))[0])
             raise NumericError(
                 f"{self.kind} produced a non-finite update at coordinate {bad} "
-                f"(iteration {self.t})"
+                f"(iteration {self.t})", phase="step"
             )
         return update
 
@@ -375,7 +397,7 @@ class StepDecay(Schedule):
     """Multiply by ``factor`` at each milestone iteration (inclusive)."""
 
     def __init__(self, milestones: Sequence[int], factor: float = 0.1):
-        milestones = sorted(int(m) for m in milestones)
+        milestones = sorted(_iteration("milestone", m) for m in milestones)
         if any(m < 1 for m in milestones):
             raise ValueError("milestones must be positive iterations")
         if not 0.0 < factor <= 1.0:
@@ -392,12 +414,14 @@ class LinearWarmupThenDecay(Schedule):
     """Ramp linearly 0 -> 1 over the warmup, then linearly 1 -> 0 by the end."""
 
     def __init__(self, warmup_steps: int, total_steps: int):
+        warmup_steps = _iteration("warmup_steps", warmup_steps)
+        total_steps = _iteration("total_steps", total_steps)
         if warmup_steps < 1:
             raise ValueError("warmup_steps must be >= 1")
         if total_steps <= warmup_steps:
             raise ValueError("total_steps must exceed warmup_steps")
-        self.warmup_steps = int(warmup_steps)
-        self.total_steps = int(total_steps)
+        self.warmup_steps = warmup_steps
+        self.total_steps = total_steps
 
     def factor_at(self, t):
         if t <= self.warmup_steps:

@@ -6,7 +6,10 @@ against finite differences of the gradient, and the stochastic diagonal
 estimator against exhaustive enumeration of every sign vector (exact, not
 sampled). The descent-lemma checks evaluate the strongly-convex/smooth
 step-size guarantee for full, diagonal, and block-averaged preconditioners
-by direct arithmetic on explicit quadratics.
+by direct arithmetic on explicit quadratics: f comes from the closed form
+``QuadraticProblem.analytic_value``, not the tape, and each quadratic's
+eigendecomposition, preconditioner diagonals, f(w) and gradient are computed
+once for all of its (k, preconditioner) pairs.
 
 ``run_verification_suite`` bundles all properties into a JSON-serializable
 report; the CLI ``verify`` subcommand is a thin wrapper over it.
@@ -163,13 +166,10 @@ def hutchinson_enumerate(hvp, d: int) -> np.ndarray:
     return total / 2**d
 
 
-def _preconditioner_power(q: QuadraticProblem, mode: str, k: float,
-                          block_size: int | None):
-    """Return the map g -> M^{-k} g for the chosen preconditioner M."""
+def _preconditioner(q: QuadraticProblem, mode: str, block_size: int | None):
+    """The preconditioner M: ``eigh(A)`` for ``full``, else M's diagonal."""
     if mode == "full":
-        eigvals, Q = np.linalg.eigh(q.A)
-        scale = eigvals ** (-k)
-        return lambda g: (Q * scale) @ (Q.T @ g)
+        return np.linalg.eigh(q.A)
     if mode == "diag":
         D = np.diag(q.A).copy()
     elif mode == "block":
@@ -181,7 +181,42 @@ def _preconditioner_power(q: QuadraticProblem, mode: str, k: float,
         raise ValueError(f"unknown preconditioner mode {mode!r}")
     if D.min() < q.alpha - 1e-9 or D.max() > q.beta + 1e-9:
         raise AssertionError("preconditioner entries fell outside [alpha, beta]")
-    return lambda g: D ** (-k) * g
+    return D
+
+
+class _DescentPoint:
+    """The descent inequality at one SPD quadratic and one point ``w``.
+
+    f(w), the gradient g and ||g||^2 depend only on (q, w), and each
+    preconditioner only on (q, mode, block size), so every (k,
+    preconditioner) pair checked at the point shares them.
+    """
+
+    def __init__(self, q: QuadraticProblem, w):
+        if not q.spd and q.alpha <= 0:
+            raise ValueError("descent check requires an SPD quadratic")
+        self.q = q
+        self.w = np.asarray(w, dtype=np.float64)
+        self.g = q.analytic_gradient(self.w)
+        self.gg = float(self.g @ self.g)
+        self.f_w = q.analytic_value(self.w)
+        self._preconditioners: dict[tuple, object] = {}
+
+    def slack(self, k: float, mode: str = "full", block_size: int | None = None) -> float:
+        q, g = self.q, self.g
+        M = self._preconditioners.get((mode, block_size))
+        if M is None:
+            M = self._preconditioners[mode, block_size] = _preconditioner(q, mode, block_size)
+        if mode == "full":
+            eigvals, Q = M
+            scale = eigvals ** (-k)
+            dw = (Q * scale) @ (Q.T @ g)
+        else:
+            dw = M ** (-k) * g
+        step = q.alpha**k / q.beta
+        decrease = q.analytic_value(self.w - step * dw) - self.f_w
+        bound = -(q.alpha**k / (2.0 * q.beta ** (1.0 + k))) * self.gg
+        return decrease - bound
 
 
 def descent_slack(q: QuadraticProblem, w, k: float, mode: str = "full",
@@ -192,24 +227,17 @@ def descent_slack(q: QuadraticProblem, w, k: float, mode: str = "full",
     M^{-k} g, the decrease must satisfy
         f(w - s*dw) - f(w) <= -(a^k / (2 b^{1+k})) ||g||^2,  s = a^k / b.
     Returns lhs - rhs; nonpositive (up to rounding) means the property holds.
+    f is the closed form ``QuadraticProblem.analytic_value``, never the tape.
     """
-    if not q.spd and q.alpha <= 0:
-        raise ValueError("descent check requires an SPD quadratic")
-    w = np.asarray(w, dtype=np.float64)
-    g = q.analytic_gradient(w)
-    dw = _preconditioner_power(q, mode, k, block_size)(g)
-    step = q.alpha**k / q.beta
-    decrease = q.value(w - step * dw) - q.value(w)
-    bound = -(q.alpha**k / (2.0 * q.beta ** (1.0 + k))) * float(g @ g)
-    return decrease - bound
+    return _DescentPoint(q, w).slack(k, mode, block_size)
 
 
 def reference_descent_check(q: QuadraticProblem, w, k: float, mode: str = "full",
                             block_size: int | None = None) -> bool:
     """True iff the descent inequality holds up to 1e-12 * max(1, ||g||^2)."""
-    g = q.analytic_gradient(np.asarray(w, dtype=np.float64))
-    tol = 1e-12 * max(1.0, float(g @ g))
-    return descent_slack(q, w, k, mode, block_size) <= tol
+    point = _DescentPoint(q, w)
+    tol = 1e-12 * max(1.0, point.gg)
+    return point.slack(k, mode, block_size) <= tol
 
 
 @dataclass
@@ -392,17 +420,15 @@ def _check_descent(mode: str):
                 d += d % 2  # keep d even so b = d/2 divides it
             cond = float(rng.uniform(1.5, 100.0))
             q = make_random_spd_quadratic(d, cond, 1000 + i)
-            w = rng.standard_normal(d) * 3.0
-            g = q.analytic_gradient(w)
-            tol = 1e-12 * max(1.0, float(g @ g))
+            point = _DescentPoint(q, rng.standard_normal(d) * 3.0)
+            tol = 1e-12 * max(1.0, point.gg)
             for k in (0.0, 0.5, 1.0):
                 if mode == "block":
                     sizes = [1, 2, d // 2]
                 else:
                     sizes = [None]
                 for b in sizes:
-                    slack = descent_slack(q, w, k, mode, b)
-                    worst = max(worst, slack - tol)
+                    worst = max(worst, point.slack(k, mode, b) - tol)
         return worst <= 0.0, f"worst slack beyond tolerance {worst:.3e}"
 
     return check

@@ -161,7 +161,7 @@ class DifferentiableProblem:
     def value(self, theta, batch=None) -> float:
         theta = self._check_theta(theta)
         loss = self.build_loss(ad.constant(theta), batch)
-        ad.check_finite(loss, f"{self.name} loss")
+        ad.check_finite(loss, f"{self.name} loss", phase="loss")
         return loss.item()
 
     def value_and_gradient(self, theta, batch=None) -> tuple[float, np.ndarray]:
@@ -237,7 +237,7 @@ class DifferentiableProblem:
         return tape
 
     def _checked_tape(self, leaves: list, loss: ad.Tensor, create_graph: bool) -> _Tape:
-        ad.check_finite(loss, f"{self.name} loss")
+        ad.check_finite(loss, f"{self.name} loss", phase="loss")
         return _Tape(leaves, loss, self._checked_backward(loss, leaves[0], "gradient",
                                                           create_graph))
 
@@ -278,7 +278,7 @@ class DifferentiableProblem:
         if not np.isfinite(grad.data).all():
             if not create_graph:
                 (grad,) = ad.backward(output, [t])
-            ad.check_finite(grad, f"{self.name} {what}")
+            ad.check_finite(grad, f"{self.name} {what}", phase=what)
         return grad
 
 
@@ -320,7 +320,18 @@ class QuadraticProblem(DifferentiableProblem):
         quad = ad.mul(ad.constant(0.5), ad.dot(theta, Ax))
         return ad.add(quad, ad.dot(ad.constant(self.c), theta))
 
-    # Closed forms, used by the oracle to cross-check the tape.
+    # Closed forms, used by the oracle to cross-check the tape and to evaluate
+    # its descent checks without one: analytic_value, analytic_gradient,
+    # analytic_hvp and hessian_matrix.
+    def analytic_value(self, theta) -> float:
+        """``value(theta)`` bit for bit: the tape's numpy ops in the tape's order."""
+        theta = self._check_theta(theta)
+        value = (0.5 * (theta * (self.A @ theta)).sum(axis=(0,))
+                 + (self.c * theta).sum(axis=(0,)))
+        if not np.isfinite(value):
+            raise ad.NumericError(f"non-finite value in {self.name} loss", phase="loss")
+        return float(value)
+
     def analytic_gradient(self, theta) -> np.ndarray:
         return self.A @ self._check_theta(theta) + self.c
 

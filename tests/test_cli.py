@@ -61,6 +61,24 @@ class TestRunCommand:
         assert code == 2
         assert "status: numeric_failure" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("flags,line", [
+        # theta grows tenfold a step until the loss overflows on the tape
+        (["--lr", "1e18", "--iters", "50"],
+         "numeric failure: iteration 10, loss: non-finite value in fig1-quadratic loss "
+         "(produced by op 'mul')"),
+        # a finite gradient times lr=1e308 overflows in the update itself
+        (["--lr", "1e308", "--momentum", "0", "--iters", "3"],
+         "numeric failure: iteration 1, step: sgd produced a non-finite update at "
+         "coordinate 0 (iteration 1)"),
+    ], ids=["tape-phase", "step-phase"])
+    def test_numeric_failure_names_iteration_and_phase(self, tmp_path, capsys, flags, line):
+        code = main(["run", "--problem", "fig1-quadratic", "--optimizer", "sgd", *flags,
+                     "--out", str(tmp_path), "--run-name", "blowup", "--no-cost-ratio"])
+        assert (code, capsys.readouterr().err) == (2, line + "\n")
+        summary = json.loads((tmp_path / "blowup.summary.json").read_text())
+        assert summary["failure"] == line.removeprefix("numeric failure: ")
+
     def test_no_hessian_ema_flag_reaches_optimizer(self, tmp_path, capsys):
         code = main([
             "run", "--problem", "noisy-parabola", "--optimizer", "adahessian",
@@ -206,6 +224,34 @@ class TestBadInput:
         monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
         code = main(["sweep", "--grid", "beta2=0.9,1.5", "--out", str(tmp_path)])
         self.assert_config_error(capsys, code, "beta2 must lie strictly between 0 and 1")
+        assert calls == []
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flags,needle", [
+        (["--problem", "logreg", "--weight-decay", "nan"], "weight_decay must be finite, got nan"),
+        (["--lr", "nan"], "lr must be finite, got nan"),
+        (["--lr", "inf"], "lr must be finite, got inf"),
+        (["--eps", "nan"], "eps must be finite, got nan"),
+        (["--problem", "logreg", "--schedule", "step_decay",
+          "--schedule-params", '{"milestones": [Infinity]}'],
+         "milestone must be a whole number of iterations, got inf"),
+    ], ids=["nan-weight-decay", "nan-lr", "inf-lr", "nan-eps", "infinite-milestone"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, flags, needle):
+        code = main(["run", *flags, "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, needle)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "f.json"
+        cfg.write_text('{"lr": NaN}')
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, "lr must be finite, got nan")
+
+    def test_nan_grid_cell_stops_sweep_before_any_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
+        code = main(["sweep", "--grid", "lr=0.1,nan", "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, "lr must be finite, got nan")
         assert calls == []
         assert not (tmp_path / "sweep.csv").exists()
 

@@ -3,10 +3,14 @@
 import csv
 import inspect
 import json
+import math
+import typing
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hessopt import harness
 from hessopt.harness import (
@@ -29,9 +33,52 @@ def quick_config(tmp_path, **overrides):
     return RunConfig(**base)
 
 
+# Config values as JSON or a Python caller could give them: nested None, bool,
+# int, float (NaN and +-inf included), str, list and dict.
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=4,
+)
+_SCHEDULE_PARAMS = {"constant": (), "step_decay": ("milestones", "factor"),
+                    "linear_warmup_then_decay": ("warmup_steps", "total_steps")}
+
+
+@st.composite
+def _overrides(draw):
+    """A dict of RunConfig fields, with schedule parameters named for some schedule."""
+    overrides = draw(st.dictionaries(st.sampled_from([f.name for f in fields(RunConfig)]),
+                                     _VALUES, max_size=5))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(sorted(_SCHEDULE_PARAMS)))
+        value = _VALUES | st.lists(st.integers() | st.floats(), max_size=3)
+        overrides["schedule"] = kind
+        overrides["schedule_params"] = draw(st.fixed_dictionaries(
+            {}, optional={name: value for name in _SCHEDULE_PARAMS[kind]}))
+    return overrides
+
+
 class TestRunConfig:
     def test_defaults_validate(self):
         RunConfig().validate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_overrides())
+    @example({"weight_decay": float("nan")})
+    @example({"lr": float("inf")})
+    @example({"lr": 10**400})
+    @example({"divergence_loss": float("nan")})  # no constructor checks this one
+    @example({"schedule": "step_decay", "schedule_params": {"milestones": [float("inf")]}})
+    def test_random_overrides_validate_or_raise_config_error(self, overrides):
+        try:
+            config = RunConfig().with_overrides(overrides).validate()
+        except ConfigError:
+            return
+        for name, tp in typing.get_type_hints(RunConfig).items():
+            value = getattr(config, name)
+            if float in (typing.get_args(tp) or (tp,)) and value is not None:
+                assert math.isfinite(value), (name, value)
 
     @pytest.mark.parametrize(
         "overrides",

@@ -1,5 +1,7 @@
 """Tests for optimizers, block averaging, curvature momentum, schedules."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,17 @@ class TestFirstOrderOptimizers:
     def test_sgd_rejects_momentum_one(self):
         with pytest.raises(ValueError):
             SGD(dim=1, lr=0.1, momentum=1.0)
+
+    @pytest.mark.parametrize("cls,name", [
+        (cls, name) for cls in optim.OPTIMIZERS.values()
+        for name in ("lr", "eps", "weight_decay") if name in inspect.signature(cls).parameters
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "huge-int"])
+    def test_rejects_non_finite_hyperparameter(self, cls, name, value):
+        # NaN passes every "x <= 0" check; a NaN weight decay used to mean none.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cls(dim=1, **{"lr": 0.1, name: value})
 
     def test_adagrad_first_step_normalizes_gradient(self):
         opt = Adagrad(dim=2, lr=0.2, eps=0.0)
@@ -380,3 +393,28 @@ class TestSchedules:
             make_schedule("step_decay", milestones=[10], factor=1.5)
         with pytest.raises(ValueError):
             make_schedule("linear_warmup_then_decay", warmup_steps=10, total_steps=10)
+
+    @pytest.mark.parametrize("params", [
+        {"milestones": [float("inf")]},
+        {"milestones": [float("nan")]},
+        {"milestones": [2.5]},
+        {"milestones": ["3"]},
+        {"milestones": "12"},
+        {"milestones": [True]},
+    ], ids=["inf", "nan", "fraction", "string", "string-of-digits", "bool"])
+    def test_step_decay_rejects_milestone_that_is_not_a_whole_number(self, params):
+        with pytest.raises(ValueError, match="milestone must be a whole number"):
+            make_schedule("step_decay", **params)
+
+    @pytest.mark.parametrize("params,name", [
+        ({"warmup_steps": 5, "total_steps": float("inf")}, "total_steps"),
+        ({"warmup_steps": float("nan"), "total_steps": 10}, "warmup_steps"),
+        ({"warmup_steps": 2.5, "total_steps": 10}, "warmup_steps"),
+    ], ids=["inf-total", "nan-warmup", "fractional-warmup"])
+    def test_warmup_schedule_rejects_steps_that_are_not_whole_numbers(self, params, name):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            make_schedule("linear_warmup_then_decay", **params)
+
+    def test_whole_number_floats_and_numpy_ints_are_iterations(self):
+        schedule = make_schedule("step_decay", milestones=[np.int64(3), 5.0], factor=0.5)
+        assert [schedule(t) for t in (2, 3, 5)] == [1.0, 0.5, 0.25]

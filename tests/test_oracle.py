@@ -4,7 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hessopt import autodiff as ad
 from hessopt import optim
 from hessopt import problems as pr
 from hessopt.oracle import (
@@ -178,6 +181,58 @@ class TestDescentInequality:
         q = pr.QuadraticProblem(np.diag([1.0, -2.0]), np.zeros(2), name="saddle")
         with pytest.raises(ValueError):
             descent_slack(q, np.ones(2), k=1.0)
+
+
+class TestClosedFormValue:
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(2, 29), log_cond=st.floats(0.0, 4.0), seed=st.integers(0, 2**32 - 1),
+           log_scale=st.floats(-3.0, 3.0))
+    def test_analytic_value_equals_tape_value_bitwise(self, d, log_cond, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        base = pr.make_random_spd_quadratic(d, 10.0**log_cond, seed)
+        q = pr.QuadraticProblem(base.A, rng.standard_normal(d), spd=True)
+        w = rng.standard_normal(d) * 10.0**log_scale
+        assert np.float64(q.analytic_value(w)).tobytes() == np.float64(q.value(w)).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_value_raises(self):
+        q = pr.make_fig1_quadratic()
+        with pytest.raises(ad.NumericError, match="fig1-quadratic loss"):
+            q.analytic_value(np.array([1e200, 1e200]))
+
+    def test_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match="length 2"):
+            pr.make_fig1_quadratic().analytic_value(np.ones(3))
+
+
+DESCENT_PROPERTIES = ["descent_full_hessian", "descent_diagonal", "descent_block_averaged"]
+
+
+class TestDescentWork:
+    """Deterministic work counts of the descent properties, not wall time."""
+
+    def test_descent_properties_build_no_tape(self, monkeypatch):
+        built = []
+        original = ad.Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(None)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting)
+        report = run_verification_suite(names=DESCENT_PROPERTIES, seed=0)
+        assert report.all_passed
+        assert len(built) == 0
+        run_verification_suite(names=["quadratic_hvp_exact"], seed=0)
+        assert len(built) > 0  # the counter sees a property that does tape
+
+    def test_full_hessian_property_factors_each_quadratic_once(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or original(A))
+        report = run_verification_suite(names=["descent_full_hessian"], seed=0)
+        assert report.all_passed
+        assert len(calls) == 100  # one per quadratic, shared by k in {0, 0.5, 1}
 
 
 # Seed-0 details as printed when every Rademacher probe was its own draw; the
