@@ -17,9 +17,10 @@ iterations and emits two files:
 Sweeps run a cartesian grid of config overrides across seeds and aggregate
 mean and standard deviation of the final loss per cell into a CSV. Every
 cell's config is validated, and each distinct problem is built once, before
-the first run starts. ``seed`` is not a grid axis, since the sweep's own seeds
-set it. A cell failure (numeric blow-up or a final loss beyond the divergence
-threshold) is recorded and the sweep continues.
+the first run starts; every run and companion of the sweep reuses it.
+``seed`` is not a grid axis, since the sweep's own seeds set it. A cell
+failure (numeric blow-up or a final loss beyond the divergence threshold) is
+recorded and the sweep continues.
 
 A sweep does its per-seed work once per ``sweep()`` call. It loops seeds
 outside and cells inside; each seed's pass draws the minibatch index stream
@@ -43,6 +44,7 @@ import inspect
 import io
 import itertools
 import json
+import math
 import os
 import statistics
 import time
@@ -347,14 +349,17 @@ def _iter_seconds(records: list[TrajectoryRecord]) -> dict:
 class _SeedPass:
     """Per-seed work shared by every cell of one sweep pass over one seed.
 
-    Holds each (problem, problem_params) key's minibatch index stream, drawn
-    once and read-only, and each (problem, problem_params, iters) key's
-    gradient-descent companion time. One instance lives for one seed of one
-    ``sweep()`` call, or for the companion of one standalone run.
+    Holds each (problem, problem_params) key's problem, and so its recorded
+    tapes, and its minibatch index stream, drawn once and read-only, and each
+    (problem, problem_params, iters) key's gradient-descent companion time.
+    One instance lives for one seed of one ``sweep()`` call, or for the
+    companion of one standalone run. ``problems`` maps keys to problems
+    already built, which may be shared with other instances.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, problems: dict | None = None):
         self.seed = seed
+        self._problems = problems if problems is not None else {}
         self._streams: dict[str, list] = {}
         self._companions: dict[tuple[str, int], float] = {}
 
@@ -362,6 +367,13 @@ class _SeedPass:
     def _key(config: RunConfig) -> str:
         return _dump_json_line({"problem": config.problem,
                                 "params": config.problem_params})
+
+    def problem(self, config: RunConfig):
+        """The config's problem, built on first use and then reused."""
+        key = self._key(config)
+        if key not in self._problems:
+            self._problems[key] = _build_problem(config)
+        return self._problems[key]
 
     def batches(self, config: RunConfig, problem) -> list:
         """The stream's batches for t = 1..config.iters, at index t - 1."""
@@ -405,12 +417,17 @@ def run(config: RunConfig, write_files: bool = True, *,
     preserves all records up to the failing iteration, writes them out, and
     returns with ``status="numeric_failure"`` and the summary's ``failure``
     reading ``iteration <t>, <phase>: <message>``. ``_shared`` is internal to
-    ``sweep`` and the companion: the run reads its batches and companion time
-    from the seed pass instead of drawing and timing its own.
+    ``sweep`` and the companion: the run reads its problem, batches and
+    companion time from the seed pass instead of building, drawing and timing
+    its own.
     """
     config.validate()
-    problem = _build_problem(config)
-    batches = _shared.batches(config, problem) if _shared is not None else None
+    if _shared is not None:
+        problem = _shared.problem(config)
+        batches = _shared.batches(config, problem)
+    else:
+        problem = _build_problem(config)
+        batches = None
     is_second_order = config.optimizer == "adahessian"
     opt = make_optimizer(config.optimizer, problem.dim, group_sizes=problem.group_sizes,
                          **_optimizer_args(config))
@@ -466,10 +483,10 @@ def run(config: RunConfig, write_files: bool = True, *,
             record = TrajectoryRecord(
                 t=t,
                 loss=float(loss),
-                grad_norm=float(np.linalg.norm(g)),
+                grad_norm=math.sqrt(g.dot(g)),
                 lr=float(config.lr * lr_factor),
                 hessian_computed=bool(computed),
-                theta=[float(x) for x in theta] if snapshot else None,
+                theta=theta.tolist() if snapshot else None,
                 elapsed_s=elapsed,
             )
             records.append(record)
@@ -511,7 +528,8 @@ def run(config: RunConfig, write_files: bool = True, *,
     if failure_detail:
         summary["failure"] = failure_detail
     if config.cost_ratio and status == "ok" and records:
-        sgd_time = (_shared or _SeedPass(config.seed)).companion_time(config)
+        shared = _shared or _SeedPass(config.seed, {_SeedPass._key(config): problem})
+        sgd_time = shared.companion_time(config)
         if sgd_time > 0:
             summary["sgd_median_iter_seconds"] = sgd_time
             summary["cost_ratio_vs_sgd"] = summary["amortized_iter_seconds"] / sgd_time
@@ -541,7 +559,8 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
     validated, and each distinct problem built, before any run starts; a
     ``seed`` axis is refused. Individual cell failures are counted as
     diverged; the sweep always completes. Seeds loop outside and cells
-    inside, sharing one ``_SeedPass`` per seed.
+    inside, sharing one ``_SeedPass`` per seed; every run and companion of
+    the sweep reuses the problems built for validation, and so their tapes.
     """
     base.validate()
     if not seeds:
@@ -559,12 +578,12 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
             for combo in itertools.product(*(axes[a] for a in axis_names))]
     configs = [[base.with_overrides({**overrides, "seed": seed}).validate()
                 for seed in seeds] for overrides in grid]
-    for cfg in {_SeedPass._key(c[0]): c[0] for c in configs}.values():
-        _build_problem(cfg)
+    problems = {key: _build_problem(cfg)
+                for key, cfg in {_SeedPass._key(c[0]): c[0] for c in configs}.items()}
     cells = [SweepCell(overrides=overrides, seeds=list(seeds), final_losses=[],
                        diverged=0, cost_ratios=[]) for overrides in grid]
     for i, seed in enumerate(seeds):
-        shared = _SeedPass(seed)
+        shared = _SeedPass(seed, problems)
         for cell, cell_configs in zip(cells, configs):
             cfg = cell_configs[i]
             try:

@@ -9,7 +9,10 @@ step-size guarantee for full, diagonal, and block-averaged preconditioners
 by direct arithmetic on explicit quadratics: f comes from the closed form
 ``QuadraticProblem.analytic_value``, not the tape, and each quadratic's
 eigendecomposition, preconditioner diagonals, f(w) and gradient are computed
-once for all of its (k, preconditioner) pairs.
+once for all of its (k, preconditioner) pairs. The two Monte-Carlo checks
+(``hutchinson_variance``, ``rademacher_mean``) draw and reduce their samples
+in fixed blocks of ``_BLOCK_ROWS`` probes, never holding the whole sample;
+their statistics equal the whole-array ones bit for bit.
 
 ``run_verification_suite`` bundles all properties into a JSON-serializable
 report; the CLI ``verify`` subcommand is a thin wrapper over it.
@@ -387,26 +390,92 @@ def _check_hutchinson_diagonal_exact(rng) -> tuple[bool, str]:
     return worst == 0.0, f"worst deviation on diagonal Hessian {worst:.3e} (tol exact)"
 
 
+# Probes per block of the two Monte-Carlo checks. Each block's (rows, 8) @
+# (8, 8) product must stay small enough to run on one BLAS thread: at 8,192
+# rows OpenBLAS splits it across threads and the check's time turns erratic.
+_BLOCK_ROWS = 4_000
+
+
+def _rows_sum(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """``rows.sum(axis=0)`` continued from ``total``, the sum of all earlier rows.
+
+    numpy reduces axis 0 of a C-contiguous array with two or more columns one
+    row at a time, in order. Adding ``total`` into the first row therefore
+    makes a chain of calls over consecutive blocks do the additions of one
+    axis-0 sum over the stacked blocks, in the same order, so the result is
+    equal bit for bit. ``total`` is None for the first block; ``rows[0]`` is
+    overwritten.
+    """
+    if total is not None:
+        rows[0] += total
+    return rows.sum(axis=0)
+
+
+def _blocks(n: int):
+    """The (start, stop) row ranges of n rows in blocks of ``_BLOCK_ROWS``."""
+    for start in range(0, n, _BLOCK_ROWS):
+        yield start, min(start + _BLOCK_ROWS, n)
+
+
+def _hutchinson_sample_var(H: np.ndarray, n: int, gen) -> np.ndarray:
+    """Per-coordinate sample variance (ddof 1) of z * (Hz) over n probes.
+
+    Equals ``(Z * (Z @ H.T)).var(axis=0, ddof=1)`` for the probes
+    ``Z = rademacher((n, d), gen)`` bit for bit, and leaves ``gen`` in the
+    same state. It makes numpy's two passes, the mean and then the summed
+    squared deviations from it, one block at a time; between them only the
+    signs are kept, as int8.
+    """
+    signs = np.empty((n, H.shape[0]), dtype=np.int8)
+
+    def products(Z):
+        est = Z @ H.T
+        est *= Z
+        return est
+
+    total = None
+    for start, stop in _blocks(n):
+        Z = rademacher((stop - start, H.shape[0]), gen)
+        signs[start:stop] = Z
+        total = _rows_sum(total, products(Z))
+    mean = total / n
+    total = None
+    for start, stop in _blocks(n):
+        dev = products(signs[start:stop].astype(np.float64))
+        dev -= mean
+        dev *= dev
+        total = _rows_sum(total, dev)
+    return total / (n - 1)
+
+
+def _rademacher_mean(n: int, d: int, gen) -> tuple[np.ndarray, bool]:
+    """Coordinate means of n probes ``rademacher((n, d), gen)`` and whether
+    every entry lies in {-1, +1}, drawn and reduced block by block.
+
+    The means equal ``draws.mean(axis=0)`` bit for bit, and ``gen`` ends in
+    the same state as after the one whole draw.
+    """
+    total = None
+    in_support = True
+    for start, stop in _blocks(n):
+        draws = rademacher((stop - start, d), gen)
+        in_support = in_support and bool(np.isin(draws, (-1.0, 1.0)).all())
+        total = _rows_sum(total, draws)
+    return total / n, in_support
+
+
 def _check_hutchinson_variance(rng) -> tuple[bool, str]:
-    gen = probe_rng(2024, 0)
     M = np.random.default_rng(99).standard_normal((8, 8))
     H = 0.5 * (M + M.T)
-    n = 400_000
-    Z = rademacher((n, 8), gen)
-    est = Z @ H.T
-    est *= Z
-    del Z  # free the probes before var() allocates its own temporaries
-    sample_var = est.var(axis=0, ddof=1)
+    sample_var = _hutchinson_sample_var(H, 400_000, probe_rng(2024, 0))
     expected = (H**2).sum(axis=1) - np.diag(H) ** 2
     rel = np.abs(sample_var - expected).max() / expected.max()
     return rel <= 0.05, f"max variance deviation {rel:.3%} of largest (tol 5%)"
 
 
 def _check_rademacher_mean(rng) -> tuple[bool, str]:
-    gen = probe_rng(7, 0)
-    draws = rademacher((100_000, 6), gen)
-    worst = np.abs(draws.mean(axis=0)).max()
-    in_support = np.all(np.isin(draws, (-1.0, 1.0)))
+    means, in_support = _rademacher_mean(100_000, 6, probe_rng(7, 0))
+    worst = np.abs(means).max()
     ok = worst <= 0.02 and in_support
     return ok, f"max |coordinate mean| {worst:.4f} over 1e5 draws (tol 0.02)"
 

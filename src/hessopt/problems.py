@@ -92,7 +92,7 @@ class _Tape:
             leaf.data = np.asarray(x, dtype=np.float64)
         self.program.replay()
         self.generation += 1
-        return bool(np.isfinite(self.loss.data) and np.isfinite(self.grad.data).all())
+        return math.isfinite(self.loss.data) and bool(np.isfinite(self.grad.data).all())
 
 
 class DifferentiableProblem:

@@ -241,6 +241,14 @@ class TestBadInput:
         self.assert_config_error(capsys, code, needle)
         assert list(tmp_path.iterdir()) == []
 
+    def test_bool_step_decay_factor_rejected(self, tmp_path, capsys):
+        # True would pass 0 < factor <= 1 and run as a factor of 1.0.
+        code = main(["run", "--problem", "logreg", "--schedule", "step_decay",
+                     "--schedule-params", '{"milestones": [2], "factor": true}',
+                     "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, "decay factor must lie in (0, 1], got True")
+        assert list(tmp_path.iterdir()) == []
+
     def test_nan_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "f.json"
         cfg.write_text('{"lr": NaN}')

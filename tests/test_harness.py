@@ -479,6 +479,20 @@ class TestSweepSharing:
             sweep(sharing_base(tmp_path), {"lr": [0.05, 0.2]}, seeds=[0], out=tmp_path)
         assert companion_calls == [(30, 0), (30, 0)]
 
+    def test_runs_and_companions_build_each_problem_once(self, tmp_path, monkeypatch):
+        # A problem keeps its recorded tapes, so every rebuild records them again.
+        built = []
+
+        def counting(name, **params):
+            built.append(name)
+            return get_problem(name, **params)
+
+        monkeypatch.setattr(harness, "get_problem", counting)
+        sweep(sharing_base(tmp_path), SHARING_AXES, seeds=SHARING_SEEDS, out=tmp_path)
+        assert built == ["logreg"]  # 12 runs and 3 companions
+        run(sharing_base(tmp_path), write_files=False)
+        assert built == ["logreg", "logreg"]  # the run and its companion
+
     def test_sweep_draws_each_seed_stream_once(self, tmp_path, monkeypatch):
         draws = []
         original = LogisticRegression.sample_batch

@@ -1,6 +1,7 @@
 """Tests for the finite-difference and enumeration reference oracles."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from hessopt import autodiff as ad
 from hessopt import optim
+from hessopt import oracle
 from hessopt import problems as pr
+from hessopt.hutchinson import probe_rng, rademacher
 from hessopt.oracle import (
     all_sign_vectors,
     descent_slack,
@@ -233,6 +236,93 @@ class TestDescentWork:
         report = run_verification_suite(names=["descent_full_hessian"], seed=0)
         assert report.all_passed
         assert len(calls) == 100  # one per quadratic, shared by k in {0, 0.5, 1}
+
+
+def whole_sample_var(H, n, gen):
+    """The variance check's statistic as computed before it was streamed:
+    every product held at once, reduced by numpy's var."""
+    Z = rademacher((n, H.shape[0]), gen)
+    est = Z @ H.T
+    est *= Z
+    return est.var(axis=0, ddof=1)
+
+
+def whole_sample_mean(n, d, gen):
+    """The mean check's statistics as computed before they were streamed."""
+    draws = rademacher((n, d), gen)
+    return draws.mean(axis=0), bool(np.all(np.isin(draws, (-1.0, 1.0))))
+
+
+def variance_check_hessian():
+    M = np.random.default_rng(99).standard_normal((8, 8))
+    return 0.5 * (M + M.T)
+
+
+class TestStreamedMonteCarlo:
+    """The Monte-Carlo checks reduce their samples block by block; every
+    statistic must equal the whole-array one bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), d=st.integers(2, 9),
+           decades=st.integers(0, 12), data=st.data())
+    def test_chained_rows_sums_equal_one_whole_sum(self, seed, n, d, decades, data):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-decades, decades, (n, d))
+        if data.draw(st.booleans(), label="fixed block size"):
+            rows = data.draw(st.integers(1, n), label="rows")
+            cuts = list(range(rows, n, rows))  # the last block may be shorter
+        else:
+            cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)), label="cuts"))
+
+        def chained(blocks):
+            total = None
+            for block in blocks:
+                total = oracle._rows_sum(total, block)
+            return total
+
+        total = chained(b.copy() for b in np.split(X, cuts))
+        assert total.tobytes() == X.sum(axis=0).tobytes()
+        mean = total / n
+        var = chained(np.square(b - mean) for b in np.split(X, cuts)) / (n - 1)
+        assert var.tobytes() == X.var(axis=0, ddof=1).tobytes()
+
+    @pytest.mark.parametrize("n", [400_000, 9_001, 1_999])
+    def test_sample_var_equals_whole_array_var(self, n):
+        H = variance_check_hessian()
+        gen, whole_gen = probe_rng(2024, 0), probe_rng(2024, 0)
+        streamed = oracle._hutchinson_sample_var(H, n, gen)
+        assert streamed.tobytes() == whole_sample_var(H, n, whole_gen).tobytes()
+        assert gen.integers(0, 2**62, 4).tolist() == whole_gen.integers(0, 2**62, 4).tolist()
+
+    @pytest.mark.parametrize("n", [100_000, 10_007, 1_999])
+    def test_rademacher_mean_equals_whole_array_mean(self, n):
+        gen, whole_gen = probe_rng(7, 0), probe_rng(7, 0)
+        means, in_support = oracle._rademacher_mean(n, 6, gen)
+        whole_means, whole_in_support = whole_sample_mean(n, 6, whole_gen)
+        assert means.tobytes() == whole_means.tobytes()
+        assert in_support is whole_in_support is True
+        assert gen.integers(0, 2**62, 4).tolist() == whole_gen.integers(0, 2**62, 4).tolist()
+
+    def test_mean_check_notices_a_probe_outside_the_support(self, monkeypatch):
+        def off_support(shape, gen):
+            z = rademacher(shape, gen)
+            if shape[0] < oracle._BLOCK_ROWS:  # only in the short last block
+                z[-1, -1] = 0.5
+            return z
+
+        monkeypatch.setattr(oracle, "rademacher", off_support)
+        assert oracle._rademacher_mean(10_007, 6, probe_rng(7, 0))[1] is False
+
+    def test_monte_carlo_checks_peak_below_8_mb(self):
+        # Holding the whole sample peaked at about 51 MB.
+        tracemalloc.start()
+        try:
+            report = run_verification_suite(names=["hutchinson_variance", "rademacher_mean"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed
+        assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # Seed-0 details as printed when every Rademacher probe was its own draw; the
