@@ -6,7 +6,8 @@ VJP closures are themselves written in terms of these taped operations, so the
 backward pass extends the graph instead of leaving it. That is what makes
 second derivatives possible: the gradient returned by :func:`backward` is a
 graph node, and backpropagating the scalar ``dot(gradient, z)`` a second time
-yields the exact Hessian-vector product ``H @ z``.
+yields the exact Hessian-vector product ``H @ z``; so does backpropagating
+the gradient itself seeded with z, which skips the dot.
 
 A pass that will not be differentiated again can skip the graph:
 ``backward(output, wrt, create_graph=False)`` computes the same cotangents,
@@ -33,6 +34,18 @@ step, never captured as a constant leaf. Outside a recording the ops build
 the eager tape exactly as before; it stays the only path for one-off
 evaluations and for locating the op behind a non-finite value.
 
+When a recording ends, its steps are optimized once, so that a replay runs
+only numpy work whose result can change (``_optimize``): steps computed from
+constants made inside the recording are folded, a step repeating an earlier
+one is merged into it (also across a probe program and the tape it
+extends), and each ``add`` chain of ``embed``s that assembles a flat
+parameter's cotangent becomes one ``np.concatenate``. Each rewrite is exact;
+the docstrings of ``_optimize`` and ``_fuse_assembly`` say why. Some ops
+call cheaper kernels that compute the same bits, on the eager path too, so
+eager and replayed tapes stay identical: ``np.square`` and ``np.reciprocal``
+for the powers 2 and -1, and ``einsum`` for axis-0 sums of C-contiguous
+matrices (``_power_kernel``, ``_sum_rows``).
+
 Conventions:
   - all data is float64; inputs are coerced on construction
   - ``relu`` is treated as exactly linear away from 0. Its derivative at 0 is
@@ -45,7 +58,9 @@ Conventions:
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from contextlib import contextmanager
+from functools import cache, partial
 from operator import itemgetter, methodcaller
 from typing import Callable, Sequence
 
@@ -55,6 +70,7 @@ __all__ = [
     "Tensor",
     "NumericError",
     "Program",
+    "as_float64",
     "variable",
     "constant",
     "as_tensor",
@@ -192,20 +208,38 @@ class Tensor:
         return matmul(self, other)
 
 
+def as_float64(x) -> np.ndarray:
+    """``np.asarray(x, dtype=np.float64)``, returning a float64 ndarray as is.
+
+    np.asarray costs about a microsecond per call even when it returns its
+    argument, and every optimizer step and replay converts a few vectors.
+    """
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
+    return np.asarray(x, dtype=np.float64)
+
+
 def variable(data) -> Tensor:
     """Leaf tensor that receives a cotangent in :func:`backward`."""
     return Tensor(data, op="variable", needs_grad=True)
 
 
 def constant(data) -> Tensor:
-    """Leaf tensor excluded from differentiation."""
-    return Tensor(data, op="constant", needs_grad=False)
+    """Leaf tensor excluded from differentiation.
+
+    Made inside a recording, it is a constant of the program (see
+    :class:`Program`): a leaf a caller rewrites must be made before.
+    """
+    out = Tensor(data, op="constant", needs_grad=False)
+    if _steps is not None:
+        _steps.append((out, None, None, None))
+    return out
 
 
 def as_tensor(value) -> Tensor:
     if type(value) is Tensor:
         return value
-    return Tensor(value, op="constant", needs_grad=False)
+    return constant(value)
 
 
 def _sum_to(t: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -292,6 +326,18 @@ def div(a, b) -> Tensor:
     return mul(a, power(b, -1.0))
 
 
+@cache
+def _power_kernel(p: float):
+    """What ``x ** p`` computes: for p = 2 and p = -1 numpy's own scalar-power
+    fast path calls ``np.square`` and ``np.reciprocal``, so calling them
+    directly gives the same bits without the operator dispatch."""
+    if p == 2.0:
+        return np.square
+    if p == -1.0:
+        return np.reciprocal
+    return lambda x: x**p
+
+
 def power(a, exponent: float) -> Tensor:
     """Elementwise ``a ** exponent`` for a constant real exponent."""
     a = as_tensor(a)
@@ -300,9 +346,10 @@ def power(a, exponent: float) -> Tensor:
         vjp = lambda cot: mul(cot, mul(a, constant(2.0)))  # noqa: E731
     else:
         vjp = lambda cot: mul(cot, mul(power(a, p - 1.0), constant(p)))  # noqa: E731
-    out = Tensor(a.data**p, (a,), (vjp,), f"pow{p:g}")
+    kernel = _power_kernel(p)
+    out = Tensor(kernel(a.data), (a,), (vjp,), f"pow{p:g}")
     if _steps is not None:
-        _steps.append((out, lambda x: x**p, a, None))
+        _steps.append((out, kernel, a, None))
     return out
 
 
@@ -369,7 +416,8 @@ def relu(a) -> Tensor:
     # The mask is a derived constant: zero curvature almost everywhere,
     # derivative 0 at exactly 0. The eager path inlines what the recorded
     # steps compute, so it pays no extra call (so do broadcast_to and embed).
-    mask = constant((a.data > 0.0).astype(np.float64))
+    # It is not made by constant(): a recorded step computes it.
+    mask = Tensor((a.data > 0.0).astype(np.float64), op="constant", needs_grad=False)
     out = Tensor(np.maximum(a.data, 0.0), (a,), (lambda cot: mul(cot, mask),), "relu")
     if _steps is not None:
         _steps.append((mask, _positive, a, None))
@@ -393,15 +441,26 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
         a.data.reshape(shape), (a,), (lambda cot: reshape(cot, a.data.shape),), "reshape"
     )
     if _steps is not None:
-        _steps.append((out, methodcaller("reshape", shape), a, None))
+        _steps.append((out, _reshaper(shape), a, None))
     return out
 
 
-def _broadcast(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+# The step functions of ops with parameters are made once per parameter
+# value, so two steps of the same op with the same parameters share one
+# function: that is how Program.recording recognizes a repeated step.
+_reshaper = cache(lambda shape: methodcaller("reshape", shape))
+_slicer = cache(lambda start, stop: itemgetter(slice(start, stop)))
+_summer = cache(lambda axis: methodcaller("sum", axis=axis))
+
+
+def _broadcast(shape: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     """What :func:`broadcast_to` computes, as a step."""
     data = np.empty(shape)
     data[...] = x
     return data
+
+
+_broadcaster = cache(lambda shape: partial(_broadcast, shape))
 
 
 def broadcast_to(a, shape: tuple[int, ...]) -> Tensor:
@@ -415,8 +474,20 @@ def broadcast_to(a, shape: tuple[int, ...]) -> Tensor:
         "broadcast",
     )
     if _steps is not None:
-        _steps.append((out, lambda x: _broadcast(x, shape), a, None))
+        _steps.append((out, _broadcaster(shape), a, None))
     return out
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=0)`` of a 2-D array with at least 2 columns, bit for bit.
+
+    numpy sums axis 0 of a C-contiguous array one row at a time, in order,
+    and so does ``einsum``, with less overhead. On other layouts the two
+    differ in the last bits, so those keep ``sum``.
+    """
+    if x.flags.c_contiguous:
+        return np.einsum("ij->j", x)
+    return x.sum(axis=0)
 
 
 def tsum(a, axis=None) -> Tensor:
@@ -433,9 +504,13 @@ def tsum(a, axis=None) -> Tensor:
     def vjp(cot):
         return broadcast_to(reshape(cot, kept), a.data.shape)
 
-    out = Tensor(a.data.sum(axis=axes or None), (a,), (vjp,), "sum")
+    if axes == (0,) and a.data.ndim == 2 and a.data.shape[1] >= 2:
+        kernel = _sum_rows
+    else:
+        kernel = _summer(axes or None)
+    out = Tensor(kernel(a.data), (a,), (vjp,), "sum")
     if _steps is not None:
-        _steps.append((out, methodcaller("sum", axis=axes or None), a, None))
+        _steps.append((out, kernel, a, None))
     return out
 
 
@@ -492,15 +567,18 @@ def narrow(a, start: int, length: int) -> Tensor:
         "narrow",
     )
     if _steps is not None:
-        _steps.append((out, itemgetter(slice(start, start + length)), a, None))
+        _steps.append((out, _slicer(start, start + length), a, None))
     return out
 
 
-def _embedded(x: np.ndarray, start: int, total: int) -> np.ndarray:
+def _embedded(start: int, total: int, x: np.ndarray) -> np.ndarray:
     """What :func:`embed` computes, as a step."""
     data = np.zeros(total)
     data[start : start + x.shape[0]] = x
     return data
+
+
+_embedder = cache(lambda start, total: partial(_embedded, start, total))
 
 
 def embed(a, start: int, total: int) -> Tensor:
@@ -511,7 +589,7 @@ def embed(a, start: int, total: int) -> Tensor:
     data[start : start + length] = a.data
     out = Tensor(data, (a,), (lambda cot: narrow(cot, start, length),), "embed")
     if _steps is not None:
-        _steps.append((out, lambda x: _embedded(x, start, total), a, None))
+        _steps.append((out, _embedder(start, total), a, None))
     return out
 
 
@@ -544,45 +622,203 @@ def logsumexp_rows(a) -> Tensor:
     return add(_derived(_first_column, m), log(tsum(exp(shifted), axis=1)))
 
 
+class _Table:
+    """What a recording learned about its nodes, for the programs after it.
+
+    ``steps`` maps a step's (function, inputs) to the node it computes;
+    ``merged`` maps a node whose step repeated an earlier one to that one's
+    node; ``fixed`` holds the nodes whose data never changes: constants made
+    inside a recording and the steps folded from them. ``scalars`` maps the
+    bytes of a 0-d constant to the first constant holding them, so that equal
+    constants made by separate ops count as one input.
+    """
+
+    __slots__ = ("steps", "merged", "fixed", "scalars")
+
+    def __init__(self):
+        self.steps: dict = {}
+        self.merged: dict = {}
+        self.fixed: set = set()
+        self.scalars: dict = {}
+
+
 class Program:
     """The numpy steps that built a tape, in order, rerun on new leaf data.
 
     Inside :meth:`recording` every op appends one step: the node it made,
-    the numpy function that computed the node's data, and its input nodes.
-    The caller keeps the leaves it means to rewrite; after writing new
-    arrays (float64, of the recorded shapes) into their ``data``,
+    the numpy function that computed the node's data, and its input nodes;
+    :func:`constant` marks the constants made there. The caller keeps the
+    leaves it means to rewrite, made before the recording; after writing
+    new arrays (float64, of the recorded shapes) into their ``data``,
     :meth:`replay` stores in each node what a fresh tape would hold.
+
+    A program recorded with ``extends`` continues that program's tape (a
+    probe over a gradient tape): it is replayed after it, reads its nodes,
+    and takes over the table of what the earlier recording learned, so steps
+    repeated across the two are shared. A program can be extended by one
+    program; a second one shares nothing, and is just as exact.
     """
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "_extends", "_table")
 
-    def __init__(self):
+    def __init__(self, extends: "Program | None" = None):
         self.steps: list = []
+        self._extends = extends
+        self._table: _Table | None = None
 
     @contextmanager
     def recording(self):
-        """Record the steps of every op run inside the block.
+        """Record the steps of every op run inside the block, then optimize
+        them once (see :func:`_optimize`).
 
-        Steps of a block that raises are discarded. A step that makes a 0-d
-        node coerces its result to an array as :class:`Tensor` does, since
-        numpy hands back a scalar there.
+        Steps of a block that raises are discarded.
         """
         global _steps
         previous, _steps = _steps, []
         try:
             yield self
-            self.steps = [(node, fn if node.data.ndim else _as_array(fn), a, b)
-                          for node, fn, a, b in _steps]
+            recorded = _steps
         finally:
             _steps = previous
+        parent, self._extends = self._extends, None
+        table = _Table()
+        if parent is not None and parent._table is not None:
+            table, parent._table = parent._table, None
+        self.steps = _optimize(recorded, table)
+        self._table = table
 
     def replay(self) -> None:
         for node, fn, a, b in self.steps:
             node.data = fn(a.data) if b is None else fn(a.data, b.data)
 
 
+def _optimize(recorded: list, table: _Table) -> list:
+    """The steps of ``recorded`` that replay must run, rewritten once.
+
+    Every rewrite leaves each node's data bit for bit what the recorded step
+    would compute:
+
+    - a step whose inputs are all fixed is folded: its node keeps the data
+      the recording computed and the step is dropped;
+    - a step that repeats an earlier one (same step function, which ops make
+      once per parameter value, and the same input nodes) is merged into it.
+      Later steps read the earlier node, and the repeat becomes an alias
+      step that hands it the earlier node's array, so every node still holds
+      current data for whatever reads the tape from outside: the loss, the
+      gradient, a program extending this one, or an eager pass over the tape;
+    - gradient assembly is fused (see :func:`_fuse_assembly`).
+
+    A step that makes a 0-d node coerces its result to an array as
+    :class:`Tensor` does, since numpy hands back a scalar there.
+    """
+    steps = []
+    merged, fixed = table.merged, table.fixed
+    for node, fn, a, b in recorded:
+        if fn is None:  # a constant made in the recording
+            fixed.add(node)
+            if not node.data.ndim:
+                first = table.scalars.setdefault(node.data.tobytes(), node)
+                if first is not node:
+                    merged[node] = first
+            continue
+        a = merged.get(a, a)
+        b = merged.get(b, b)
+        first = table.steps.setdefault((fn, a, b), node)
+        if first is not node:
+            merged[node] = first
+            if first in fixed:
+                fixed.add(node)
+            else:
+                steps.append((node, _same, first, None))
+        elif a in fixed and (b is None or b in fixed):
+            fixed.add(node)
+        else:
+            steps.append((node, fn, a, b))
+    return [(node, fn if node.data.ndim or fn is _same else _as_array(fn), a, b)
+            for node, fn, a, b in _fuse_assembly(steps, table)]
+
+
+def _same(x):
+    return x
+
+
 def _as_array(fn):
     return lambda *args: np.asarray(fn(*args), dtype=np.float64)
+
+
+class _Parts:
+    """The input of a fused assembly step: its parts' current arrays."""
+
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: tuple[Tensor, ...]):
+        self.nodes = nodes
+
+    @property
+    def data(self) -> list[np.ndarray]:
+        return [node.data for node in self.nodes]
+
+
+def _assembled(parts: list[np.ndarray]) -> np.ndarray:
+    out = np.concatenate(parts)
+    out += 0.0
+    return out
+
+
+def _fuse_assembly(steps: list, table: _Table) -> list:
+    """Join each ``add`` chain of ``embed``s that tile a vector into one step.
+
+    A flat parameter's cotangent is assembled from one ``embed`` per slice
+    read of it, added up in a chain. At each position one embed holds the
+    slice's value x and every other holds +0.0, so the chain computes
+    ``x + 0.0`` there, whatever its order: x itself, except that -0.0
+    becomes +0.0. ``np.concatenate`` of the slices followed by ``+= 0.0``
+    computes the same. The embeds and partial sums of a fused chain are
+    read by nothing but the chain (VJPs of ``add`` and ``embed`` read only
+    their shapes), so they are no longer computed, and their steps leave
+    the table so that no later program reads their stale data.
+    """
+    made = {node: i for i, (node, _, _, _) in enumerate(steps)}
+    uses = Counter(x for _, _, a, b in steps for x in (a, b))
+    dropped: set[int] = set()
+    for i in reversed(range(len(steps))):
+        head, fn, a, b = steps[i]
+        if fn is not np.add or i in dropped:
+            continue
+        slices, chain, pending = [], [], [a, b]
+        while pending:
+            x = pending.pop()
+            j = made.get(x)
+            if j is None or uses[x] != 1:
+                break
+            _, f, xa, xb = steps[j]
+            if f is np.add:
+                pending += (xa, xb)
+            elif type(f) is partial and f.func is _embedded:
+                slices.append((f.args[0], xa))
+            else:
+                break
+            chain.append(j)
+        else:
+            slices.sort(key=itemgetter(0))
+            if _tiles(slices, head.data.shape[0]):
+                steps[i] = (head, _assembled, _Parts(tuple(x for _, x in slices)), None)
+                dropped.update(chain)
+                for j in chain:
+                    _, f, xa, xb = steps[j]
+                    del table.steps[f, xa, xb]
+    return [step for i, step in enumerate(steps) if i not in dropped]
+
+
+def _tiles(slices: list, length: int) -> bool:
+    """Whether the (start, node) slices, sorted by start, cover [0, length)
+    exactly once."""
+    end = 0
+    for start, x in slices:
+        if start != end:
+            return False
+        end += x.data.shape[0]
+    return end == length
 
 
 def _toposort(output: Tensor) -> list[Tensor]:
@@ -610,7 +846,8 @@ def _toposort(output: Tensor) -> list[Tensor]:
     return topo
 
 
-def backward(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = True) -> list[Tensor]:
+def backward(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = True,
+             cotangent: Tensor | None = None) -> list[Tensor]:
     """Reverse-mode pass from a scalar ``output`` to the ``wrt`` leaves.
 
     Returns one cotangent tensor per entry of ``wrt``. With ``create_graph``
@@ -620,13 +857,20 @@ def backward(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = True) -
     built during the pass records parents, so the cotangents cannot be
     differentiated and the pass costs less. Leaves not reachable from
     ``output`` get a zero cotangent.
+
+    ``cotangent``, a tensor of ``output``'s shape, seeds the pass at a
+    non-scalar ``output`` instead of 1.0: a vector-Jacobian product.
+    Backpropagating ``dot(output, z)`` reaches ``output`` with ``1.0 * z``,
+    which is z bit for bit, so ``cotangent=z`` gives the same cotangents
+    without computing the dot.
     """
     global _recording
-    if output.data.ndim != 0:
+    if cotangent is None and output.data.ndim != 0:
         raise ValueError("backward requires a scalar output")
     previous, _recording = _recording, create_graph
     try:
-        cotangents: dict[Tensor, Tensor] = {output: constant(1.0)}
+        cotangents: dict[Tensor, Tensor] = {
+            output: constant(1.0) if cotangent is None else cotangent}
         for node in reversed(_toposort(output)):
             cot = cotangents.get(node)
             if cot is None:

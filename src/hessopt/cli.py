@@ -161,7 +161,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .oracle import run_verification_suite  # only verify needs the oracle
 
-    names = [n for n in args.properties.split(",") if n] if args.properties else None
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    names = None
+    if args.properties is not None:
+        names = [n for n in args.properties.split(",") if n]
+        if not names:
+            raise ConfigError(f"--properties {args.properties!r} selects no property")
     try:
         report = run_verification_suite(names=names, seed=args.seed)
     except KeyError as exc:

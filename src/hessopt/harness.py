@@ -148,6 +148,8 @@ class RunConfig:
             raise ConfigError("lr must be positive")
         if self.iters < 1:
             raise ConfigError("iters must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.hessian_freq < 1:
             raise ConfigError("hessian-freq must be >= 1")
         if self.warmup < 0:
@@ -565,6 +567,8 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
     base.validate()
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"sweep seeds must be distinct, got {seeds}")
     if "seed" in axes:
         raise ConfigError("seed cannot be a sweep axis: every cell runs each of the "
                           "sweep's seeds (--seeds)")

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import as_float64
+
 __all__ = [
     "HutchinsonConfig",
     "DiagEstimate",
@@ -69,8 +71,8 @@ class DiagEstimate:
     iteration_computed: int
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
+        self.values = as_float64(self.values)
+        if not np.isfinite(self.values).all():
             raise ValueError("diagonal estimate contains non-finite entries")
 
 
@@ -116,7 +118,7 @@ def estimate_diag(problem, theta, batch, cfg: HutchinsonConfig,
     """
     if hvp is None:
         hvp = problem.hvp_operator(theta, batch)
-    d = int(np.asarray(theta).shape[0])
+    d = as_float64(theta).shape[0]
     acc = np.zeros(d)
     for _ in range(cfg.samples_per_estimate):
         z = rademacher(d, rng)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import NumericError
+from .autodiff import NumericError, as_float64
 
 __all__ = [
     "BlockSpec",
@@ -122,17 +122,6 @@ def _iteration(name: str, value) -> int:
     return int(value)
 
 
-def _as_float64(x) -> np.ndarray:
-    """``np.asarray(x, dtype=np.float64)``, returning a float64 ndarray as is.
-
-    np.asarray costs about a microsecond per call even when it returns its
-    argument, and every optimizer step converts two or three vectors.
-    """
-    if type(x) is np.ndarray and x.dtype == np.float64:
-        return x
-    return np.asarray(x, dtype=np.float64)
-
-
 def _check_beta(name: str, value: float) -> float:
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie strictly between 0 and 1")
@@ -166,8 +155,8 @@ class Optimizer:
         raise NotImplementedError
 
     def _check(self, theta, grad):
-        theta = _as_float64(theta)
-        grad = _as_float64(grad)
+        theta = as_float64(theta)
+        grad = as_float64(grad)
         if theta.shape != (self.dim,) or grad.shape != (self.dim,):
             raise ValueError(f"theta and grad must have shape ({self.dim},)")
         return theta, grad
@@ -338,7 +327,7 @@ class AdaHessian(Optimizer):
                 raise ValueError("first step requires a diagonal estimate")
             Ds = self.last_Ds
         else:
-            Ds = _as_float64(Ds)
+            Ds = as_float64(Ds)
             if Ds.shape != (self.dim,):
                 raise ValueError(f"Ds must have shape ({self.dim},)")
             self.last_Ds = Ds

@@ -6,7 +6,8 @@ Every problem exposes the same differentiable-function surface:
   - ``value(theta, batch)``: scalar loss
   - ``gradient(theta, batch)``: reverse-mode gradient
   - ``hvp(theta, z, batch)``: exact Hessian-vector product by backpropagating
-    the scalar ``gradient . z`` a second time
+    the gradient a second time, seeded with z: the numbers backpropagating
+    the scalar ``gradient . z`` gives, without computing it
   - ``hvp_operator(theta, batch)``: one forward/backward tape reused for many
     probe vectors
 
@@ -21,9 +22,14 @@ straddle tensor boundaries.
 Tapes are recorded once and replayed (see ``hessopt.autodiff``). A problem
 keeps, per batch shape (``None`` for full batch), one recorded program for
 ``value_and_gradient`` and one for ``full_tape``; a full tape also keeps the
-program of its HVP probe, recorded on its first probe. A replay writes theta,
-the batch's arrays (``batch_inputs``) and the probe into the recorded leaves
-and reruns the numpy steps, so its outputs equal a fresh tape's bit for bit.
+program of its HVP probe, recorded on its first probe as an extension of the
+tape's program, so that steps the probe repeats of the tape (tanh's
+``1 - y**2``, the weights' transposes) are computed once. The leaves are made
+before each recording, and each program is optimized once when its
+recording ends (constants folded, repeated steps merged, the gradient
+assembled by one concatenation). A replay writes theta, the batch's arrays
+(``batch_inputs``) and the probe into the recorded leaves and reruns the
+remaining numpy steps, so its outputs equal a fresh tape's bit for bit.
 Everything a loss computes from those leaves must therefore be a taped op:
 data selected by the batch enters only through ``batch_inputs``. These stay
 eager: ``value`` (so finite differences keep an independent path), every
@@ -89,7 +95,7 @@ class _Tape:
         the gradient came out non-finite."""
         self.leaves[0].data = theta
         for leaf, x in zip(self.leaves[1:], inputs):
-            leaf.data = np.asarray(x, dtype=np.float64)
+            leaf.data = ad.as_float64(x)
         self.program.replay()
         self.generation += 1
         return math.isfinite(self.loss.data) and bool(np.isfinite(self.grad.data).all())
@@ -150,7 +156,7 @@ class DifferentiableProblem:
         return np.empty(0)
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
+        theta = ad.as_float64(theta)
         if theta.shape != (self.dim,):
             raise ValueError(
                 f"{self.name}: expected parameter vector of length {self.dim}, "
@@ -194,7 +200,7 @@ class DifferentiableProblem:
 
         def apply(z: np.ndarray) -> np.ndarray:
             nonlocal tape, generation
-            z = np.asarray(z, dtype=np.float64)
+            z = ad.as_float64(z)
             if z.shape != (self.dim,):
                 raise ValueError(f"{self.name}: probe length must be {self.dim}")
             if tape.generation != generation:
@@ -215,7 +221,7 @@ class DifferentiableProblem:
         inputs = self.batch_inputs(batch)
         if inputs is None:
             return self._eager_tape(theta, batch, create_graph)
-        key = (create_graph, None if batch is None else np.shape(batch))
+        key = (create_graph, None if batch is None else batch.shape)
         tape = self._tapes.get(key)
         if tape is None:
             tape = self._tapes[key] = self._record_tape(theta, inputs, create_graph)
@@ -258,26 +264,28 @@ class DifferentiableProblem:
         leaf = ad.constant(z)
         if tape.program is None or tape.probe is not None:
             return self._hvp_pass(tape, leaf).data.copy()
-        program = ad.Program()
+        program = ad.Program(extends=tape.program)
         with program.recording():
             hz = self._hvp_pass(tape, leaf)
         tape.probe = (program, leaf, hz)
         return hz.data.copy()
 
     def _hvp_pass(self, tape: _Tape, z: ad.Tensor) -> ad.Tensor:
-        return self._checked_backward(ad.dot(tape.grad, z), tape.leaves[0], "hvp",
-                                      create_graph=False)
+        return self._checked_backward(tape.grad, tape.leaves[0], "hvp", create_graph=False,
+                                      cotangent=z)
 
-    def _checked_backward(self, output, t, what: str, create_graph: bool) -> ad.Tensor:
-        """``d output / d t``, raising NumericError if it is not finite.
+    def _checked_backward(self, output, t, what: str, create_graph: bool,
+                          cotangent: ad.Tensor | None = None) -> ad.Tensor:
+        """``d output / d t`` (seeded with ``cotangent``, see ``ad.backward``),
+        raising NumericError if it is not finite.
 
         A pass without a graph leaves nothing to search for the offending op,
         so on that failure path the pass is redone with the graph recorded.
         """
-        (grad,) = ad.backward(output, [t], create_graph=create_graph)
+        (grad,) = ad.backward(output, [t], create_graph, cotangent)
         if not np.isfinite(grad.data).all():
             if not create_graph:
-                (grad,) = ad.backward(output, [t])
+                (grad,) = ad.backward(output, [t], True, cotangent)
             ad.check_finite(grad, f"{self.name} {what}", phase=what)
         return grad
 

@@ -59,6 +59,17 @@ def test_backward_requires_scalar_output():
         ad.backward(ad.square(v), [v])
 
 
+@pytest.mark.parametrize("create_graph", [True, False])
+def test_cotangent_seed_equals_backpropagating_the_dot(create_graph):
+    # The Hessian-vector product of sum(tanh(v)^3) both ways, with -0.0 in z.
+    v = ad.variable([0.3, -1.2, 0.0, 2.5])
+    (g,) = ad.backward(ad.tsum(ad.power(ad.tanh(v), 3.0)), [v])
+    z = ad.constant([1.0, -0.0, -2.0, 0.5])
+    (via_dot,) = ad.backward(ad.dot(g, z), [v], create_graph)
+    (seeded,) = ad.backward(g, [v], create_graph, cotangent=z)
+    assert seeded.data.tobytes() == via_dot.data.tobytes()
+
+
 def test_backward_unreachable_leaf_gets_zero_cotangent():
     a = ad.variable([1.0, 2.0])
     b = ad.variable([3.0, 4.0])

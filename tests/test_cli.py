@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hessopt
-from hessopt import cli, harness, optim
+from hessopt import cli, harness, optim, oracle
 from hessopt.cli import main
 
 
@@ -267,6 +267,28 @@ class TestBadInput:
         code = main(["sweep", "--grid", "seed=5", "--seeds", "0,1", "--out", str(tmp_path)])
         self.assert_config_error(capsys, code, "--seeds")
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["run", "--problem", "fig1-quadratic", "--iters", "2", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
+        (["sweep", "--problem", "fig1-quadratic", "--iters", "2", "--grid", "lr=0.1",
+          "--seeds=-1"], "seed must be >= 0, got -1"),
+        (["sweep", "--problem", "fig1-quadratic", "--iters", "2", "--grid", "lr=0.1",
+          "--seeds", "0,0"], "sweep seeds must be distinct, got [0, 0]"),
+        (["verify", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["verify", "--properties", ","], "--properties ',' selects no property"),
+        (["verify", "--properties", ""], "--properties '' selects no property"),
+    ], ids=["run-negative-seed", "sweep-negative-seed", "sweep-duplicate-seeds",
+            "verify-negative-seed", "verify-comma-only", "verify-empty"])
+    def test_refused_before_any_work(self, tmp_path, capsys, monkeypatch, argv, needle):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(oracle, "run_verification_suite",
+                            lambda *a, **k: calls.append(a))
+        code = main([*argv, "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, needle)
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifyCommand:
