@@ -7,31 +7,24 @@ backward pass extends the graph instead of leaving it. That is what makes
 second derivatives possible: the gradient returned by :func:`backward` is a
 graph node, and backpropagating the scalar ``dot(gradient, z)`` a second time
 yields the exact Hessian-vector product ``H @ z``; so does backpropagating
-the gradient itself seeded with z, which skips the dot.
+the gradient itself seeded with z, which skips the dot. Every backward pass
+records its graph. Nodes that cannot reach a :func:`variable`
+(``needs_grad`` false) record no parents: no backward pass visits them.
 
-A pass that will not be differentiated again can skip the graph:
-``backward(output, wrt, create_graph=False)`` computes the same cotangents,
-bit for bit, but the nodes it builds record no parents or VJP closures. The
-switch is a module-level recording flag, set for the duration of the pass
-and restored in ``finally``, so the tape is not safe to share between
-threads. Nodes that cannot reach a :func:`variable` (``needs_grad`` false)
-never record parents either, whatever the flag: no backward pass visits
-them. In ``hessopt.problems`` only the gradient that Hessian-vector products
-are taken through records a graph; plain gradients and each HVP probe's own
-backward pass do not.
-
-Record and replay: inside ``Program.recording()`` every op also appends one
-step to the program: the node it made, the numpy function that computed the
-node's data, and the input nodes. :meth:`Program.replay` reruns the steps in
-order after new arrays are written into the leaves' ``data``. The same numpy
-functions then run on the same operands in the same order, and the cotangent
-accumulation order is the one fixed at recording, so every node ends up bit
-for bit where a fresh tape at the new leaves would put it. Only the leaves a
-caller rewrites change between replays; every other leaf is baked into the
-program. So any data an op derives from its inputs (``relu``'s mask,
-``softplus``'s shift, ``logsumexp_rows``'s row max) is made by a recorded
-step, never captured as a constant leaf. Outside a recording the ops build
-the eager tape exactly as before; it stays the only path for one-off
+Every op makes its node the same way: :class:`Tensor` calls the op's step
+function (a numpy function of the inputs' data) and keeps the inputs as the
+node's parents. Inside ``Program.recording()`` the constructor also appends
+that step to the program: the node, the step function and the input nodes.
+:meth:`Program.replay` reruns the steps in order after new arrays are
+written into the leaves' ``data``. The same numpy functions then run on the
+same operands in the same order, and the cotangent accumulation order is the
+one fixed at recording, so every node ends up bit for bit where a fresh tape
+at the new leaves would put it: eager and replayed data come from the same
+call. Only the leaves a caller rewrites change between replays; every other
+leaf is baked into the program. So any data an op derives from its inputs
+(``relu``'s mask, ``softplus``'s shift, ``logsumexp_rows``'s row max) is made
+by a step of its own, never captured as a constant leaf. Outside a recording
+the ops only build the eager tape; it stays the only path for one-off
 evaluations and for locating the op behind a non-finite value.
 
 When a recording ends, its steps are optimized once, so that a replay runs
@@ -41,10 +34,9 @@ one is merged into it (also across a probe program and the tape it
 extends), and each ``add`` chain of ``embed``s that assembles a flat
 parameter's cotangent becomes one ``np.concatenate``. Each rewrite is exact;
 the docstrings of ``_optimize`` and ``_fuse_assembly`` say why. Some ops
-call cheaper kernels that compute the same bits, on the eager path too, so
-eager and replayed tapes stay identical: ``np.square`` and ``np.reciprocal``
-for the powers 2 and -1, and ``einsum`` for axis-0 sums of C-contiguous
-matrices (``_power_kernel``, ``_sum_rows``).
+call cheaper kernels that compute the same bits: ``np.square`` and
+``np.reciprocal`` for the powers 2 and -1, and ``einsum`` for axis-0 sums of
+C-contiguous matrices (``_power_kernel``, ``_sum_rows``).
 
 Conventions:
   - all data is float64; inputs are coerced on construction
@@ -52,7 +44,7 @@ Conventions:
     taken to be 0, and its second derivative is 0 almost everywhere.
   - constants (datasets, probe vectors) enter through :func:`constant` and
     never receive cotangents; neither do the masks and shifts an op computes
-    from its input, which are recorded steps of their own
+    from its input, which are steps of their own
 """
 
 from __future__ import annotations
@@ -116,54 +108,47 @@ class NumericError(RuntimeError):
 
 
 _FLOAT64 = np.dtype(np.float64)
-# Whether new nodes record parents and VJPs; cleared by backward(create_graph=False).
-_recording = True
 # The step list of the Program being recorded, or None; see Program.recording.
-# Module-level like _recording, because the ops are module-level functions.
+# Module-level because the ops are module-level functions.
 _steps: list | None = None
 
 
 class Tensor:
-    """A node in the computation graph.
+    """A node in the computation graph: ``fn(a.data)`` or ``fn(a.data, b.data)``.
 
-    ``vjps`` holds one closure per parent; each maps the cotangent of this
-    node to the cotangent contribution for that parent, expressed with taped
-    operations so it can be differentiated again. A VJP that needs the node
-    itself (``exp``, ``tanh``) holds it by weak reference: a VJP only runs
-    while its node is alive, and a strong one would make every tape a
-    reference cycle that outlives its call until the cyclic collector runs.
-    ``needs_grad`` marks whether any :func:`variable` leaf is reachable;
-    backward skips everything else, so a node without it keeps ``parents``
-    and ``vjps`` empty.
+    Every op makes its node here from its step function ``fn`` and its input
+    nodes, the node's parents; inside a recording the same call appends that
+    step to the program. ``vjps`` holds one closure per parent; each maps the
+    cotangent of this node to the cotangent contribution for that parent,
+    expressed with taped operations so it can be differentiated again. A VJP
+    that needs the node itself (``exp``, ``tanh``) holds it by weak reference:
+    a VJP only runs while its node is alive, and a strong one would make every
+    tape a reference cycle that outlives its call until the cyclic collector
+    runs. ``needs_grad`` marks whether any :func:`variable` leaf is reachable
+    (an op passes False for data no cotangent flows through); backward skips
+    everything else, so a node without it keeps ``parents`` and ``vjps`` empty.
     """
 
     __slots__ = ("data", "parents", "vjps", "needs_grad", "op", "__weakref__")
 
-    def __init__(
-        self,
-        data,
-        parents: tuple["Tensor", ...] = (),
-        vjps: tuple[Callable[["Tensor"], "Tensor"] | None, ...] = (),
-        op: str = "leaf",
-        needs_grad: bool | None = None,
-    ):
+    def __init__(self, fn: Callable[..., np.ndarray], a: "Tensor", b: "Tensor | None" = None,
+                 vjps: tuple[Callable[["Tensor"], "Tensor"], ...] = (), op: str = "op",
+                 needs_grad: bool | None = None):
+        data = fn(a.data) if b is None else fn(a.data, b.data)
         if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
         self.op = op
         if needs_grad is None:
-            needs_grad = False
-            if _recording:
-                for parent in parents:
-                    if parent.needs_grad:
-                        needs_grad = True
-                        break
+            needs_grad = a.needs_grad or (b is not None and b.needs_grad)
         self.needs_grad = needs_grad
         if needs_grad:
-            self.parents = parents
+            self.parents = (a,) if b is None else (a, b)
             self.vjps = vjps
         else:
             self.parents = self.vjps = ()
+        if _steps is not None:
+            _steps.append((self, fn, a, b))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -219,9 +204,18 @@ def as_float64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _leaf(data, op: str, needs_grad: bool) -> Tensor:
+    node = Tensor.__new__(Tensor)
+    node.data = as_float64(data)
+    node.op = op
+    node.needs_grad = needs_grad
+    node.parents = node.vjps = ()
+    return node
+
+
 def variable(data) -> Tensor:
     """Leaf tensor that receives a cotangent in :func:`backward`."""
-    return Tensor(data, op="variable", needs_grad=True)
+    return _leaf(data, "variable", True)
 
 
 def constant(data) -> Tensor:
@@ -230,7 +224,7 @@ def constant(data) -> Tensor:
     Made inside a recording, it is a constant of the program (see
     :class:`Program`): a leaf a caller rewrites must be made before.
     """
-    out = Tensor(data, op="constant", needs_grad=False)
+    out = _leaf(data, "constant", False)
     if _steps is not None:
         _steps.append((out, None, None, None))
     return out
@@ -259,66 +253,39 @@ def _sum_to(t: Tensor, shape: tuple[int, ...]) -> Tensor:
 def _derived(fn, a: Tensor) -> Tensor:
     """Constant ``fn(a.data)``, such as a mask or a shift.
 
-    No cotangent flows through it, but it is a recorded step, so a replay
+    No cotangent flows through it, but it is a step of its own, so a replay
     recomputes it from ``a``'s new data instead of keeping the old result.
     """
-    out = Tensor(fn(a.data), op="constant", needs_grad=False)
-    if _steps is not None:
-        _steps.append((out, fn, a, None))
-    return out
+    return Tensor(fn, a, None, (), "constant", False)
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(
-        a.data + b.data,
-        (a, b),
-        (lambda cot: _sum_to(cot, a.data.shape), lambda cot: _sum_to(cot, b.data.shape)),
-        "add",
-    )
-    if _steps is not None:
-        _steps.append((out, np.add, a, b))
-    return out
+    vjps = (lambda cot: _sum_to(cot, a.data.shape), lambda cot: _sum_to(cot, b.data.shape))
+    return Tensor(np.add, a, b, vjps, "add")
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(-a.data, (a,), (lambda cot: neg(cot),), "neg")
-    if _steps is not None:
-        _steps.append((out, np.negative, a, None))
-    return out
+    return Tensor(np.negative, a, None, (lambda cot: neg(cot),), "neg")
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(
-        a.data - b.data,
-        (a, b),
-        (
-            lambda cot: _sum_to(cot, a.data.shape),
-            lambda cot: neg(_sum_to(cot, b.data.shape)),
-        ),
-        "sub",
+    vjps = (
+        lambda cot: _sum_to(cot, a.data.shape),
+        lambda cot: neg(_sum_to(cot, b.data.shape)),
     )
-    if _steps is not None:
-        _steps.append((out, np.subtract, a, b))
-    return out
+    return Tensor(np.subtract, a, b, vjps, "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(
-        a.data * b.data,
-        (a, b),
-        (
-            lambda cot: _sum_to(mul(cot, b), a.data.shape),
-            lambda cot: _sum_to(mul(cot, a), b.data.shape),
-        ),
-        "mul",
+    vjps = (
+        lambda cot: _sum_to(mul(cot, b), a.data.shape),
+        lambda cot: _sum_to(mul(cot, a), b.data.shape),
     )
-    if _steps is not None:
-        _steps.append((out, np.multiply, a, b))
-    return out
+    return Tensor(np.multiply, a, b, vjps, "mul")
 
 
 def div(a, b) -> Tensor:
@@ -346,11 +313,7 @@ def power(a, exponent: float) -> Tensor:
         vjp = lambda cot: mul(cot, mul(a, constant(2.0)))  # noqa: E731
     else:
         vjp = lambda cot: mul(cot, mul(power(a, p - 1.0), constant(p)))  # noqa: E731
-    kernel = _power_kernel(p)
-    out = Tensor(kernel(a.data), (a,), (vjp,), f"pow{p:g}")
-    if _steps is not None:
-        _steps.append((out, kernel, a, None))
-    return out
+    return Tensor(_power_kernel(p), a, None, (vjp,), f"pow{p:g}")
 
 
 def square(a) -> Tensor:
@@ -359,48 +322,35 @@ def square(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.exp(a.data), (a,), (), "exp")
+    out = Tensor(np.exp, a, None, (), "exp")
     if out.needs_grad:
         ref = weakref.ref(out)
         out.vjps = (lambda cot: mul(cot, ref()),)
-    if _steps is not None:
-        _steps.append((out, np.exp, a, None))
     return out
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.log(a.data), (a,), (lambda cot: div(cot, a),), "log")
-    if _steps is not None:
-        _steps.append((out, np.log, a, None))
-    return out
+    return Tensor(np.log, a, None, (lambda cot: div(cot, a),), "log")
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.tanh(a.data), (a,), (), "tanh")
+    out = Tensor(np.tanh, a, None, (), "tanh")
     if out.needs_grad:
         ref = weakref.ref(out)
         out.vjps = (lambda cot: mul(cot, sub(constant(1.0), square(ref()))),)
-    if _steps is not None:
-        _steps.append((out, np.tanh, a, None))
     return out
 
 
 def sin(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.sin(a.data), (a,), (lambda cot: mul(cot, cos(a)),), "sin")
-    if _steps is not None:
-        _steps.append((out, np.sin, a, None))
-    return out
+    return Tensor(np.sin, a, None, (lambda cot: mul(cot, cos(a)),), "sin")
 
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.cos(a.data), (a,), (lambda cot: neg(mul(cot, sin(a))),), "cos")
-    if _steps is not None:
-        _steps.append((out, np.cos, a, None))
-    return out
+    return Tensor(np.cos, a, None, (lambda cot: neg(mul(cot, sin(a))),), "cos")
 
 
 def _positive(x: np.ndarray) -> np.ndarray:
@@ -413,36 +363,23 @@ def _clip_negative(x: np.ndarray) -> np.ndarray:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    # The mask is a derived constant: zero curvature almost everywhere,
-    # derivative 0 at exactly 0. The eager path inlines what the recorded
-    # steps compute, so it pays no extra call (so do broadcast_to and embed).
-    # It is not made by constant(): a recorded step computes it.
-    mask = Tensor((a.data > 0.0).astype(np.float64), op="constant", needs_grad=False)
-    out = Tensor(np.maximum(a.data, 0.0), (a,), (lambda cot: mul(cot, mask),), "relu")
-    if _steps is not None:
-        _steps.append((mask, _positive, a, None))
-        _steps.append((out, _clip_negative, a, None))
-    return out
+    # The mask is derived data: zero curvature almost everywhere, and
+    # derivative 0 at exactly 0.
+    mask = _derived(_positive, a)
+    return Tensor(_clip_negative, a, None, (lambda cot: mul(cot, mask),), "relu")
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
-    out = Tensor(a.data.T, (a,), (lambda cot: transpose(cot),), "transpose")
-    if _steps is not None:
-        _steps.append((out, np.ndarray.transpose, a, None))
-    return out
+    return Tensor(np.ndarray.transpose, a, None, (lambda cot: transpose(cot),), "transpose")
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(
-        a.data.reshape(shape), (a,), (lambda cot: reshape(cot, a.data.shape),), "reshape"
-    )
-    if _steps is not None:
-        _steps.append((out, _reshaper(shape), a, None))
-    return out
+    vjp = lambda cot: reshape(cot, a.data.shape)  # noqa: E731
+    return Tensor(_reshaper(shape), a, None, (vjp,), "reshape")
 
 
 # The step functions of ops with parameters are made once per parameter
@@ -465,17 +402,8 @@ _broadcaster = cache(lambda shape: partial(_broadcast, shape))
 
 def broadcast_to(a, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
-    data = np.empty(shape)
-    data[...] = a.data
-    out = Tensor(
-        data,
-        (a,),
-        (lambda cot: _sum_to(cot, a.data.shape),),
-        "broadcast",
-    )
-    if _steps is not None:
-        _steps.append((out, _broadcaster(shape), a, None))
-    return out
+    vjp = lambda cot: _sum_to(cot, a.data.shape)  # noqa: E731
+    return Tensor(_broadcaster(shape), a, None, (vjp,), "broadcast")
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -508,10 +436,7 @@ def tsum(a, axis=None) -> Tensor:
         kernel = _sum_rows
     else:
         kernel = _summer(axes or None)
-    out = Tensor(kernel(a.data), (a,), (vjp,), "sum")
-    if _steps is not None:
-        _steps.append((out, kernel, a, None))
-    return out
+    return Tensor(kernel, a, None, (vjp,), "sum")
 
 
 def mean(a, axis=None) -> Tensor:
@@ -548,10 +473,7 @@ def matmul(a, b) -> Tensor:
         )
     else:
         raise ValueError(f"matmul supports 2Dx2D, 2Dx1D, 1Dx2D; got {an}D @ {bn}D")
-    out = Tensor(a.data @ b.data, (a, b), vjps, "matmul")
-    if _steps is not None:
-        _steps.append((out, np.matmul, a, b))
-    return out
+    return Tensor(np.matmul, a, b, vjps, "matmul")
 
 
 def narrow(a, start: int, length: int) -> Tensor:
@@ -560,15 +482,8 @@ def narrow(a, start: int, length: int) -> Tensor:
     if a.data.ndim != 1:
         raise ValueError("narrow expects a 1-D tensor")
     total = a.data.shape[0]
-    out = Tensor(
-        a.data[start : start + length],
-        (a,),
-        (lambda cot: embed(cot, start, total),),
-        "narrow",
-    )
-    if _steps is not None:
-        _steps.append((out, _slicer(start, start + length), a, None))
-    return out
+    vjp = lambda cot: embed(cot, start, total)  # noqa: E731
+    return Tensor(_slicer(start, start + length), a, None, (vjp,), "narrow")
 
 
 def _embedded(start: int, total: int, x: np.ndarray) -> np.ndarray:
@@ -585,12 +500,8 @@ def embed(a, start: int, total: int) -> Tensor:
     """Place a 1-D tensor into a zero vector of length ``total`` at ``start``."""
     a = as_tensor(a)
     length = a.data.shape[0]
-    data = np.zeros(total)
-    data[start : start + length] = a.data
-    out = Tensor(data, (a,), (lambda cot: narrow(cot, start, length),), "embed")
-    if _steps is not None:
-        _steps.append((out, _embedder(start, total), a, None))
-    return out
+    vjp = lambda cot: narrow(cot, start, length)  # noqa: E731
+    return Tensor(_embedder(start, total), a, None, (vjp,), "embed")
 
 
 def softplus(a) -> Tensor:
@@ -846,17 +757,14 @@ def _toposort(output: Tensor) -> list[Tensor]:
     return topo
 
 
-def backward(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = True,
+def backward(output: Tensor, wrt: Sequence[Tensor],
              cotangent: Tensor | None = None) -> list[Tensor]:
     """Reverse-mode pass from a scalar ``output`` to the ``wrt`` leaves.
 
-    Returns one cotangent tensor per entry of ``wrt``. With ``create_graph``
-    (the default) the cotangents are graph nodes built from taped operations,
-    so they can be fed back into ``backward``; this is how Hessian-vector
-    products are formed. Without it, the same values are computed, but no node
-    built during the pass records parents, so the cotangents cannot be
-    differentiated and the pass costs less. Leaves not reachable from
-    ``output`` get a zero cotangent.
+    Returns one cotangent tensor per entry of ``wrt``. The cotangents are
+    graph nodes built from taped operations, so they can be fed back into
+    ``backward``; this is how Hessian-vector products are formed. Leaves not
+    reachable from ``output`` get a zero cotangent.
 
     ``cotangent``, a tensor of ``output``'s shape, seeds the pass at a
     non-scalar ``output`` instead of 1.0: a vector-Jacobian product.
@@ -864,30 +772,25 @@ def backward(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = True,
     which is z bit for bit, so ``cotangent=z`` gives the same cotangents
     without computing the dot.
     """
-    global _recording
     if cotangent is None and output.data.ndim != 0:
         raise ValueError("backward requires a scalar output")
-    previous, _recording = _recording, create_graph
-    try:
-        cotangents: dict[Tensor, Tensor] = {
-            output: constant(1.0) if cotangent is None else cotangent}
-        for node in reversed(_toposort(output)):
-            cot = cotangents.get(node)
-            if cot is None:
+    cotangents: dict[Tensor, Tensor] = {
+        output: constant(1.0) if cotangent is None else cotangent}
+    for node in reversed(_toposort(output)):
+        cot = cotangents.get(node)
+        if cot is None:
+            continue
+        for parent, vjp in zip(node.parents, node.vjps):
+            if not parent.needs_grad:
                 continue
-            for parent, vjp in zip(node.parents, node.vjps):
-                if not parent.needs_grad or vjp is None:
-                    continue
-                contribution = vjp(cot)
-                prev = cotangents.get(parent)
-                cotangents[parent] = contribution if prev is None else add(prev, contribution)
-        results = []
-        for w in wrt:
-            cot = cotangents.get(w)
-            results.append(cot if cot is not None else constant(np.zeros_like(w.data)))
-        return results
-    finally:
-        _recording = previous
+            contribution = vjp(cot)
+            prev = cotangents.get(parent)
+            cotangents[parent] = contribution if prev is None else add(prev, contribution)
+    results = []
+    for w in wrt:
+        cot = cotangents.get(w)
+        results.append(cot if cot is not None else constant(np.zeros_like(w.data)))
+    return results
 
 
 def find_nonfinite(output: Tensor) -> Tensor | None:

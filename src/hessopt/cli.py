@@ -23,8 +23,8 @@ from .autodiff import NumericError
 from .harness import (
     ConfigError,
     RunConfig,
-    default_out_dir,
     load_trajectory,
+    make_out_dir,
     run,
     summarize_trajectory,
     sweep,
@@ -168,6 +168,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         names = [n for n in args.properties.split(",") if n]
         if not names:
             raise ConfigError(f"--properties {args.properties!r} selects no property")
+    out_dir = make_out_dir(args.out)
     try:
         report = run_verification_suite(names=names, seed=args.seed)
     except KeyError as exc:
@@ -175,8 +176,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for prop in report.properties:
         mark = "PASS" if prop.passed else "FAIL"
         print(f"{mark}  {prop.name:28s} {prop.elapsed_s:7.2f}s  {prop.detail}")
-    out_dir = Path(args.out) if args.out else default_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "verify_report.json"
     write_atomic(report_path, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
     print(f"report: {report_path}")

@@ -66,6 +66,7 @@ __all__ = [
     "RunResult",
     "SweepCell",
     "default_out_dir",
+    "make_out_dir",
     "run",
     "sweep",
     "load_trajectory",
@@ -158,6 +159,8 @@ class RunConfig:
             raise ConfigError("samples must be >= 1")
         if self.block_size < 1:
             raise ConfigError("block-size must be >= 1")
+        if self.run_name:
+            _check_file_name("run-name", self.run_name)
         try:
             make_optimizer(self.optimizer, 1, **_optimizer_args(self))
         except ValueError as exc:
@@ -303,6 +306,24 @@ def default_out_dir() -> Path:
     return Path(os.environ.get("HESSOPT_OUT", "runs"))
 
 
+def make_out_dir(out: str | Path | None) -> Path:
+    """The output directory (``out``, else the default), created before any
+    compute, so that one that cannot be created is a ConfigError."""
+    path = Path(out) if out else default_out_dir()
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(path)!r}: "
+                          f"{exc.strerror or exc}") from None
+    return path
+
+
+def _check_file_name(flag: str, name: str) -> None:
+    """Output files are named inside the output directory, never beside it."""
+    if name in ("", ".", "..") or "/" in name or os.sep in name or "\0" in name:
+        raise ConfigError(f"{flag} must be a plain file name, got {name!r}")
+
+
 def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
 
@@ -446,8 +467,7 @@ def run(config: RunConfig, write_files: bool = True, *,
     traj_path = summary_path = None
     traj_file = None
     if write_files:
-        out_dir = Path(config.out) if config.out else default_out_dir()
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = make_out_dir(config.out)
         name = config.default_run_name()
         traj_path = out_dir / f"{name}.trajectory.jsonl"
         summary_path = out_dir / f"{name}.summary.json"
@@ -463,9 +483,9 @@ def run(config: RunConfig, write_files: bool = True, *,
             start = time.perf_counter()
             try:
                 lr_factor = schedule(t)
-                # Only an iteration with a fresh estimate needs the gradient's
-                # graph; the rest take the same gradient without building one,
-                # and AdaHessian reuses its last estimate.
+                # Only an iteration with a fresh estimate probes the Hessian;
+                # the rest take the gradient alone, and AdaHessian reuses its
+                # last estimate.
                 computed = is_second_order and should_compute(t, hcfg)
                 if computed:
                     loss, g, hvp_fn = problem.full_tape(theta, batch)
@@ -557,14 +577,16 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
     """Cartesian grid of config overrides, each cell repeated across seeds.
 
     Returns the per-cell aggregates and the CSV path (``out``, else the base
-    config's output directory, else the default). Every cell's config is
-    validated, and each distinct problem built, before any run starts; a
-    ``seed`` axis is refused. Individual cell failures are counted as
-    diverged; the sweep always completes. Seeds loop outside and cells
-    inside, sharing one ``_SeedPass`` per seed; every run and companion of
-    the sweep reuses the problems built for validation, and so their tapes.
+    config's output directory, else the default). Every cell's config and
+    ``csv_name`` are checked, each distinct problem built and the output
+    directory made before any run starts; a ``seed`` axis is refused.
+    Individual cell failures are counted as diverged; the sweep always
+    completes. Seeds loop outside and cells inside, sharing one ``_SeedPass``
+    per seed; every run and companion of the sweep reuses the problems built
+    for validation, and so their tapes.
     """
     base.validate()
+    _check_file_name("csv-name", csv_name)
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     if len(set(seeds)) != len(seeds):
@@ -586,6 +608,7 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
                 for key, cfg in {_SeedPass._key(c[0]): c[0] for c in configs}.items()}
     cells = [SweepCell(overrides=overrides, seeds=list(seeds), final_losses=[],
                        diverged=0, cost_ratios=[]) for overrides in grid]
+    csv_path = make_out_dir(base.out if out is None else out) / csv_name
     for i, seed in enumerate(seeds):
         shared = _SeedPass(seed, problems)
         for cell, cell_configs in zip(cells, configs):
@@ -603,11 +626,6 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
             if ratio is not None:
                 cell.cost_ratios.append(ratio)
 
-    out_dir = Path(out) if out is not None else (
-        Path(base.out) if base.out else default_out_dir()
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / csv_name
     rows = [cell.row() for cell in cells]
     fieldnames = list(rows[0].keys()) if rows else axis_names
     text = io.StringIO(newline="")

@@ -20,8 +20,8 @@ tensor layout (weight matrices, biases) so block-structured operations never
 straddle tensor boundaries.
 
 Tapes are recorded once and replayed (see ``hessopt.autodiff``). A problem
-keeps, per batch shape (``None`` for full batch), one recorded program for
-``value_and_gradient`` and one for ``full_tape``; a full tape also keeps the
+keeps one recorded tape per batch shape (``None`` for full batch), replayed by
+both ``value_and_gradient`` and ``full_tape``; the tape also keeps the
 program of its HVP probe, recorded on its first probe as an extension of the
 tape's program, so that steps the probe repeats of the tape (tanh's
 ``1 - y**2``, the weights' transposes) are computed once. The leaves are made
@@ -32,10 +32,9 @@ assembled by one concatenation). A replay writes theta, the batch's arrays
 remaining numpy steps, so its outputs equal a fresh tape's bit for bit.
 Everything a loss computes from those leaves must therefore be a taped op:
 data selected by the batch enters only through ``batch_inputs``. These stay
-eager: ``value`` (so finite differences keep an independent path), every
-path of a problem that overrides ``build_loss`` without declaring its batch
-inputs, an hvp callable whose tape a later ``full_tape`` call has replayed,
-and the rerun of any replay whose loss, gradient or HVP is not finite, which
+eager: ``value`` (so finite differences keep an independent path), an hvp
+callable whose tape a later call on the same batch shape has replayed, and
+the rerun of any replay whose loss, gradient or HVP is not finite, which
 raises the ``NumericError`` naming the op. A recording that raised is never
 kept.
 """
@@ -109,9 +108,6 @@ class DifferentiableProblem:
     tensor and one leaf per array (:meth:`loss`). Everything else (values,
     gradients, Hessian-vector products) derives from that single definition,
     so the three are consistent by construction.
-
-    A subclass may instead override :meth:`build_loss` alone; its tapes are
-    then always eager (see the module docstring on record and replay).
     """
 
     name: str = "problem"
@@ -121,12 +117,11 @@ class DifferentiableProblem:
     def __init__(self):
         self.theta0 = np.zeros(self.dim)
         self.group_sizes: list[int] = [self.dim]
-        self._tapes: dict[tuple, _Tape] = {}
+        self._tapes: dict[tuple | None, _Tape] = {}
 
-    def batch_inputs(self, batch: np.ndarray | None) -> tuple[np.ndarray, ...] | None:
-        """The arrays the loss reads of ``batch``, each entering the tape as
-        a leaf; None if undeclared, which keeps every tape eager."""
-        return None
+    def batch_inputs(self, batch: np.ndarray | None) -> tuple[np.ndarray, ...]:
+        """The arrays the loss reads of ``batch``, each entering the tape as a leaf."""
+        raise NotImplementedError
 
     def loss(self, theta: ad.Tensor, *inputs: ad.Tensor) -> ad.Tensor:
         """The taped scalar loss from the parameter tensor and one leaf per
@@ -171,7 +166,7 @@ class DifferentiableProblem:
         return loss.item()
 
     def value_and_gradient(self, theta, batch=None) -> tuple[float, np.ndarray]:
-        tape = self._gradient_tape(self._check_theta(theta), batch, create_graph=False)
+        tape = self._gradient_tape(self._check_theta(theta), batch)
         return tape.loss.item(), tape.grad.data.copy()
 
     def gradient(self, theta, batch=None) -> np.ndarray:
@@ -188,14 +183,14 @@ class DifferentiableProblem:
         """One tape yielding (loss, gradient, hvp-callable) without rebuilding.
 
         Used by the harness so that iterations needing a Hessian probe reuse
-        the gradient's graph instead of paying a second forward pass. Only
-        this gradient records a graph; each probe's backward pass does not.
-        Once a later ``full_tape`` call on the same batch shape has replayed
-        the recorded tape, the callable builds its own eager tape at its
-        ``theta`` and ``batch`` instead of reading the replayed nodes.
+        the gradient's graph instead of paying a second forward pass. Once a
+        later ``full_tape`` or ``value_and_gradient`` call on the same batch
+        shape has replayed the recorded tape, the callable builds its own
+        eager tape at its ``theta`` and ``batch`` instead of reading the
+        replayed nodes.
         """
         theta = self._check_theta(theta)
-        tape = self._gradient_tape(theta, batch, create_graph=True)
+        tape = self._gradient_tape(theta, batch)
         generation = tape.generation
 
         def apply(z: np.ndarray) -> np.ndarray:
@@ -204,48 +199,44 @@ class DifferentiableProblem:
             if z.shape != (self.dim,):
                 raise ValueError(f"{self.name}: probe length must be {self.dim}")
             if tape.generation != generation:
-                tape = self._eager_tape(theta, batch, create_graph=True)
+                tape = self._eager_tape(theta, batch)
                 generation = tape.generation
             return self._probe(tape, z)
 
         return tape.loss.item(), tape.grad.data.copy(), apply
 
-    def _gradient_tape(self, theta: np.ndarray, batch, create_graph: bool) -> _Tape:
+    def _gradient_tape(self, theta: np.ndarray, batch) -> _Tape:
         """A tape holding the checked loss and gradient at ``theta``.
 
         Replays the recorded tape of this batch shape, recording it on first
-        use. It is eager if the problem does not declare its batch inputs,
-        or if the replay is not finite: the eager tape then raises the
-        NumericError that names the op.
+        use. It is eager if the replay is not finite: the eager tape then
+        raises the NumericError that names the op.
         """
         inputs = self.batch_inputs(batch)
-        if inputs is None:
-            return self._eager_tape(theta, batch, create_graph)
-        key = (create_graph, None if batch is None else batch.shape)
+        key = None if batch is None else batch.shape
         tape = self._tapes.get(key)
         if tape is None:
-            tape = self._tapes[key] = self._record_tape(theta, inputs, create_graph)
+            tape = self._tapes[key] = self._record_tape(theta, inputs)
         elif not tape.replay(theta, inputs):
-            return self._eager_tape(theta, batch, create_graph)
+            return self._eager_tape(theta, batch)
         return tape
 
-    def _eager_tape(self, theta: np.ndarray, batch, create_graph: bool) -> _Tape:
+    def _eager_tape(self, theta: np.ndarray, batch) -> _Tape:
         t = ad.variable(theta)
-        return self._checked_tape([t], self.build_loss(t, batch), create_graph)
+        return self._checked_tape([t], self.build_loss(t, batch))
 
-    def _record_tape(self, theta: np.ndarray, inputs, create_graph: bool) -> _Tape:
+    def _record_tape(self, theta: np.ndarray, inputs) -> _Tape:
         """An eager tape whose steps are recorded; raises as the eager one does."""
         leaves = [ad.variable(theta), *[ad.constant(x) for x in inputs]]
         program = ad.Program()
         with program.recording():
-            tape = self._checked_tape(leaves, self.loss(*leaves), create_graph)
+            tape = self._checked_tape(leaves, self.loss(*leaves))
         tape.program = program
         return tape
 
-    def _checked_tape(self, leaves: list, loss: ad.Tensor, create_graph: bool) -> _Tape:
+    def _checked_tape(self, leaves: list, loss: ad.Tensor) -> _Tape:
         ad.check_finite(loss, f"{self.name} loss", phase="loss")
-        return _Tape(leaves, loss, self._checked_backward(loss, leaves[0], "gradient",
-                                                          create_graph))
+        return _Tape(leaves, loss, self._checked_backward(loss, leaves[0], "gradient"))
 
     def _probe(self, tape: _Tape, z: np.ndarray) -> np.ndarray:
         """``H @ z`` over a tape holding its current generation.
@@ -263,30 +254,19 @@ class DifferentiableProblem:
                 return hz.data.copy()
         leaf = ad.constant(z)
         if tape.program is None or tape.probe is not None:
-            return self._hvp_pass(tape, leaf).data.copy()
+            return self._checked_backward(tape.grad, tape.leaves[0], "hvp", leaf).data.copy()
         program = ad.Program(extends=tape.program)
         with program.recording():
-            hz = self._hvp_pass(tape, leaf)
+            hz = self._checked_backward(tape.grad, tape.leaves[0], "hvp", leaf)
         tape.probe = (program, leaf, hz)
         return hz.data.copy()
 
-    def _hvp_pass(self, tape: _Tape, z: ad.Tensor) -> ad.Tensor:
-        return self._checked_backward(tape.grad, tape.leaves[0], "hvp", create_graph=False,
-                                      cotangent=z)
-
-    def _checked_backward(self, output, t, what: str, create_graph: bool,
+    def _checked_backward(self, output, t, what: str,
                           cotangent: ad.Tensor | None = None) -> ad.Tensor:
         """``d output / d t`` (seeded with ``cotangent``, see ``ad.backward``),
-        raising NumericError if it is not finite.
-
-        A pass without a graph leaves nothing to search for the offending op,
-        so on that failure path the pass is redone with the graph recorded.
-        """
-        (grad,) = ad.backward(output, [t], create_graph, cotangent)
-        if not np.isfinite(grad.data).all():
-            if not create_graph:
-                (grad,) = ad.backward(output, [t], True, cotangent)
-            ad.check_finite(grad, f"{self.name} {what}", phase=what)
+        raising NumericError naming the op if it is not finite."""
+        (grad,) = ad.backward(output, [t], cotangent)
+        ad.check_finite(grad, f"{self.name} {what}", phase=what)
         return grad
 
 

@@ -291,6 +291,43 @@ class TestBadInput:
         assert list(tmp_path.iterdir()) == []
 
 
+    # An empty run name means the default one, so only the CSV name has that case.
+    @pytest.mark.parametrize("command,name", [
+        *[(command, name) for command in ("run", "sweep")
+          for name in ("a/b", "../x", ".", "..", "nul\0byte")],
+        ("sweep", ""),
+    ])
+    def test_output_names_must_be_plain_file_names(self, tmp_path, capsys, monkeypatch,
+                                                   command, name):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
+        flag = "--run-name" if command == "run" else "--csv-name"
+        argv = [command, "--problem", "fig1-quadratic", "--iters", "2", flag, name,
+                "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--grid", "lr=0.1,0.2", "--seeds", "0,1"]
+        code = main(argv)
+        self.assert_config_error(capsys, code, f"{flag[2:]} must be a plain file name")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--problem", "fig1-quadratic", "--iters", "2", "--no-cost-ratio"],
+        ["sweep", "--problem", "fig1-quadratic", "--iters", "2", "--grid", "lr=0.1"],
+        ["verify", "--properties", "rademacher_mean"],
+    ], ids=["run", "sweep", "verify"])
+    def test_output_directory_that_cannot_be_made(self, tmp_path, capsys, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(oracle, "run_verification_suite",
+                            lambda *a, **k: calls.append(a))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main([*argv, "--out", str(blocker / "x")])
+        self.assert_config_error(capsys, code, "cannot create output directory")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [blocker]
+
 class TestVerifyCommand:
     def test_importing_the_cli_leaves_the_oracle_unloaded(self):
         # Only verify uses the oracle, so run and sweep should not pay its import.

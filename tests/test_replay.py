@@ -1,7 +1,7 @@
 """Recorded tapes replayed at new points against fresh eager tapes.
 
-A problem records its gradient tape, full tape and probe program once per
-batch shape and afterwards replays them. A replay must leave every output
+A problem records one tape and its probe program once per batch shape and
+afterwards replays them. A replay must leave every output
 bit for bit equal to what a fresh eager tape at the same point gives, after
 the optimizations applied when a recording ends, and with the cheaper
 kernels the ops call.
@@ -28,9 +28,8 @@ def eager(problem, theta, batch, probes=()):
     """Loss and gradient of a fresh eager tape, and its HVP for each probe."""
     t = ad.variable(theta)
     loss = problem.build_loss(t, batch)
-    (g,) = ad.backward(loss, [t], create_graph=len(probes) > 0)
-    hvps = [ad.backward(ad.dot(g, ad.constant(z)), [t], create_graph=False)[0].data
-            for z in probes]
+    (g,) = ad.backward(loss, [t])
+    hvps = [ad.backward(ad.dot(g, ad.constant(z)), [t])[0].data for z in probes]
     return loss.data, g.data, hvps
 
 
@@ -81,7 +80,7 @@ def test_an_earlier_hvp_keeps_its_own_point():
 
 
 class _Power(DifferentiableProblem):
-    """sum(theta ** exponent), declaring its (empty) batch inputs so it replays."""
+    """sum(theta ** exponent): finite at 0, with an infinite derivative there."""
 
     name = "sqrt"
     dim = 2
@@ -100,6 +99,8 @@ class _Power(DifferentiableProblem):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_replays_raise_naming_the_op():
     problem = _Power(0.5)
+    assert problem.value(np.zeros(2)) == 0.0
+    # The first call records at the singular point, and raises.
     with pytest.raises(ad.NumericError, match=r"sqrt gradient \(produced by op 'pow-0.5'\)"):
         problem.value_and_gradient(np.zeros(2))
     # The failed recording was not kept: this call records afresh.
@@ -109,8 +110,13 @@ def test_nonfinite_replays_raise_naming_the_op():
     np.testing.assert_array_equal(problem.gradient(np.full(2, 4.0)), [0.25, 0.25])
 
     # x^1.5 has a finite value and gradient at 0 but an infinite second
-    # derivative: the replayed tape is finite and the replayed probe is not.
+    # derivative. The probe program is first recorded at that point, and
+    # raises; then a probe is recorded elsewhere, and its replay at 0 raises.
     problem = _Power(1.5)
+    _, g, hvp = problem.full_tape(np.zeros(2))
+    assert np.all(g == 0.0)
+    with pytest.raises(ad.NumericError, match=r"sqrt hvp \(produced by op 'pow-0.5'\)"):
+        hvp(np.ones(2))
     problem.full_tape(np.ones(2))[2](np.ones(2))
     _, g, hvp = problem.full_tape(np.zeros(2))
     assert np.all(g == 0.0)
@@ -296,19 +302,43 @@ def test_a_second_extension_shares_nothing_and_stays_exact():
         assert out.data.tobytes() == (np.tanh(x.data) * np.tanh(x.data)).tobytes()
 
 
-@pytest.mark.parametrize("name,counts", [("tiny-mlp", (33, 33, 51)), ("logreg", (20, 20, 16))])
+@pytest.mark.parametrize("name,counts", [("tiny-mlp", (33, 51)), ("logreg", (20, 16))])
 def test_optimized_programs_keep_their_step_counts(name, counts):
     """Steps left to replay on the full batch, alias steps included: the
-    gradient tape, the full tape and its probe. Unoptimized, with a probe
-    that backpropagated ``dot(gradient, z)``, they were 42, 42 and 62 for
-    tiny-mlp and 23, 23 and 21 for logreg. A rewrite that stops firing shows
-    here before it shows as time."""
+    tape and its probe. Unoptimized, with a probe that backpropagated
+    ``dot(gradient, z)``, they were 42 and 62 for tiny-mlp and 23 and 21 for
+    logreg. A rewrite that stops firing shows here before it shows as time."""
     problem = get_problem(name, batch_size=None)
     problem.value_and_gradient(problem.theta0)
     problem.full_tape(problem.theta0)[2](np.ones(problem.dim))
-    gradient, full = problem._tapes[False, None], problem._tapes[True, None]
-    assert (len(gradient.program.steps), len(full.program.steps),
-            len(full.probe[0].steps)) == counts
+    tape = problem._tapes[None]
+    assert (len(tape.program.steps), len(tape.probe[0].steps)) == counts
+
+
+def test_one_tape_per_batch_shape():
+    problem = get_problem("tiny-mlp", batch_size=32)
+    z = np.ones(problem.dim)
+    for batch in (problem.sample_batch(1, 0), None, problem.sample_batch(2, 0)):
+        problem.value_and_gradient(problem.theta0, batch)
+        problem.full_tape(problem.theta0, batch)[2](z)
+    assert sorted(problem._tapes, key=str) == [(32,), None]
+    assert all(tape.program is not None and tape.probe is not None
+               for tape in problem._tapes.values())
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["full", "batch"])
+def test_an_hvp_keeps_its_point_across_a_gradient_on_the_same_tape(batched):
+    problem = make_problem("tiny-mlp", batched)
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal(problem.dim)
+    theta1, theta2 = (problem.theta0 + 0.3 * rng.standard_normal(problem.dim)
+                      for _ in range(2))
+    batch1, batch2 = problem.sample_batch(1, 0), problem.sample_batch(2, 0)
+    problem.full_tape(theta2, batch2)[2](z)  # record the tape and its probe
+    hvp = problem.full_tape(theta1, batch1)[2]
+    # This replays the tape that hvp reads at theta2 and batch2.
+    problem.value_and_gradient(theta2, batch2)
+    assert as_bytes(hvp(z)) == as_bytes(*eager(problem, theta1, batch1, [z])[2])
 
 
 # Arrays with every kind of float64: signed zeros, infinities, NaN,
