@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hessopt import autodiff as ad
+from hessopt.problems import DifferentiableProblem
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -238,3 +239,35 @@ def test_a_failing_vjp_raises_and_later_passes_still_record_a_graph():
     (h,) = ad.backward(ad.tsum(g), [x])
     (third,) = ad.backward(ad.tsum(h), [x])
     np.testing.assert_allclose([g.data, h.data, third.data], [12.0, 12.0, 6.0], rtol=1e-12)
+
+
+class _SqrtProblem(DifferentiableProblem):
+    """sum(theta ** exponent): finite at 0, with an infinite derivative there."""
+
+    name = "sqrt"
+    dim = 2
+
+    def __init__(self, exponent):
+        super().__init__()
+        self.exponent = exponent
+
+    def batch_inputs(self, batch):
+        return ()
+
+    def loss(self, theta):
+        return ad.tsum(ad.power(theta, self.exponent))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_gradient_under_finite_loss_names_its_op():
+    problem = _SqrtProblem(0.5)
+    assert problem.value(np.zeros(2)) == 0.0
+    with pytest.raises(ad.NumericError, match=r"sqrt gradient \(produced by op 'pow-0.5'\)"):
+        problem.value_and_gradient(np.zeros(2))
+    # x^1.5 has a finite value and gradient at 0 but an infinite second
+    # derivative, so the tape records and the probe raises.
+    problem = _SqrtProblem(1.5)
+    _, g, hvp = problem.full_tape(np.zeros(2))
+    assert np.all(g == 0.0)
+    with pytest.raises(ad.NumericError, match=r"sqrt hvp \(produced by op 'pow-0.5'\)"):
+        hvp(np.ones(2))
