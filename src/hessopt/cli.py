@@ -153,8 +153,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{row['diverged']}/{row['n_seeds']}",
         ]
         print("  ".join(f"{str(v):>16}" for v in values))
-    if csv_path:
-        print(f"csv: {csv_path}")
+    print(f"csv: {csv_path}")
     return 0
 
 

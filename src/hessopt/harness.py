@@ -11,24 +11,25 @@ iterations and emits two files:
   - ``<name>.summary.json``: final full-batch loss, iterations-to-threshold,
     per-iteration wall-time statistics (median over iterations after the
     first 10), and the measured per-iteration cost ratio against a
-    gradient-descent companion: a ``run`` of SGD on the same problem, timed
-    by the same loop.
+    gradient-descent companion: SGD from the same start, on its own parameters,
+    timed one iteration before each of the run's on the same batch, so a drift
+    of the machine's speed reaches both sides. It keeps no records.
 
 Sweeps run a cartesian grid of config overrides across seeds and aggregate
 mean and standard deviation of the final loss per cell into a CSV. Every
 cell's config is validated, and each distinct problem is built once, before
-the first run starts; every run and companion of the sweep reuses it.
-``seed`` is not a grid axis, since the sweep's own seeds set it. A cell
-failure (numeric blow-up or a final loss beyond the divergence threshold) is
-recorded and the sweep continues.
+the first run starts; every run of the sweep reuses it. ``seed`` is not a
+grid axis, since the sweep's own seeds set it. A cell failure (numeric
+blow-up or a final loss beyond the divergence threshold) is recorded and the
+sweep continues.
 
 A sweep does its per-seed work once per ``sweep()`` call. It loops seeds
 outside and cells inside; each seed's pass draws the minibatch index stream
-once per (problem, problem_params) and times the gradient-descent companion
-once per (problem, problem_params, iters). A sweep row's ``cost_ratio_mean``
-therefore divides each cell's amortized time by a companion timed once per
-(problem, params, iters, seed) and shared across cells. Nothing outlives the
-call, so a later sweep times its own companions.
+once per (problem, problem_params) and keeps one companion time per
+(problem, problem_params, iters). The companion runs interleaved with the
+first cell of that key that has the cost ratio on and finishes without a
+numeric failure; the later cells of the key divide by its time. Nothing
+outlives the call, so a later sweep times its own companions.
 
 The summary, the sweep CSV and the verify report are written atomically:
 to a temporary file in the target directory, then renamed over the target.
@@ -38,6 +39,7 @@ The default output directory is ``$HESSOPT_OUT`` if set, else ``./runs``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import inspect
@@ -77,6 +79,7 @@ __all__ = [
 TRAJECTORY_SCHEMA = "hessopt-trajectory-1"
 CONFIG_SCHEMA = "hessopt-run-1"
 SNAPSHOT_MAX_DIM = 16
+NAME_MAX = 255  # bytes in one file name on common file systems
 # Keys of every trajectory record; ``theta`` is there only for small problems.
 RECORD_KEYS = frozenset({"t", "loss", "grad_norm", "lr", "hessian_computed"})
 
@@ -145,8 +148,6 @@ class RunConfig:
             raise ConfigError(
                 f"unknown optimizer {self.optimizer!r}; available: {', '.join(optimizer_names())}"
             )
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
         if self.iters < 1:
             raise ConfigError("iters must be >= 1")
         if self.seed < 0:
@@ -159,8 +160,8 @@ class RunConfig:
             raise ConfigError("samples must be >= 1")
         if self.block_size < 1:
             raise ConfigError("block-size must be >= 1")
-        if self.run_name:
-            _check_file_name("run-name", self.run_name)
+        # the summary's temporary name is the longest one a run derives
+        _check_file_name("run-name", self.default_run_name(), ".summary.json")
         try:
             make_optimizer(self.optimizer, 1, **_optimizer_args(self))
         except ValueError as exc:
@@ -318,10 +319,20 @@ def make_out_dir(out: str | Path | None) -> Path:
     return path
 
 
-def _check_file_name(flag: str, name: str) -> None:
-    """Output files are named inside the output directory, never beside it."""
+def _check_file_name(flag: str, name: str, suffix: str = "") -> None:
+    """Output files are named inside the output directory, never beside it, and
+    ``write_atomic``'s temporary name for ``name + suffix`` fits in NAME_MAX bytes."""
     if name in ("", ".", "..") or "/" in name or os.sep in name or "\0" in name:
         raise ConfigError(f"{flag} must be a plain file name, got {name!r}")
+    excess = len(os.fsencode(_temp_path(Path(name + suffix)).name)) - NAME_MAX
+    if excess > 0:
+        size = len(os.fsencode(name))
+        raise ConfigError(f"{flag} must be a plain file name of at most "
+                          f"{size - excess} bytes, got {size}")
+
+
+def _temp_path(path: Path) -> Path:
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -329,7 +340,7 @@ def write_atomic(path: Path, text: str) -> None:
 
     Readers see the old file or the whole new one, never a partial write.
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = _temp_path(path)
     try:
         with tmp.open("w", newline="") as fh:
             fh.write(text)
@@ -354,7 +365,7 @@ def _iter_seconds(records: list[TrajectoryRecord]) -> dict:
     the expensive class entirely once it is in the minority. Instead it takes
     the median within each class and weights it by how often the class occurs.
     """
-    warm = records[10:] if len(records) > 10 else records
+    warm = records[10:] or records
     if not warm:
         return {"median_iter_seconds": 0.0, "mean_iter_seconds": 0.0,
                 "amortized_iter_seconds": 0.0}
@@ -372,19 +383,20 @@ def _iter_seconds(records: list[TrajectoryRecord]) -> dict:
 class _SeedPass:
     """Per-seed work shared by every cell of one sweep pass over one seed.
 
-    Holds each (problem, problem_params) key's problem, and so its recorded
-    tapes, and its minibatch index stream, drawn once and read-only, and each
-    (problem, problem_params, iters) key's gradient-descent companion time.
-    One instance lives for one seed of one ``sweep()`` call, or for the
-    companion of one standalone run. ``problems`` maps keys to problems
-    already built, which may be shared with other instances.
+    ``problems`` maps each (problem, problem_params) key to its problem, and
+    so its recorded tapes, built before the sweep's first run and shared with
+    the other passes. The pass draws each key's minibatch index stream once,
+    read-only. ``companions`` maps (key, iters) to the gradient-descent
+    companion time of the first run of that key that timed one and finished
+    ok; ``run`` reads and fills it. One instance lives for one seed of one
+    ``sweep()`` call.
     """
 
-    def __init__(self, seed: int, problems: dict | None = None):
+    def __init__(self, seed: int, problems: dict):
         self.seed = seed
-        self._problems = problems if problems is not None else {}
+        self._problems = problems
         self._streams: dict[str, list] = {}
-        self._companions: dict[tuple[str, int], float] = {}
+        self.companions: dict[tuple[str, int], float] = {}
 
     @staticmethod
     def _key(config: RunConfig) -> str:
@@ -392,11 +404,7 @@ class _SeedPass:
                                 "params": config.problem_params})
 
     def problem(self, config: RunConfig):
-        """The config's problem, built on first use and then reused."""
-        key = self._key(config)
-        if key not in self._problems:
-            self._problems[key] = _build_problem(config)
-        return self._problems[key]
+        return self._problems[self._key(config)]
 
     def batches(self, config: RunConfig, problem) -> list:
         """The stream's batches for t = 1..config.iters, at index t - 1."""
@@ -408,20 +416,6 @@ class _SeedPass:
             stream.append(batch)
         return stream
 
-    def companion_time(self, config: RunConfig) -> float:
-        """Median warm per-iteration seconds of a ``run`` of plain SGD on the
-        config's problem, stream and iteration count. Its learning rate is tiny
-        so the iterates stay numerically ordinary; only its timing is used.
-        """
-        key = (self._key(config), config.iters)
-        if key not in self._companions:
-            companion = RunConfig(problem=config.problem, problem_params=config.problem_params,
-                                  optimizer="sgd", lr=1e-9, momentum=0.9,
-                                  iters=config.iters, seed=self.seed, cost_ratio=False)
-            result = run(companion, write_files=False, _shared=self)
-            self._companions[key] = result.summary["median_iter_seconds"]
-        return self._companions[key]
-
 
 def _build_problem(config: RunConfig):
     """The config's problem; a builder's TypeError or ValueError is a ConfigError."""
@@ -429,6 +423,26 @@ def _build_problem(config: RunConfig):
         return get_problem(config.problem, **config.problem_params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid problem-params for {config.problem!r}: {exc}") from None
+
+
+def _iterate(problem, opt, schedule, hcfg, theta, batch, t: int) -> tuple:
+    """One timed iteration: the tape, with a Hutchinson estimate if ``hcfg`` is
+    due at ``t``, then the step. Returns the new theta, the loss and gradient at
+    the old one, the schedule's factor, whether it estimated, and its seconds."""
+    start = time.perf_counter()
+    lr_factor = schedule(t)
+    # Only an iteration with a fresh estimate probes the Hessian; the rest
+    # take the gradient alone, and AdaHessian reuses its last estimate.
+    computed = hcfg is not None and should_compute(t, hcfg)
+    if computed:
+        loss, g, hvp_fn = problem.full_tape(theta, batch)
+        est = estimate_diag(problem, theta, batch, hcfg, probe_rng(hcfg.seed, t),
+                            iteration=t, hvp=hvp_fn)
+        theta = opt.step(theta, g, Ds=opt.average_diagonal(est.values), lr_factor=lr_factor)
+    else:
+        loss, g = problem.value_and_gradient(theta, batch)
+        theta = opt.step(theta, g, lr_factor=lr_factor)
+    return theta, loss, g, lr_factor, computed, time.perf_counter() - start
 
 
 def run(config: RunConfig, write_files: bool = True, *,
@@ -439,33 +453,41 @@ def run(config: RunConfig, write_files: bool = True, *,
     problem builder rejects, before any compute. A numeric failure mid-run
     preserves all records up to the failing iteration, writes them out, and
     returns with ``status="numeric_failure"`` and the summary's ``failure``
-    reading ``iteration <t>, <phase>: <message>``. ``_shared`` is internal to
-    ``sweep`` and the companion: the run reads its problem, batches and
-    companion time from the seed pass instead of building, drawing and timing
-    its own.
+    reading ``iteration <t>, <phase>: <message>``. With ``cost_ratio`` on,
+    the gradient-descent companion (SGD with lr 1e-9, momentum 0.9, constant
+    schedule, no weight decay) runs one ``_iterate`` before each of the run's.
+    ``_shared`` is internal to ``sweep``: the run reads its problem and batches
+    from the seed pass, and its companion time once a run has stored one.
     """
     config.validate()
     if _shared is not None:
         problem = _shared.problem(config)
-        batches = _shared.batches(config, problem)
+        batches = _shared.batches(config, problem)[:config.iters]
     else:
         problem = _build_problem(config)
-        batches = None
-    is_second_order = config.optimizer == "adahessian"
+        batches = (problem.sample_batch(t, config.seed) for t in range(1, config.iters + 1))
     opt = make_optimizer(config.optimizer, problem.dim, group_sizes=problem.group_sizes,
                          **_optimizer_args(config))
     schedule = make_schedule(config.schedule, **config.schedule_params)
-    hcfg = HutchinsonConfig(samples_per_estimate=config.samples,
-                            frequency=config.hessian_freq,
-                            warmup_steps=config.warmup, seed=config.seed)
+    hcfg = (HutchinsonConfig(samples_per_estimate=config.samples,
+                             frequency=config.hessian_freq,
+                             warmup_steps=config.warmup, seed=config.seed)
+            if config.optimizer == "adahessian" else None)
+    companion_key = (_SeedPass._key(config), config.iters)
+    sgd_time = _shared.companions.get(companion_key) if _shared is not None else None
+    sgd = None
+    if config.cost_ratio and sgd_time is None:
+        # Its tiny learning rate keeps its iterates ordinary; only its time is used.
+        sgd = make_optimizer("sgd", problem.dim, group_sizes=problem.group_sizes,
+                             lr=1e-9, momentum=0.9)
+        sgd_schedule, sgd_theta, sgd_seconds = make_schedule("constant"), problem.theta0, []
 
     theta = problem.theta0.copy()
     snapshot = problem.dim <= SNAPSHOT_MAX_DIM
     records: list[TrajectoryRecord] = []
     status = "ok"
     failure_detail = None
-    traj_path = summary_path = None
-    traj_file = None
+    traj_path = summary_path = traj_file = None
     if write_files:
         out_dir = make_out_dir(config.out)
         name = config.default_run_name()
@@ -477,31 +499,18 @@ def run(config: RunConfig, write_files: bool = True, *,
         traj_file.write(_dump_json_line(header) + "\n")
 
     try:
-        for t in range(1, config.iters + 1):
-            batch = (batches[t - 1] if batches is not None
-                     else problem.sample_batch(t, config.seed))
-            start = time.perf_counter()
+        for t, batch in enumerate(batches, start=1):
             try:
-                lr_factor = schedule(t)
-                # Only an iteration with a fresh estimate probes the Hessian;
-                # the rest take the gradient alone, and AdaHessian reuses its
-                # last estimate.
-                computed = is_second_order and should_compute(t, hcfg)
-                if computed:
-                    loss, g, hvp_fn = problem.full_tape(theta, batch)
-                    est = estimate_diag(problem, theta, batch, hcfg,
-                                        probe_rng(config.seed, t),
-                                        iteration=t, hvp=hvp_fn)
-                    theta = opt.step(theta, g, Ds=opt.average_diagonal(est.values),
-                                     lr_factor=lr_factor)
-                else:
-                    loss, g = problem.value_and_gradient(theta, batch)
-                    theta = opt.step(theta, g, lr_factor=lr_factor)
+                if sgd is not None:
+                    sgd_theta, *_, seconds = _iterate(problem, sgd, sgd_schedule, None,
+                                                      sgd_theta, batch, t)
+                    sgd_seconds.append(seconds)
+                theta, loss, g, lr_factor, computed, elapsed = _iterate(
+                    problem, opt, schedule, hcfg, theta, batch, t)
             except NumericError as exc:
                 status = "numeric_failure"
                 failure_detail = f"iteration {t}, {exc.phase}: {exc}"
                 break
-            elapsed = time.perf_counter() - start
             record = TrajectoryRecord(
                 t=t,
                 loss=float(loss),
@@ -518,20 +527,13 @@ def run(config: RunConfig, write_files: bool = True, *,
         if traj_file is not None:
             traj_file.close()
 
+    final_loss = float("inf")
     if status == "ok":
-        try:
+        with contextlib.suppress(NumericError):
             final_loss = problem.value(theta)
-        except NumericError:
-            final_loss = float("inf")
-    else:
-        final_loss = float("inf")
-
-    iters_to_threshold = None
-    if config.loss_threshold is not None:
-        for r in records:
-            if r.loss <= config.loss_threshold:
-                iters_to_threshold = r.t
-                break
+    threshold = config.loss_threshold
+    iters_to_threshold = next((r.t for r in records
+                               if threshold is not None and r.loss <= threshold), None)
 
     summary = {
         "schema": "hessopt-summary-1",
@@ -549,9 +551,11 @@ def run(config: RunConfig, write_files: bool = True, *,
     }
     if failure_detail:
         summary["failure"] = failure_detail
-    if config.cost_ratio and status == "ok" and records:
-        shared = _shared or _SeedPass(config.seed, {_SeedPass._key(config): problem})
-        sgd_time = shared.companion_time(config)
+    if config.cost_ratio and status == "ok":
+        if sgd_time is None:
+            sgd_time = statistics.median(sgd_seconds[10:] or sgd_seconds)
+            if _shared is not None:
+                _shared.companions[companion_key] = sgd_time
         if sgd_time > 0:
             summary["sgd_median_iter_seconds"] = sgd_time
             summary["cost_ratio_vs_sgd"] = summary["amortized_iter_seconds"] / sgd_time
@@ -582,8 +586,8 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
     directory made before any run starts; a ``seed`` axis is refused.
     Individual cell failures are counted as diverged; the sweep always
     completes. Seeds loop outside and cells inside, sharing one ``_SeedPass``
-    per seed; every run and companion of the sweep reuses the problems built
-    for validation, and so their tapes.
+    per seed; every run of the sweep reuses the problems built for
+    validation, and so their tapes.
     """
     base.validate()
     _check_file_name("csv-name", csv_name)
@@ -613,12 +617,7 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
         shared = _SeedPass(seed, problems)
         for cell, cell_configs in zip(cells, configs):
             cfg = cell_configs[i]
-            try:
-                result = run(cfg, write_files=False, _shared=shared)
-            except NumericError:
-                cell.diverged += 1
-                cell.final_losses.append(float("inf"))
-                continue
+            result = run(cfg, write_files=False, _shared=shared)
             if _is_diverged(cfg, result):
                 cell.diverged += 1
             cell.final_losses.append(result.final_loss)
@@ -627,7 +626,8 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
                 cell.cost_ratios.append(ratio)
 
     rows = [cell.row() for cell in cells]
-    fieldnames = list(rows[0].keys()) if rows else axis_names
+    # a row lacks cost_ratio_mean when none of its runs has a ratio
+    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
     text = io.StringIO(newline="")
     writer = csv.DictWriter(text, fieldnames=fieldnames)
     writer.writeheader()

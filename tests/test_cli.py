@@ -278,8 +278,12 @@ class TestBadInput:
         (["verify", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["verify", "--properties", ","], "--properties ',' selects no property"),
         (["verify", "--properties", ""], "--properties '' selects no property"),
+        # the default run name carries the seed
+        (["run", "--problem", "fig1-quadratic", "--iters", "2", "--seed", "9" * 250],
+         "run-name must be a plain file name of at most"),
     ], ids=["run-negative-seed", "sweep-negative-seed", "sweep-duplicate-seeds",
-            "verify-negative-seed", "verify-comma-only", "verify-empty"])
+            "verify-negative-seed", "verify-comma-only", "verify-empty",
+            "run-seed-too-long-for-the-default-name"])
     def test_refused_before_any_work(self, tmp_path, capsys, monkeypatch, argv, needle):
         calls = []
         monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
@@ -296,6 +300,10 @@ class TestBadInput:
         *[(command, name) for command in ("run", "sweep")
           for name in ("a/b", "../x", ".", "..", "nul\0byte")],
         ("sweep", ""),
+        # too long for one directory entry, as is or with write_atomic's temporary name
+        pytest.param("run", "a" * 300, id="run-300-letters"),
+        pytest.param("run", "a" * 236, id="run-236-letters"),
+        pytest.param("sweep", "a" * 250, id="sweep-250-letters"),
     ])
     def test_output_names_must_be_plain_file_names(self, tmp_path, capsys, monkeypatch,
                                                    command, name):

@@ -22,7 +22,7 @@ from hessopt.harness import (
     summarize_trajectory,
     sweep,
 )
-from hessopt.optim import OPTIMIZERS
+from hessopt.optim import OPTIMIZERS, SGD, AdaHessian, Schedule
 from hessopt.problems import LogisticRegression, get_problem
 
 
@@ -256,24 +256,49 @@ class TestRun:
         assert unset.summary["iterations_to_threshold"] is None
 
     def test_companion_is_an_sgd_run_of_the_same_problem(self, tmp_path, monkeypatch):
+        # Each run iteration follows one companion iteration on the same batch:
+        # SGD with lr 1e-9, momentum 0.9, a constant schedule and no weight
+        # decay, from theta0, whatever schedule and weight decay the run has.
         calls = []
-        original = harness.run
+        original = harness._iterate
 
-        def recording(config, write_files=True, **kwargs):
-            calls.append((config, write_files))
-            return original(config, write_files, **kwargs)
+        def recording(problem, opt, schedule, hcfg, theta, batch, t):
+            calls.append((problem, opt, schedule, hcfg, theta.copy(), batch, t))
+            return original(problem, opt, schedule, hcfg, theta, batch, t)
 
-        monkeypatch.setattr(harness, "run", recording)
+        monkeypatch.setattr(harness, "_iterate", recording)
         cfg = quick_config(tmp_path, problem="logreg", problem_params={"batch_size": 32},
                            iters=12, seed=3, cost_ratio=True, schedule="step_decay",
                            schedule_params={"milestones": [5]}, weight_decay=0.1)
-        result = original(cfg, write_files=False)
-        [(companion, write_files)] = calls
-        assert not write_files
-        assert companion == RunConfig(problem="logreg", problem_params={"batch_size": 32},
-                                      optimizer="sgd", lr=1e-9, momentum=0.9, iters=12,
-                                      seed=3, cost_ratio=False)
+        result = run(cfg, write_files=False)
+        companion, timed = calls[0::2], calls[1::2]
+        assert len(companion) == len(timed) == 12
+        problem, sgd, schedule, hcfg, theta, _, _ = companion[0]
+        assert type(sgd) is SGD and type(schedule) is Schedule and hcfg is None
+        assert (sgd.lr, sgd.momentum, sgd.weight_decay) == (1e-9, 0.9, 0.0)
+        np.testing.assert_array_equal(theta, problem.theta0)
+        for t, (ours, theirs) in enumerate(zip(companion, timed), start=1):
+            assert ours[:4] == (problem, sgd, schedule, None)
+            assert theirs[0] is problem and type(theirs[1]) is AdaHessian
+            assert ours[5] is theirs[5] and ours[6] == theirs[6] == t
+        assert not np.array_equal(companion[-1][4], timed[-1][4])
         assert result.summary["sgd_median_iter_seconds"] > 0
+
+    def test_companion_leaves_the_run_unchanged(self, tmp_path):
+        # The companion replays the run's recorded tapes on its own theta, on the
+        # batches the run uses, between the run's iterations.
+        results = {}
+        for on in (True, False):
+            cfg = quick_config(tmp_path, problem="logreg", problem_params={"batch_size": 32},
+                               iters=30, hessian_freq=3, cost_ratio=on, run_name=f"c{on}")
+            results[on] = run(cfg)
+        assert "cost_ratio_vs_sgd" in results[True].summary
+        np.testing.assert_array_equal(results[True].theta_final, results[False].theta_final)
+        with_companion, without = (results[on].trajectory_path.read_bytes().split(b"\n", 1)
+                                   for on in (True, False))
+        assert with_companion[1] == without[1]
+        assert with_companion[0] == without[0].replace(b'"cost_ratio":false',
+                                                       b'"cost_ratio":true')
 
     def test_cost_ratio_toggle(self, tmp_path):
         with_ratio = run(quick_config(tmp_path, iters=12, cost_ratio=True),
@@ -424,16 +449,22 @@ SHARING_SEEDS = [0, 1, 2]
 
 @pytest.fixture
 def companion_calls(monkeypatch):
-    """Record (iters, seed) of every SGD companion ``run``; the run still happens."""
-    calls = []
-    original = harness.run
+    """Record (iters, seed) of the run that builds each SGD companion optimizer;
+    the runs' own optimizers are AdaHessian."""
+    calls, runs = [], []
+    original_run, original_make = harness.run, harness.make_optimizer
 
-    def counting(config, *args, **kwargs):
-        if config.optimizer == "sgd":
-            calls.append((config.iters, config.seed))
-        return original(config, *args, **kwargs)
+    def tracking(config, *args, **kwargs):
+        runs.append(config)
+        return original_run(config, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "run", counting)
+    def counting(kind, dim, **kwargs):
+        if kind == "sgd":
+            calls.append((runs[-1].iters, runs[-1].seed))
+        return original_make(kind, dim, **kwargs)
+
+    monkeypatch.setattr(harness, "run", tracking)
+    monkeypatch.setattr(harness, "make_optimizer", counting)
     return calls
 
 
@@ -479,6 +510,18 @@ class TestSweepSharing:
             sweep(sharing_base(tmp_path), {"lr": [0.05, 0.2]}, seeds=[0], out=tmp_path)
         assert companion_calls == [(30, 0), (30, 0)]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_stores_no_companion_time(self, tmp_path, companion_calls):
+        # The first cell of the key fails, so the second times its own companion.
+        cells, csv_path = sweep(quick_config(tmp_path, iters=50, cost_ratio=True),
+                                {"lr": [1e18, 0.1]}, seeds=[0], out=tmp_path)
+        assert companion_calls == [(50, 0), (50, 0)]
+        assert cells[0].diverged == 1 and cells[0].cost_ratios == []
+        assert len(cells[1].cost_ratios) == 1 and cells[1].cost_ratios[0] > 0
+        with csv_path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["cost_ratio_mean"] == "" and float(rows[1]["cost_ratio_mean"]) > 0
+
     def test_runs_and_companions_build_each_problem_once(self, tmp_path, monkeypatch):
         # A problem keeps its recorded tapes, so every rebuild records them again.
         built = []
@@ -489,9 +532,9 @@ class TestSweepSharing:
 
         monkeypatch.setattr(harness, "get_problem", counting)
         sweep(sharing_base(tmp_path), SHARING_AXES, seeds=SHARING_SEEDS, out=tmp_path)
-        assert built == ["logreg"]  # 12 runs and 3 companions
+        assert built == ["logreg"]  # 12 runs, 3 of them with a companion
         run(sharing_base(tmp_path), write_files=False)
-        assert built == ["logreg", "logreg"]  # the run and its companion
+        assert built == ["logreg", "logreg"]  # the run, with its companion
 
     def test_sweep_draws_each_seed_stream_once(self, tmp_path, monkeypatch):
         draws = []
@@ -508,7 +551,7 @@ class TestSweepSharing:
     def test_shared_batches_equal_sample_batch_and_are_read_only(self, tmp_path):
         cfg = sharing_base(tmp_path, seed=4)
         problem = get_problem(cfg.problem, **cfg.problem_params)
-        shared = harness._SeedPass(4)
+        shared = harness._SeedPass(4, {})
         stream = shared.batches(cfg, problem)
         assert len(stream) == cfg.iters
         for t, batch in enumerate(stream, start=1):
