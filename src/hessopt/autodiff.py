@@ -24,8 +24,8 @@ call. Only the leaves a caller rewrites change between replays; every other
 leaf is baked into the program. So any data an op derives from its inputs
 (``relu``'s mask, ``softplus``'s shift, ``logsumexp_rows``'s row max) is made
 by a step of its own, never captured as a constant leaf. Outside a recording
-the ops only build the eager tape; it stays the only path for one-off
-evaluations and for locating the op behind a non-finite value.
+the ops only build an eager tape, for one-off evaluations. :func:`check_finite`
+names the op behind a non-finite value on a replayed tape as on a fresh one.
 
 When a recording ends, its steps are optimized once, so that a replay runs
 only numpy work whose result can change (``_optimize``): steps computed from
@@ -616,7 +616,7 @@ def _optimize(recorded: list, table: _Table) -> list:
       Later steps read the earlier node, and the repeat becomes an alias
       step that hands it the earlier node's array, so every node still holds
       current data for whatever reads the tape from outside: the loss, the
-      gradient, a program extending this one, or an eager pass over the tape;
+      gradient, a program extending this one, or :func:`find_nonfinite`;
     - gradient assembly is fused (see :func:`_fuse_assembly`).
 
     A step that makes a 0-d node coerces its result to an array as

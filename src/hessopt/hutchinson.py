@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import as_float64
+from .autodiff import NumericError, as_float64
 
 __all__ = [
     "HutchinsonConfig",
@@ -114,7 +114,8 @@ def estimate_diag(problem, theta, batch, cfg: HutchinsonConfig,
 
     ``hvp`` may be a prebuilt ``z -> Hz`` callable (for example the harness's
     per-iteration tape); otherwise one is built from the problem at ``theta``
-    over ``batch``. All probes share the same tape and batch.
+    over ``batch``. All probes share the same tape and batch. Raises
+    NumericError (phase ``hvp``) if the probes' sum overflows.
     """
     if hvp is None:
         hvp = problem.hvp_operator(theta, batch)
@@ -123,6 +124,9 @@ def estimate_diag(problem, theta, batch, cfg: HutchinsonConfig,
     for _ in range(cfg.samples_per_estimate):
         z = rademacher(d, rng)
         acc += z * hvp(z)
+    if not np.isfinite(acc).all():
+        raise NumericError(f"non-finite value in {problem.name} Hutchinson sum of "
+                           f"{cfg.samples_per_estimate} probes", phase="hvp")
     return DiagEstimate(acc / cfg.samples_per_estimate, iteration)
 
 

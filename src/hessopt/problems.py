@@ -31,12 +31,12 @@ assembled by one concatenation). A replay writes theta, the batch's arrays
 (``batch_inputs``) and the probe into the recorded leaves and reruns the
 remaining numpy steps, so its outputs equal a fresh tape's bit for bit.
 Everything a loss computes from those leaves must therefore be a taped op:
-data selected by the batch enters only through ``batch_inputs``. These stay
-eager: ``value`` (so finite differences keep an independent path), an hvp
-callable whose tape a later call on the same batch shape has replayed, and
-the rerun of any replay whose loss, gradient or HVP is not finite, which
-raises the ``NumericError`` naming the op. A recording that raised is never
-kept.
+data selected by the batch enters only through ``batch_inputs``. After a
+batch shape's first recording, every gradient and HVP of it is a replay: an
+hvp callable whose tape a later call moved replays it back first, and a
+non-finite replay raises the ``NumericError`` naming the op. Only ``value``
+stays eager, an independent path for finite differences. A recording that
+raised is never kept.
 """
 
 from __future__ import annotations
@@ -69,35 +69,32 @@ __all__ = [
 
 
 class _Tape:
-    """A gradient tape: its leaves, its checked loss and its checked gradient.
+    """A recorded gradient tape: its leaves, loss, gradient and program.
 
     ``leaves`` are the parameter leaf and then one leaf per batch input.
-    ``program`` is None for an eager tape, built once and never rerun.
-    Otherwise the tape is recorded and ``generation`` counts its replays, so
-    an hvp callable can tell that the nodes it would read now hold another
-    point's data. ``probe`` holds the recorded probe program over this tape,
-    its probe leaf and its output, once a first probe has succeeded.
+    ``generation`` counts the tape's replays, so an hvp callable can tell
+    that the nodes it would read now hold another point's data. ``probe``
+    holds the recorded probe program over this tape, its probe leaf and its
+    output, once a first probe has succeeded.
     """
 
     __slots__ = ("leaves", "loss", "grad", "program", "generation", "probe")
 
-    def __init__(self, leaves: list, loss: ad.Tensor, grad: ad.Tensor):
+    def __init__(self, leaves: list, loss: ad.Tensor, grad: ad.Tensor, program: ad.Program):
         self.leaves = leaves
         self.loss = loss
         self.grad = grad
-        self.program: ad.Program | None = None
+        self.program = program
         self.generation = 0
         self.probe: tuple[ad.Program, ad.Tensor, ad.Tensor] | None = None
 
-    def replay(self, theta: np.ndarray, inputs) -> bool:
-        """Rerun the recorded tape at new leaf data; False if the loss or
-        the gradient came out non-finite."""
+    def replay(self, theta: np.ndarray, inputs) -> None:
+        """Rerun the recorded tape at new leaf data."""
+        self.generation += 1
         self.leaves[0].data = theta
         for leaf, x in zip(self.leaves[1:], inputs):
             leaf.data = ad.as_float64(x)
         self.program.replay()
-        self.generation += 1
-        return math.isfinite(self.loss.data) and bool(np.isfinite(self.grad.data).all())
 
 
 class DifferentiableProblem:
@@ -162,7 +159,7 @@ class DifferentiableProblem:
     def value(self, theta, batch=None) -> float:
         theta = self._check_theta(theta)
         loss = self.build_loss(ad.constant(theta), batch)
-        ad.check_finite(loss, f"{self.name} loss", phase="loss")
+        self._check(loss, "loss")
         return loss.item()
 
     def value_and_gradient(self, theta, batch=None) -> tuple[float, np.ndarray]:
@@ -185,89 +182,72 @@ class DifferentiableProblem:
         Used by the harness so that iterations needing a Hessian probe reuse
         the gradient's graph instead of paying a second forward pass. Once a
         later ``full_tape`` or ``value_and_gradient`` call on the same batch
-        shape has replayed the recorded tape, the callable builds its own
-        eager tape at its ``theta`` and ``batch`` instead of reading the
-        replayed nodes.
+        shape has replayed the recorded tape, the callable replays it back to
+        its own ``theta`` and ``batch`` before probing.
         """
         theta = self._check_theta(theta)
         tape = self._gradient_tape(theta, batch)
         generation = tape.generation
 
         def apply(z: np.ndarray) -> np.ndarray:
-            nonlocal tape, generation
+            nonlocal generation
             z = ad.as_float64(z)
             if z.shape != (self.dim,):
                 raise ValueError(f"{self.name}: probe length must be {self.dim}")
             if tape.generation != generation:
-                tape = self._eager_tape(theta, batch)
+                self._gradient_tape(theta, batch)
                 generation = tape.generation
             return self._probe(tape, z)
 
         return tape.loss.item(), tape.grad.data.copy(), apply
 
     def _gradient_tape(self, theta: np.ndarray, batch) -> _Tape:
-        """A tape holding the checked loss and gradient at ``theta``.
-
-        Replays the recorded tape of this batch shape, recording it on first
-        use. It is eager if the replay is not finite: the eager tape then
-        raises the NumericError that names the op.
-        """
+        """The tape of this batch shape at ``theta``, recorded on first use and
+        replayed after; a non-finite loss or gradient raises the NumericError
+        naming the op, and a recording that raised is not kept."""
         inputs = self.batch_inputs(batch)
         key = None if batch is None else batch.shape
         tape = self._tapes.get(key)
         if tape is None:
-            tape = self._tapes[key] = self._record_tape(theta, inputs)
-        elif not tape.replay(theta, inputs):
-            return self._eager_tape(theta, batch)
+            leaves = [ad.variable(theta), *map(ad.constant, inputs)]
+            program = ad.Program()
+            with program.recording():
+                loss = self.loss(*leaves)
+                (grad,) = ad.backward(loss, leaves[:1])
+            tape = _Tape(leaves, loss, grad, program)
+        else:
+            tape.replay(theta, inputs)
+        # A replay names the op as a fresh recording does: folded nodes are
+        # constants and merged ones get alias steps. The embeds and sums of a
+        # fused assembly keep the recording's finite data; a fresh tape's are
+        # non-finite only after a slice they read, which comes first in order.
+        if not (math.isfinite(tape.loss.data) and np.isfinite(tape.grad.data).all()):
+            self._check(tape.loss, "loss")
+            self._check(tape.grad, "gradient")
+        self._tapes[key] = tape
         return tape
-
-    def _eager_tape(self, theta: np.ndarray, batch) -> _Tape:
-        t = ad.variable(theta)
-        return self._checked_tape([t], self.build_loss(t, batch))
-
-    def _record_tape(self, theta: np.ndarray, inputs) -> _Tape:
-        """An eager tape whose steps are recorded; raises as the eager one does."""
-        leaves = [ad.variable(theta), *[ad.constant(x) for x in inputs]]
-        program = ad.Program()
-        with program.recording():
-            tape = self._checked_tape(leaves, self.loss(*leaves))
-        tape.program = program
-        return tape
-
-    def _checked_tape(self, leaves: list, loss: ad.Tensor) -> _Tape:
-        ad.check_finite(loss, f"{self.name} loss", phase="loss")
-        return _Tape(leaves, loss, self._checked_backward(loss, leaves[0], "gradient"))
 
     def _probe(self, tape: _Tape, z: np.ndarray) -> np.ndarray:
-        """``H @ z`` over a tape holding its current generation.
-
-        Replays the tape's probe program if it has one and the result is
-        finite. Otherwise runs the probe's backward pass eagerly, which
-        raises the NumericError naming the op, and records that pass as the
-        probe program if the tape is a recorded one without a probe yet.
-        """
-        if tape.probe is not None:
+        """``H @ z`` over a tape holding its current generation: its first probe
+        is recorded as a program extending the tape's, and later ones replay
+        it. A non-finite HVP raises the NumericError naming the op."""
+        if tape.probe is None:
+            leaf = ad.constant(z)
+            program = ad.Program(extends=tape.program)
+            with program.recording():
+                (hz,) = ad.backward(tape.grad, tape.leaves[:1], leaf)
+                self._check(hz, "hvp")  # so that a probe that raised is not kept
+            tape.probe = (program, leaf, hz)
+        else:
             program, leaf, hz = tape.probe
             leaf.data = z
             program.replay()
-            if np.isfinite(hz.data).all():
-                return hz.data.copy()
-        leaf = ad.constant(z)
-        if tape.program is None or tape.probe is not None:
-            return self._checked_backward(tape.grad, tape.leaves[0], "hvp", leaf).data.copy()
-        program = ad.Program(extends=tape.program)
-        with program.recording():
-            hz = self._checked_backward(tape.grad, tape.leaves[0], "hvp", leaf)
-        tape.probe = (program, leaf, hz)
+            self._check(hz, "hvp")
         return hz.data.copy()
 
-    def _checked_backward(self, output, t, what: str,
-                          cotangent: ad.Tensor | None = None) -> ad.Tensor:
-        """``d output / d t`` (seeded with ``cotangent``, see ``ad.backward``),
-        raising NumericError naming the op if it is not finite."""
-        (grad,) = ad.backward(output, [t], cotangent)
-        ad.check_finite(grad, f"{self.name} {what}", phase=what)
-        return grad
+    def _check(self, node: ad.Tensor, what: str) -> None:
+        """Raise the NumericError naming the op if ``node`` is not finite."""
+        ad.check_finite(node, f"{self.name} {what}", phase=what)
 
 
 class QuadraticProblem(DifferentiableProblem):

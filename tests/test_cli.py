@@ -71,7 +71,13 @@ class TestRunCommand:
         (["--lr", "1e308", "--momentum", "0", "--iters", "3"],
          "numeric failure: iteration 1, step: sgd produced a non-finite update at "
          "coordinate 0 (iteration 1)"),
-    ], ids=["tape-phase", "step-phase"])
+        # every HVP is finite, but the sum of 64 probes overflows
+        (["--problem", "spd-quadratic", "--optimizer", "adahessian", "--problem-params",
+          '{"d": 2, "condition_number": 3e306}', "--samples", "64", "--iters", "3",
+          "--lr", "1e-300"],
+         "numeric failure: iteration 1, hvp: non-finite value in spd-quadratic-d2 "
+         "Hutchinson sum of 64 probes"),
+    ], ids=["tape-phase", "step-phase", "hutchinson-sum"])
     def test_numeric_failure_names_iteration_and_phase(self, tmp_path, capsys, flags, line):
         code = main(["run", "--problem", "fig1-quadratic", "--optimizer", "sgd", *flags,
                      "--out", str(tmp_path), "--run-name", "blowup", "--no-cost-ratio"])

@@ -4,7 +4,8 @@ A problem records one tape and its probe program once per batch shape and
 afterwards replays them. A replay must leave every output
 bit for bit equal to what a fresh eager tape at the same point gives, after
 the optimizations applied when a recording ends, and with the cheaper
-kernels the ops call.
+kernels the ops call; where an output is not finite, it must raise the
+NumericError a fresh recording raises, without building a tape.
 """
 
 from unittest import mock
@@ -96,6 +97,11 @@ class _Power(DifferentiableProblem):
         return ad.tsum(ad.power(theta, self.exponent))
 
 
+def no_tape_built():
+    """Make any backward pass, which every tape built has, fail the test."""
+    return mock.patch.object(ad, "backward", side_effect=AssertionError("a tape was built"))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_replays_raise_naming_the_op():
     problem = _Power(0.5)
@@ -103,7 +109,8 @@ def test_nonfinite_replays_raise_naming_the_op():
         problem.value_and_gradient(np.zeros(2))
     # The failed recording was not kept: this call records afresh.
     assert problem.value_and_gradient(np.ones(2))[0] == 2.0
-    with pytest.raises(ad.NumericError, match=r"sqrt gradient \(produced by op 'pow-0.5'\)"):
+    with no_tape_built(), pytest.raises(
+            ad.NumericError, match=r"sqrt gradient \(produced by op 'pow-0.5'\)"):
         problem.value_and_gradient(np.zeros(2))
     np.testing.assert_array_equal(problem.gradient(np.full(2, 4.0)), [0.25, 0.25])
 
@@ -113,7 +120,8 @@ def test_nonfinite_replays_raise_naming_the_op():
     problem.full_tape(np.ones(2))[2](np.ones(2))
     _, g, hvp = problem.full_tape(np.zeros(2))
     assert np.all(g == 0.0)
-    with pytest.raises(ad.NumericError, match=r"sqrt hvp \(produced by op 'pow-0.5'\)"):
+    with no_tape_built(), pytest.raises(
+            ad.NumericError, match=r"sqrt hvp \(produced by op 'pow-0.5'\)"):
         hvp(np.ones(2))
     np.testing.assert_array_equal(problem.full_tape(np.full(2, 4.0))[2](np.ones(2)),
                                   [0.375, 0.375])
@@ -315,8 +323,7 @@ def test_one_tape_per_batch_shape():
         problem.value_and_gradient(problem.theta0, batch)
         problem.full_tape(problem.theta0, batch)[2](z)
     assert sorted(problem._tapes, key=str) == [(32,), None]
-    assert all(tape.program is not None and tape.probe is not None
-               for tape in problem._tapes.values())
+    assert all(tape.probe is not None for tape in problem._tapes.values())
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["full", "batch"])
@@ -331,7 +338,49 @@ def test_an_hvp_keeps_its_point_across_a_gradient_on_the_same_tape(batched):
     hvp = problem.full_tape(theta1, batch1)[2]
     # This replays the tape that hvp reads at theta2 and batch2.
     problem.value_and_gradient(theta2, batch2)
-    assert as_bytes(hvp(z)) == as_bytes(*eager(problem, theta1, batch1, [z])[2])
+    want = as_bytes(*eager(problem, theta1, batch1, [z])[2])
+    with no_tape_built():  # hvp replays the tape back to theta1 and batch1
+        assert as_bytes(hvp(z)) == want
+
+
+def outcomes(problem, theta, z):
+    """The bytes of ``value_and_gradient`` and then of an HVP at ``theta``,
+    or the message and phase of the NumericError each raised."""
+    results = []
+    for call in (lambda: problem.value_and_gradient(theta),
+                 lambda: [problem.full_tape(theta)[2](z)]):
+        try:
+            results.append(as_bytes(*call()))
+        except ad.NumericError as exc:
+            results.append((str(exc), exc.phase))
+    return results
+
+
+# Finite points and points where ops overflow: exp at 710, squares at 1e155
+# and 1e300, and infinities.
+EXTREMES = [s * v for v in (710.0, 1e155, 1e300, np.inf) for s in (1.0, -1.0)]
+EXTREME_POINTS = st.lists(st.floats(-2.0, 2.0) | st.sampled_from(EXTREMES),
+                          min_size=D, max_size=D).map(np.array)
+
+
+@settings(max_examples=80, deadline=None)
+@given(expr=EXPRESSIONS, reduce=st.sampled_from(sorted(REDUCE)), first=POINTS,
+       points=st.lists(EXTREME_POINTS, min_size=1, max_size=3), probe_seed=SEEDS)
+# One failure of each phase: the loss, the gradient, and the HVP.
+@example(expr=("log1p-square", "x"), reduce="sum", first=np.zeros(D),
+         points=[np.array([1e155, 0.0, 0.0, 0.0])], probe_seed=0)
+@example(expr=("div", "x", ("log1p-square", "x")), reduce="dot", first=np.zeros(D),
+         points=[np.array([0.0, 0.0, 0.0, 1e155])], probe_seed=0)
+@example(expr=("div", "x", "x"), reduce="sum", first=np.zeros(D),
+         points=[np.array([1e155, 0.0, 0.0, 0.0])], probe_seed=0)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_replay_names_the_op_as_a_fresh_recording_does(expr, reduce, first, points,
+                                                        probe_seed):
+    replayed = _Composed(expr, reduce)
+    replayed.full_tape(first)[2](np.ones(D))  # record the tape and its probe
+    z = np.random.default_rng(probe_seed).standard_normal(D)
+    for theta in points:
+        assert outcomes(replayed, theta, z) == outcomes(_Composed(expr, reduce), theta, z)
 
 
 # Arrays with every kind of float64: signed zeros, infinities, NaN,
