@@ -35,8 +35,13 @@ extends), and each ``add`` chain of ``embed``s that assembles a flat
 parameter's cotangent becomes one ``np.concatenate``. Each rewrite is exact;
 the docstrings of ``_optimize`` and ``_fuse_assembly`` say why. Some ops
 call cheaper kernels that compute the same bits: ``np.square`` and
-``np.reciprocal`` for the powers 2 and -1, and ``einsum`` for axis-0 sums of
-C-contiguous matrices (``_power_kernel``, ``_sum_rows``).
+``np.reciprocal`` for the powers 2 and -1, ``einsum`` for axis-0 sums of
+C-contiguous matrices (``_power_kernel``, ``_sum_rows``), and
+``np.add.reduce``, the call behind ``ndarray.sum``, for other sums. In a
+replay, a step that makes a 0-d node (a loss, a mean's sum and scale) calls
+its ufunc or ``np.add.reduce`` with that node's 0-d array as ``out=``,
+rather than wrapping numpy's scalar result in a new array
+(``_scalar_step``).
 
 Conventions:
   - all data is float64; inputs are coerced on construction
@@ -49,6 +54,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections import Counter
 from contextlib import contextmanager
@@ -92,6 +98,7 @@ __all__ = [
     "softplus",
     "logsumexp_rows",
     "find_nonfinite",
+    "all_finite",
 ]
 
 
@@ -387,7 +394,8 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 # function: that is how Program.recording recognizes a repeated step.
 _reshaper = cache(lambda shape: methodcaller("reshape", shape))
 _slicer = cache(lambda start, stop: itemgetter(slice(start, stop)))
-_summer = cache(lambda axis: methodcaller("sum", axis=axis))
+# ``x.sum(axis)`` is this call, without the method's Python wrapper.
+_summer = cache(lambda axis: partial(np.add.reduce, axis=axis))
 
 
 def _broadcast(shape: tuple[int, ...], x: np.ndarray) -> np.ndarray:
@@ -619,8 +627,10 @@ def _optimize(recorded: list, table: _Table) -> list:
       gradient, a program extending this one, or :func:`find_nonfinite`;
     - gradient assembly is fused (see :func:`_fuse_assembly`).
 
-    A step that makes a 0-d node coerces its result to an array as
-    :class:`Tensor` does, since numpy hands back a scalar there.
+    A step that makes a 0-d node gets an array back, as :class:`Tensor`
+    makes one of numpy's scalar result: a ufunc or a sum writes into the
+    node's own 0-d array through ``out=``, the same operation on the same
+    operands, and any other step coerces its result (see :func:`_scalar_step`).
     """
     steps = []
     merged, fixed = table.merged, table.fixed
@@ -645,7 +655,7 @@ def _optimize(recorded: list, table: _Table) -> list:
             fixed.add(node)
         else:
             steps.append((node, fn, a, b))
-    return [(node, fn if node.data.ndim or fn is _same else _as_array(fn), a, b)
+    return [(node, fn if node.data.ndim or fn is _same else _scalar_step(node, fn), a, b)
             for node, fn, a, b in _fuse_assembly(steps, table)]
 
 
@@ -653,7 +663,15 @@ def _same(x):
     return x
 
 
-def _as_array(fn):
+def _scalar_step(node: Tensor, fn):
+    """The step making 0-d ``node``, returning an array instead of numpy's scalar.
+
+    A ufunc, or a sum (``np.add.reduce`` with its axis), writes into the
+    node's data through ``out=``: the array the recording made for it, which
+    the replay then keeps in the node. Any other step coerces its result.
+    """
+    if isinstance(fn, np.ufunc) or type(fn) is partial and fn.func == np.add.reduce:
+        return partial(fn, out=node.data)
     return lambda *args: np.asarray(fn(*args), dtype=np.float64)
 
 
@@ -796,14 +814,26 @@ def backward(output: Tensor, wrt: Sequence[Tensor],
 def find_nonfinite(output: Tensor) -> Tensor | None:
     """First node (in forward order) holding a non-finite value, if any."""
     for node in _toposort(output):
-        if not np.isfinite(node.data).all():
+        if not all_finite(node.data):
             return node
     return None
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """``bool(np.isfinite(x).all())``, mostly from one dot product.
+
+    ``np.vdot(x, x)`` is the sum of squares of the flattened ``x``. It cannot
+    cancel, so it is finite only when every entry is: a finite sum answers at
+    once. A sum that is not finite comes from a NaN or an infinite entry, or
+    from finite entries large enough to overflow it, so only then does the
+    exact entrywise test run. Unlike ``dot``, ``vdot`` warns of no overflow.
+    """
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
 def check_finite(output: Tensor, context: str, phase: str | None = None) -> None:
     """Raise :class:`NumericError` naming the offending op if non-finite."""
-    if np.isfinite(output.data).all():
+    if all_finite(output.data):
         return
     bad = find_nonfinite(output)
     op = bad.op if bad is not None else "unknown"

@@ -136,7 +136,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if "=" not in item:
             raise ConfigError(f"--grid expects axis=v1,v2,... (got {item!r})")
         axis, _, values = item.partition("=")
-        axes[axis.strip()] = [_parse_grid_value(v) for v in values.split(",") if v]
+        axis = axis.strip()
+        if axis in axes:
+            raise ConfigError(f"sweep axis {axis!r} is given more than once; "
+                              f"list all its values in one --grid")
+        axes[axis] = [_parse_grid_value(v) for v in values.split(",") if v]
     if not axes:
         raise ConfigError("sweep needs at least one --grid axis")
     try:
@@ -190,9 +194,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.path)
     if not path.exists():
         raise ConfigError(f"no such file: {path}")
+    if path.is_dir():
+        raise ConfigError(f"cannot report on {path.name!r}: it is a directory")
     if path.suffix == ".jsonl":
-        # A line that is not JSON, or a record whose fields have the wrong
-        # types, fails here as a ValueError or a TypeError.
+        # A line that is not JSON, a file that is not text, or a record whose
+        # fields have the wrong types, fails here as a ValueError or a TypeError.
         try:
             digest = summarize_trajectory(path)
             _, records = load_trajectory(path)
@@ -200,7 +206,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             rows = [f"  t={r['t']:<5d} loss={r['loss']:.6e} |g|={r['grad_norm']:.3e}"
                     f" lr={r['lr']:.4g} hess={'Y' if r['hessian_computed'] else 'n'}"
                     for r in show]
-        except (ValueError, TypeError) as exc:
+        except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"cannot report on {path.name!r}: {exc}") from None
         config = digest.pop("config", {})
         print(f"trajectory: {path}")
@@ -211,10 +217,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for row in rows:
             print(row)
     elif path.suffix == ".csv":
-        print(path.read_text().rstrip())
+        print(_read_text(path).rstrip())
     elif path.suffix == ".json":
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot report on {path.name!r}: not valid JSON: {exc}") from None
         if not isinstance(data, dict):
@@ -224,6 +230,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         raise ConfigError(f"cannot report on {path.name!r}; expected .jsonl, .json, or .csv")
     return 0
+
+
+def _read_text(path: Path) -> str:
+    """The text of a file to report on; one that cannot be read as text is a
+    config error."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot report on {path.name!r}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericError, as_float64
+from .autodiff import NumericError, all_finite, as_float64
 
 __all__ = [
     "HutchinsonConfig",
@@ -72,7 +72,7 @@ class DiagEstimate:
 
     def __post_init__(self):
         self.values = as_float64(self.values)
-        if not np.isfinite(self.values).all():
+        if not all_finite(self.values):
             raise ValueError("diagonal estimate contains non-finite entries")
 
 
@@ -124,7 +124,7 @@ def estimate_diag(problem, theta, batch, cfg: HutchinsonConfig,
     for _ in range(cfg.samples_per_estimate):
         z = rademacher(d, rng)
         acc += z * hvp(z)
-    if not np.isfinite(acc).all():
+    if not all_finite(acc):
         raise NumericError(f"non-finite value in {problem.name} Hutchinson sum of "
                            f"{cfg.samples_per_estimate} probes", phase="hvp")
     return DiagEstimate(acc / cfg.samples_per_estimate, iteration)

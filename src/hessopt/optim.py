@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import NumericError, as_float64
+from .autodiff import NumericError, all_finite, as_float64
 
 __all__ = [
     "BlockSpec",
@@ -94,9 +94,14 @@ def ema_square_update(prev: np.ndarray, value: np.ndarray, beta2: float) -> np.n
     """One step of the squared-value exponential moving average.
 
     Kept as a free function so the verification suite can exercise it (and
-    detect tampering) in isolation.
+    detect tampering) in isolation. It computes
+    ``beta2 * prev + (1.0 - beta2) * value * value`` in that order, in two
+    new arrays.
     """
-    return beta2 * prev + (1.0 - beta2) * value * value
+    out = value * (1.0 - beta2)
+    out *= value
+    out += prev * beta2
+    return out
 
 
 # The curvature track resolves the recurrence through this module-level name,
@@ -162,13 +167,43 @@ class Optimizer:
         return theta, grad
 
     def _guard_update(self, update: np.ndarray) -> np.ndarray:
-        if not np.isfinite(update).all():
+        if not all_finite(update):
             bad = int(np.flatnonzero(~np.isfinite(update))[0])
             raise NumericError(
                 f"{self.kind} produced a non-finite update at coordinate {bad} "
                 f"(iteration {self.t})", phase="step"
             )
         return update
+
+
+# In-place forms of the steps' formulas. Each computes the same IEEE
+# operations on the same operands as the formula written out of place
+# (multiplication and addition commute exactly), into fewer new arrays.
+
+
+def _ema(avg: np.ndarray, x: np.ndarray, beta: float) -> None:
+    """``avg = beta * avg + (1 - beta) * x``, in ``avg``."""
+    avg *= beta
+    avg += x * (1.0 - beta)
+
+
+def _plus_scaled(grad: np.ndarray, theta: np.ndarray, weight_decay: float) -> np.ndarray:
+    """``grad + weight_decay * theta`` (L2 coupling) in one new array."""
+    out = theta * weight_decay
+    out += grad
+    return out
+
+
+def _momentum_step(m_hat: np.ndarray, eff_lr: float, denom: np.ndarray) -> np.ndarray:
+    """``eff_lr * m_hat / denom``, written into ``m_hat``, which the step made."""
+    m_hat *= eff_lr
+    m_hat /= denom
+    return m_hat
+
+
+def _minus(theta: np.ndarray, update: np.ndarray) -> np.ndarray:
+    """``theta - update``, written into ``update``, which the step made."""
+    return np.subtract(theta, update, out=update)
 
 
 class SGD(Optimizer):
@@ -192,13 +227,13 @@ class SGD(Optimizer):
         theta, grad = self._check(theta, grad)
         self.t += 1
         if self.weight_decay > 0:
-            grad = grad + self.weight_decay * theta
+            grad = _plus_scaled(grad, theta, self.weight_decay)
         if self.momentum > 0:
-            self.buffer = self.momentum * self.buffer + (1.0 - self.momentum) * grad
+            _ema(self.buffer, grad, self.momentum)
             direction = self.buffer
         else:
             direction = grad
-        return theta - self._guard_update(self.lr * lr_factor * direction)
+        return _minus(theta, self._guard_update(direction * (self.lr * lr_factor)))
 
 
 class Adagrad(Optimizer):
@@ -265,15 +300,16 @@ class Adam(Optimizer):
         eff_lr = self.lr * lr_factor
         if self.weight_decay > 0:
             if self.decoupled_wd:
-                theta = theta - eff_lr * self.weight_decay * theta
+                theta = _minus(theta, theta * (eff_lr * self.weight_decay))
             else:
-                grad = grad + self.weight_decay * theta
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+                grad = _plus_scaled(grad, theta, self.weight_decay)
+        _ema(self.m, grad, self.beta1)
         self.v = ema_square_update(self.v, grad, self.beta2)
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        update = eff_lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        return theta - self._guard_update(update)
+        denom = self.v / (1.0 - self.beta2**self.t)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update = _momentum_step(self.m / (1.0 - self.beta1**self.t), eff_lr, denom)
+        return _minus(theta, self._guard_update(update))
 
 
 class AdamW(Adam):
@@ -333,19 +369,21 @@ class AdaHessian(Optimizer):
             self.last_Ds = Ds
         eff_lr = self.lr * lr_factor
         if self.weight_decay > 0:
-            theta = theta - eff_lr * self.weight_decay * theta
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+            theta = _minus(theta, theta * (eff_lr * self.weight_decay))
+        _ema(self.m, grad, self.beta1)
         # The squared-Ds average advances every iteration, including ones
         # that reuse an old estimate, so the bias correction sees global t.
         self.v_raw = hessian_ema_square_update(self.v_raw, Ds, self.beta2)
         if self.hessian_ema:
-            Dbar = np.sqrt(self.v_raw / (1.0 - self.beta2**self.t))
+            denom = self.v_raw / (1.0 - self.beta2**self.t)
+            np.sqrt(denom, out=denom)  # Dbar
         else:
-            Dbar = np.abs(Ds)
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v = Dbar if self.k == 1.0 else Dbar**self.k  # x**1.0 is exactly x
-        update = eff_lr * m_hat / (v + self.eps)
-        return theta - self._guard_update(update)
+            denom = np.abs(Ds)
+        if self.k != 1.0:  # x**1.0 is exactly x
+            denom **= self.k  # the kernel Dbar**k calls, in place
+        denom += self.eps
+        update = _momentum_step(self.m / (1.0 - self.beta1**self.t), eff_lr, denom)
+        return _minus(theta, self._guard_update(update))
 
 
 OPTIMIZERS: dict[str, type] = {

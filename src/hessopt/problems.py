@@ -221,7 +221,7 @@ class DifferentiableProblem:
         # constants and merged ones get alias steps. The embeds and sums of a
         # fused assembly keep the recording's finite data; a fresh tape's are
         # non-finite only after a slice they read, which comes first in order.
-        if not (math.isfinite(tape.loss.data) and np.isfinite(tape.grad.data).all()):
+        if not (math.isfinite(tape.loss.data) and ad.all_finite(tape.grad.data)):
             self._check(tape.loss, "loss")
             self._check(tape.grad, "gradient")
         self._tapes[key] = tape
@@ -424,7 +424,7 @@ class LogisticRegression(DifferentiableProblem):
     def batch_inputs(self, batch):
         if batch is None:
             return self.data.X, self.data.y
-        return self.data.X[batch], self.data.y[batch]
+        return self.data.X.take(batch, axis=0), self.data.y.take(batch, axis=0)
 
     def loss(self, theta, X, y):
         margins = ad.mul(y, ad.matmul(X, theta))
@@ -496,7 +496,7 @@ class _MLPBase(DifferentiableProblem):
     def batch_inputs(self, batch):
         if batch is None:
             return self.data.X, self.targets
-        return self.data.X[batch], self.targets[batch]
+        return self.data.X.take(batch, axis=0), self.targets.take(batch, axis=0)
 
     def _forward(self, theta, X: ad.Tensor, hidden: list | None = None) -> ad.Tensor:
         """Output layer of the network; ``hidden``, if given, collects each

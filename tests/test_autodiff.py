@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hessopt import autodiff as ad
 from hessopt.problems import DifferentiableProblem
@@ -271,3 +274,22 @@ def test_nonfinite_gradient_under_finite_loss_names_its_op():
     assert np.all(g == 0.0)
     with pytest.raises(ad.NumericError, match=r"sqrt hvp \(produced by op 'pow-0.5'\)"):
         hvp(np.ones(2))
+
+
+_SPECIAL = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308, -1e308, 1e200, 1.5e154]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+                  elements=st.one_of(st.sampled_from(_SPECIAL),
+                                     st.floats(-1e308, 1e308, allow_nan=False))))
+@example(np.array(1e308))  # a square that overflows though the entry is finite
+@example(np.array([1e200, -1e200]))
+@example(np.full((2, 3), 1.5e154))  # each square is finite, their sum is not
+@example(np.array([1e308, np.nan]))
+@example(np.empty((0, 3)))
+def test_all_finite_is_the_entrywise_test(x):
+    expected = bool(np.isfinite(x).all())
+    assert ad.all_finite(x) is expected
+    if x.ndim == 2:
+        assert ad.all_finite(x.T) is expected  # a layout ravel must copy

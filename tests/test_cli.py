@@ -13,6 +13,18 @@ from hessopt import cli, harness, optim, oracle
 from hessopt.cli import main
 
 
+def write_input(path: Path, content) -> Path:
+    """Make ``path``: a text file, a file of raw bytes, or a directory if
+    ``content`` is None."""
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return path
+
+
 class TestRunCommand:
     def test_successful_run_exits_zero_and_writes_files(self, tmp_path, capsys):
         code = main([
@@ -42,10 +54,19 @@ class TestRunCommand:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_bad_config_file_exits_one(self, tmp_path, capsys):
-        cfg = tmp_path / "broken.json"
-        cfg.write_text("{oops")
-        assert main(["run", "--config", str(cfg)]) == 1
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("content,needle", [
+        ("{oops", "config file is not valid JSON"),
+        (b'{"lr": 0.1\xff}', "is not text: 'utf-8' codec can't decode byte 0xff"),
+        (None, "cannot read config file"),
+    ], ids=["invalid-json", "not-utf8", "directory"])
+    def test_bad_config_file_exits_one(self, tmp_path, capsys, command, content, needle):
+        cfg = write_input(tmp_path / "broken.json", content)
+        grid = ["--grid", "lr=0.1"] if command == "sweep" else []
+        code = main([command, "--config", str(cfg), *grid])
+        err = capsys.readouterr().err
+        assert (code, len(err.strip().splitlines())) == (1, 1)
+        assert err.startswith("config error:") and needle in err
 
     def test_bad_problem_params_json_exits_one(self, tmp_path):
         code = main(["run", "--problem-params", "[1,2]", "--out", str(tmp_path)])
@@ -269,6 +290,15 @@ class TestBadInput:
         assert calls == []
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_repeated_grid_axis_stops_sweep_before_any_run(self, tmp_path, capsys,
+                                                            monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
+        code = main(["sweep", "--grid", "lr=0.1", "--grid", "lr=0.2", "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, "sweep axis 'lr' is given more than once")
+        assert calls == []
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_seed_grid_axis_points_to_seeds_flag(self, tmp_path, capsys):
         code = main(["sweep", "--grid", "seed=5", "--seeds", "0,1", "--out", str(tmp_path)])
         self.assert_config_error(capsys, code, "--seeds")
@@ -427,6 +457,13 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("name,text,needle", [
         ("run.summary.json", "{not json", "not valid JSON"),
+        ("run.summary.json", b'{"a": "\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+        ("sweep.csv", b"lr,loss\n0.1,\xff\n", "'utf-8' codec can't decode byte 0xff"),
+        ("run.trajectory.jsonl", b'{"schema": "hessopt-trajectory-1"}\n\xff\n',
+         "'utf-8' codec can't decode byte 0xff"),
+        ("runs.json", None, "it is a directory"),
+        ("sweep.csv", None, "it is a directory"),
+        ("run.trajectory.jsonl", None, "it is a directory"),
         ("run.summary.json", "[1, 2]", "expected a JSON object"),
         ("run.trajectory.jsonl", "", "empty trajectory file"),
         ("run.trajectory.jsonl", '{"schema": "other-1"}\n',
@@ -438,11 +475,12 @@ class TestReportCommand:
         ("run.trajectory.jsonl", '{"schema": "hessopt-trajectory-1"}\n'
          '{"t": 1, "loss": "low", "grad_norm": 1.0, "lr": 0.1, "hessian_computed": false}\n',
          "Unknown format code"),
-    ], ids=["invalid-json", "json-list", "empty-trajectory", "unknown-schema",
-            "empty-record", "list-record", "string-loss"])
+    ], ids=["invalid-json", "json-not-utf8", "csv-not-utf8", "trajectory-not-utf8",
+            "json-directory", "csv-directory", "trajectory-directory", "json-list",
+            "empty-trajectory", "unknown-schema", "empty-record", "list-record",
+            "string-loss"])
     def test_malformed_file_is_a_config_error(self, tmp_path, capsys, name, text, needle):
-        path = tmp_path / name
-        path.write_text(text)
+        path = write_input(tmp_path / name, text)
         code = main(["report", str(path)])
         err = capsys.readouterr().err
         assert code == 1

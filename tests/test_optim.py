@@ -347,6 +347,128 @@ class TestEmaSeam:
             optim.hessian_ema_square_update = original
 
 
+# Each optimizer's step written out of place, as its docstring states it.
+# The optimizers compute the same operations in place, so each step must
+# match these byte for byte.
+
+
+def sgd_formula(theta, grads, factors, lr, momentum, weight_decay):
+    buffer, thetas = np.zeros_like(theta), []
+    for g, f in zip(grads, factors):
+        if weight_decay > 0:
+            g = g + weight_decay * theta
+        if momentum > 0:
+            buffer = momentum * buffer + (1.0 - momentum) * g
+            g = buffer
+        theta = theta - lr * f * g
+        thetas.append(theta)
+    return thetas, {"buffer": buffer}
+
+
+def adam_formula(theta, grads, factors, lr, beta1, beta2, weight_decay, eps, decoupled):
+    m, v, thetas = np.zeros_like(theta), np.zeros_like(theta), []
+    for t, (g, f) in enumerate(zip(grads, factors), start=1):
+        eff_lr = lr * f
+        if weight_decay > 0:
+            if decoupled:
+                theta = theta - eff_lr * weight_decay * theta
+            else:
+                g = g + weight_decay * theta
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        theta = theta - eff_lr * m_hat / (np.sqrt(v_hat) + eps)
+        thetas.append(theta)
+    return thetas, {"m": m, "v": v}
+
+
+def adahessian_formula(theta, grads, estimates, factors, lr, beta1, beta2, k,
+                       weight_decay, eps, hessian_ema):
+    m, v_raw, Ds, thetas = np.zeros_like(theta), np.zeros_like(theta), None, []
+    for t, (g, estimate, f) in enumerate(zip(grads, estimates, factors), start=1):
+        Ds = Ds if estimate is None else estimate
+        eff_lr = lr * f
+        if weight_decay > 0:
+            theta = theta - eff_lr * weight_decay * theta
+        m = beta1 * m + (1.0 - beta1) * g
+        v_raw = beta2 * v_raw + (1.0 - beta2) * Ds * Ds
+        Dbar = np.sqrt(v_raw / (1.0 - beta2**t)) if hessian_ema else np.abs(Ds)
+        m_hat = m / (1.0 - beta1**t)
+        theta = theta - eff_lr * m_hat / (Dbar**k + eps)
+        thetas.append(theta)
+    return thetas, {"m": m, "v_raw": v_raw}
+
+
+_rate = st.floats(1e-4, 2.0)
+_beta = st.floats(0.01, 0.999)
+_decay = st.one_of(st.just(0.0), st.floats(1e-6, 0.5))
+_eps = st.one_of(st.just(1e-8), st.just(0.0), st.floats(1e-12, 1e-2))
+
+
+def draw_run(seed: int, estimates: bool = False):
+    """theta, then per step a gradient, a diagonal estimate (None: reuse
+    the last) and an lr factor, with entries spread over six decades."""
+    rng = np.random.default_rng(seed)
+    dim, steps = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+
+    def vector():
+        return rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3, size=dim)
+
+    theta = vector()
+    grads = [vector() for _ in range(steps)]
+    diag = [vector() if t == 0 or rng.random() < 0.5 else None for t in range(steps)]
+    factors = [float(rng.choice([1.0, rng.uniform(0.0, 1.0)])) for _ in range(steps)]
+    return (theta, grads, diag, factors) if estimates else (theta, grads, factors)
+
+
+def assert_steps_match(opt, theta, steps, expected_thetas, expected_state):
+    """Each of ``opt``'s steps byte-equals the formula's, its state ends
+    where the formula's does, and no step writes into its inputs."""
+    for (*arrays, factor), expected in zip(steps, expected_thetas):
+        inputs = [x for x in (theta, *arrays) if x is not None]
+        before = [x.tobytes() for x in inputs]
+        theta_next = opt.step(theta, *arrays, lr_factor=factor)
+        assert [x.tobytes() for x in inputs] == before
+        assert theta_next.tobytes() == expected.tobytes()
+        theta = theta_next
+    for name, value in expected_state.items():
+        assert getattr(opt, name).tobytes() == value.tobytes(), name
+
+
+class TestStepsEqualTheirFormulas:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), _rate, st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+           _decay)
+    def test_sgd(self, seed, lr, momentum, weight_decay):
+        theta, grads, factors = draw_run(seed)
+        expected = sgd_formula(theta, grads, factors, lr, momentum, weight_decay)
+        opt = SGD(theta.size, lr, momentum=momentum, weight_decay=weight_decay)
+        assert_steps_match(opt, theta, list(zip(grads, factors)), *expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), _rate, _beta, _beta, _decay, _eps, st.booleans())
+    def test_adam_and_adamw(self, seed, lr, beta1, beta2, weight_decay, eps, decoupled):
+        theta, grads, factors = draw_run(seed)
+        expected = adam_formula(theta, grads, factors, lr, beta1, beta2, weight_decay, eps,
+                                decoupled)
+        opt = (AdamW if decoupled else Adam)(theta.size, lr, beta1=beta1, beta2=beta2,
+                                             weight_decay=weight_decay, eps=eps)
+        assert_steps_match(opt, theta, list(zip(grads, factors)), *expected)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), _rate, _beta, _beta,
+           st.one_of(st.sampled_from([1.0, 0.5, 0.0]), st.floats(0.0, 1.0)), _decay, _eps,
+           st.booleans())
+    def test_adahessian(self, seed, lr, beta1, beta2, k, weight_decay, eps, hessian_ema):
+        theta, grads, estimates, factors = draw_run(seed, estimates=True)
+        expected = adahessian_formula(theta, grads, estimates, factors, lr, beta1, beta2, k,
+                                      weight_decay, eps, hessian_ema)
+        opt = AdaHessian(theta.size, lr, beta1=beta1, beta2=beta2, k=k,
+                         weight_decay=weight_decay, eps=eps, hessian_ema=hessian_ema)
+        assert_steps_match(opt, theta, list(zip(grads, estimates, factors)), *expected)
+
+
 class TestStateDicts:
     def test_make_optimizer_unknown_kind_raises(self):
         with pytest.raises(KeyError):

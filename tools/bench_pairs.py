@@ -14,7 +14,11 @@ off, as the benchmark is run on a fresh checkout.
 workload and seed, every end-to-end metric of ``BENCHMARK.json`` with each
 side's median and quartiles over its runs, the ratio of the medians, how many
 pairs the change won (ties count for neither side), whether the change's
-median is within the metric's bound, and every run's value; plus the failed
+median is within the metric's bound, whether a gain is shown (``gain_shown``:
+the change won at least 9 pairs in 10 and its median is better than the
+parent's by more than the parent's IQR), whether every run of the change is
+better than every run of the parent (``all_change_runs_better``), and every
+run's value; plus the failed
 and attempted calls of each side and the work counters of each run. The file
 is rewritten after every pair, so an interrupted session keeps the pairs it
 finished; entries of other workloads or seeds already in it are kept.
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import statistics
 import subprocess
@@ -66,16 +71,21 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
     for m in spec:
         name, lower = m["name"], m["better"] == "lower"
         values = {side: [r[side]["metrics"][name]["value"] for r in runs] for side in SIDES}
-        wins = sum((c < p) if lower else (c > p)
-                   for p, c in zip(values["parent"], values["change"]))
+        better = operator.lt if lower else operator.gt  # better(change, parent)
+        wins = sum(map(better, values["change"], values["parent"]))
         parent, change = quartiles(values["parent"]), quartiles(values["change"])
         limit = parent["median"] * (1 + m["bound"] if lower else 1 - m["bound"])
+        gain = parent["median"] - change["median"]
+        gain = gain if lower else -gain
         metrics[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": parent, "change": change,
             "ratio_of_medians": change["median"] / parent["median"],
             "change_wins": f"{wins}/{len(runs)}",
             "within_bound": change["median"] <= limit if lower else change["median"] >= limit,
+            "gain_shown": 10 * wins >= 9 * len(runs) and gain > parent["iqr"],
+            "all_change_runs_better": all(better(c, p) for c in values["change"]
+                                          for p in values["parent"]),
             "parent_runs": values["parent"], "change_runs": values["change"],
         }
     return {
@@ -114,7 +124,10 @@ def main(argv: list[str] | None = None) -> int:
                    "Per metric: each side's median and quartiles (inclusive method) over "
                    "its runs; change_wins counts the pairs the change won, ties for "
                    "neither; within_bound compares the change's median with the parent's "
-                   "by the bound of BENCHMARK.json. Times are perfbench's values at "
+                   "by the bound of BENCHMARK.json; gain_shown holds when the change won "
+                   "at least 9 pairs in 10 and its median is better than the parent's by "
+                   "more than the parent's IQR; all_change_runs_better holds when every "
+                   "change run is better than every parent run. Times are perfbench's values at "
                    "reference machine speed. Written by tools/bench_pairs.py."),
     })
     bench.setdefault("end_to_end", {})
