@@ -25,7 +25,8 @@ sweep continues.
 
 A sweep does its per-seed work once per ``sweep()`` call. It loops seeds
 outside and cells inside; each seed's pass draws the minibatch index stream
-once per (problem, problem_params) and keeps one companion time per
+once per (problem, problem_params), derives the probe keys of the union of
+its cells' estimate iterations in one pass, and keeps one companion time per
 (problem, problem_params, iters). The companion runs interleaved with the
 first cell of that key that has the cost ratio on and finishes without a
 numeric failure; the later cells of the key divide by its time. Nothing
@@ -57,7 +58,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import NumericError
-from .hutchinson import HutchinsonConfig, estimate_diag, probe_rng, should_compute
+from .hutchinson import (HutchinsonConfig, estimate_diag, estimate_iterations, probe_keys,
+                         should_compute)
 from .optim import OPTIMIZERS, _is_finite, make_optimizer, make_schedule, optimizer_names
 from .problems import PROBLEM_BUILDERS, get_problem, problem_names
 
@@ -390,17 +392,23 @@ class _SeedPass:
     ``problems`` maps each (problem, problem_params) key to its problem, and
     so its recorded tapes, built before the sweep's first run and shared with
     the other passes. The pass draws each key's minibatch index stream once,
-    read-only. ``companions`` maps (key, iters) to the gradient-descent
-    companion time of the first run of that key that timed one and finished
-    ok; ``run`` reads and fills it. One instance lives for one seed of one
-    ``sweep()`` call.
+    read-only, and derives the probe keys of every estimate iteration of
+    ``configs`` (the seed's run configs) in one ``probe_keys`` call.
+    ``companions`` maps (key, iters) to the gradient-descent companion time of
+    the first run of that key that timed one and finished ok; ``run`` reads
+    and fills it. One instance lives for one seed of one ``sweep()`` call.
     """
 
-    def __init__(self, seed: int, problems: dict):
+    def __init__(self, seed: int, problems: dict, configs: typing.Iterable[RunConfig] = ()):
         self.seed = seed
         self._problems = problems
         self._streams: dict[str, list] = {}
         self.companions: dict[tuple[str, int], float] = {}
+        iterations = sorted({t for config in configs
+                             if (hcfg := _hutchinson_config(config)) is not None
+                             for t in estimate_iterations(hcfg, config.iters)})
+        self._key_rows = {t: row for row, t in enumerate(iterations)}
+        self._keys = probe_keys(seed, iterations)
 
     @staticmethod
     def _key(config: RunConfig) -> str:
@@ -409,6 +417,11 @@ class _SeedPass:
 
     def problem(self, config: RunConfig):
         return self._problems[self._key(config)]
+
+    def probe_keys(self, iterations: list[int]) -> np.ndarray:
+        """Probe keys of ``iterations``, all estimate iterations of the pass's
+        configs, read from the keys derived for all of them at once."""
+        return self._keys[[self._key_rows[t] for t in iterations]]
 
     def batches(self, config: RunConfig, problem) -> list:
         """The stream's batches for t = 1..config.iters, at index t - 1."""
@@ -429,19 +442,30 @@ def _build_problem(config: RunConfig):
         raise ConfigError(f"invalid problem-params for {config.problem!r}: {exc}") from None
 
 
-def _iterate(problem, opt, schedule, hcfg, theta, batch, t: int) -> tuple:
-    """One timed iteration: the tape, with a Hutchinson estimate if ``hcfg`` is
-    due at ``t``, then the step. Returns the new theta, the loss and gradient at
-    the old one, the schedule's factor, whether it estimated, and its seconds."""
+def _hutchinson_config(config: RunConfig) -> HutchinsonConfig | None:
+    """The run's estimate schedule; None for an optimizer that takes no estimates."""
+    if config.optimizer != "adahessian":
+        return None
+    return HutchinsonConfig(samples_per_estimate=config.samples,
+                            frequency=config.hessian_freq,
+                            warmup_steps=config.warmup, seed=config.seed)
+
+
+def _iterate(problem, opt, schedule, probes, theta, batch, t: int) -> tuple:
+    """One timed iteration: the tape, with a Hutchinson estimate if ``probes``
+    is due at ``t``, then the step. ``probes`` is None, or a Hutchinson config
+    and an iterator over the probe keys of its estimate iterations, in order.
+    Returns the new theta, the loss and gradient at the old one, the
+    schedule's factor, whether it estimated, and its seconds."""
     start = time.perf_counter()
     lr_factor = schedule(t)
     # Only an iteration with a fresh estimate probes the Hessian; the rest
     # take the gradient alone, and AdaHessian reuses its last estimate.
-    computed = hcfg is not None and should_compute(t, hcfg)
+    computed = probes is not None and should_compute(t, probes[0])
     if computed:
+        hcfg, keys = probes
         loss, g, hvp_fn = problem.full_tape(theta, batch)
-        est = estimate_diag(problem, theta, batch, hcfg, probe_rng(hcfg.seed, t),
-                            iteration=t, hvp=hvp_fn)
+        est = estimate_diag(problem, theta, batch, hcfg, next(keys), iteration=t, hvp=hvp_fn)
         theta = opt.step(theta, g, Ds=opt.average_diagonal(est.values), lr_factor=lr_factor)
     else:
         loss, g = problem.value_and_gradient(theta, batch)
@@ -473,10 +497,14 @@ def run(config: RunConfig, write_files: bool = True, *,
     opt = make_optimizer(config.optimizer, problem.dim, group_sizes=problem.group_sizes,
                          **_optimizer_args(config))
     schedule = make_schedule(config.schedule, **config.schedule_params)
-    hcfg = (HutchinsonConfig(samples_per_estimate=config.samples,
-                             frequency=config.hessian_freq,
-                             warmup_steps=config.warmup, seed=config.seed)
-            if config.optimizer == "adahessian" else None)
+    hcfg = _hutchinson_config(config)
+    probes = None
+    if hcfg is not None:
+        # every estimate's key is derived here, before the loop
+        iterations = estimate_iterations(hcfg, config.iters)
+        keys = (_shared.probe_keys(iterations) if _shared is not None
+                else probe_keys(config.seed, iterations))
+        probes = (hcfg, iter(keys))
     companion_key = (_SeedPass._key(config), config.iters)
     sgd_time = _shared.companions.get(companion_key) if _shared is not None else None
     sgd = None
@@ -510,7 +538,7 @@ def run(config: RunConfig, write_files: bool = True, *,
                                                       sgd_theta, batch, t)
                     sgd_seconds.append(seconds)
                 theta, loss, g, lr_factor, computed, elapsed = _iterate(
-                    problem, opt, schedule, hcfg, theta, batch, t)
+                    problem, opt, schedule, probes, theta, batch, t)
             except NumericError as exc:
                 status = "numeric_failure"
                 failure_detail = f"iteration {t}, {exc.phase}: {exc}"
@@ -618,7 +646,7 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
                        diverged=0, cost_ratios=[]) for overrides in grid]
     csv_path = make_out_dir(base.out if out is None else out) / csv_name
     for i, seed in enumerate(seeds):
-        shared = _SeedPass(seed, problems)
+        shared = _SeedPass(seed, problems, [cell_configs[i] for cell_configs in configs])
         for cell, cell_configs in zip(cells, configs):
             cfg = cell_configs[i]
             result = run(cfg, write_files=False, _shared=shared)

@@ -15,10 +15,20 @@ seeded), so estimates are reproducible bit-for-bit across platforms for a
 given (seed, stream) pair. :func:`rademacher` draws one probe or a whole
 ``(n, d)`` batch of them in one call; the batch's rows are the probes that n
 one-probe calls would have drawn, in order.
+
+A run derives the keys of all its estimate iterations once, before its loop:
+:func:`probe_keys` hashes every (seed, t) in one vectorized pass, to the keys
+that :func:`probe_rng` would give its generators. Each estimate then draws its
+probes from raw Philox words under its key (:func:`probe_blocks`), the same
+probes that ``rademacher`` draws from ``probe_rng(seed, t)``. So an
+iteration's time includes no key derivation. ``probe_rng`` and ``rademacher``
+stay the numpy reference that the oracle and the tests call.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +39,30 @@ __all__ = [
     "HutchinsonConfig",
     "DiagEstimate",
     "probe_rng",
+    "probe_keys",
     "rademacher",
+    "probe_blocks",
     "estimate_diag",
     "should_compute",
+    "estimate_iterations",
 ]
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): entropy words are
+# hashed into a pool of 4 uint32 words with multipliers that evolve from these
+# constants independently of the data, then the pool is hashed into the state.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+# Probe entries an estimate holds at once; a block has a multiple of 8 rows.
+_BLOCK_ENTRIES = 1 << 16
+# Every keyed block sets this generator's whole state before it draws, so no
+# draw depends on an earlier one (within one thread: nothing here locks it).
+_PHILOX = np.random.Philox(0)
+_TO_TOP = np.array([32, 0], dtype=np.uint64)  # moves bit 31, then bit 63, to bit 63
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -107,23 +137,125 @@ def rademacher(shape: int | tuple[int, int], rng: np.random.Generator) -> np.nda
     return z
 
 
+def probe_keys(seed: int, streams) -> np.ndarray:
+    """The Philox keys of ``probe_rng(seed, s)`` for every s in ``streams``.
+
+    Row i of the ``(len(streams), 2)`` uint64 result equals
+    ``SeedSequence([seed, streams[i]]).generate_state(2, np.uint64)``. It is
+    computed for all streams in one vectorized uint32 pass per entropy length
+    (a stream below 2**32 adds one 32-bit word, a larger one two). Streams lie
+    in [0, 2**64).
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    streams = np.asarray(streams, dtype=np.uint64).reshape(-1)
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    keys = np.empty((streams.size, 2), dtype=np.uint64)
+    wide = streams > _MASK32
+    for rows, stream_words in ((~wide, (0,)), (wide, (0, 32))):
+        chosen = streams[rows]
+        if chosen.size:
+            entropy = np.empty((len(seed_words) + len(stream_words), chosen.size), np.uint32)
+            entropy[:len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
+            for i, shift in enumerate(stream_words, start=len(seed_words)):
+                entropy[i] = chosen >> np.uint64(shift) & np.uint64(_MASK32)
+            keys[rows] = _seed_sequence_keys(entropy)
+    return keys
+
+
+@functools.cache
+def _multipliers(init: int, mult: int, n: int) -> np.ndarray:
+    """``init`` and the n multipliers that follow it, as a read-only (n + 1, 1) column."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    column = np.array(out, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's hashmix, with step i xoring ``consts[i]`` and multiplying by ``consts[i + 1]``."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ values >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ result >> np.uint32(16)
+
+
+def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
+    """``generate_state(2, np.uint64)`` of the SeedSequence of each column of
+    ``entropy`` (a (words, n) uint32 array), every step applied to all columns."""
+    width = len(entropy)
+    a = _multipliers(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(width - _POOL, 0))
+    pool = np.zeros((_POOL, entropy.shape[1]), np.uint32)
+    pool[:width] = entropy[:_POOL]
+    pool = _hashmix(pool, a[:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):  # mix each pool word into every other one
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k:k + _POOL]))
+        k += _POOL - 1
+    for word in entropy[_POOL:]:  # entropy beyond the pool joins every word
+        pool = _mix(pool, _hashmix(word, a[k:k + _POOL + 1]))
+        k += _POOL
+    state = _hashmix(pool, _multipliers(_INIT_B, _MULT_B, _POOL)).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T  # little-endian word pairs
+
+
+def probe_blocks(n: int, d: int, source):
+    """Yield n Rademacher probes of length d as successive ``(rows, d)`` blocks.
+
+    ``source`` is a Generator, drawn through :func:`rademacher`, or a key from
+    :func:`probe_keys`. A key's probes are the rows of ``rademacher((n, d),
+    Generator(Philox(key=key)))``: ``integers(0, 2)`` on a fresh generator
+    takes a 32-bit Lemire draw whose rejection threshold (2**32 - 2) mod 2 is
+    0, so entry j is the top bit of the j-th 32-bit half of the raw 64-bit
+    words, low half first. A block has a multiple of 8 rows (the last block
+    may have fewer) and about ``_BLOCK_ENTRIES`` entries, so each keyed block
+    starts on a Philox counter block of 4 words and re-keys the generator to
+    it; the blocks are the one-shot draw's rows whatever their size.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    rows = max(8, _BLOCK_ENTRIES // d // 8 * 8)
+    for start in range(0, n, rows):
+        size = min(rows, n - start)
+        if isinstance(source, np.random.Generator):
+            yield rademacher((size, d), source)
+            continue
+        _PHILOX.state = {"bit_generator": "Philox",
+                         "state": {"counter": (start * d // 8, 0, 0, 0), "key": source},
+                         "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                         "has_uint32": 0, "uinteger": 0}
+        words = _PHILOX.random_raw((size * d + 1) // 2)
+        bits = np.left_shift(words[:, None], _TO_TOP)
+        bits >>= np.uint64(63)
+        yield _SIGNS.take(bits.reshape(-1)[:size * d]).reshape(size, d)
+
+
 def estimate_diag(problem, theta, batch, cfg: HutchinsonConfig,
-                  rng: np.random.Generator, iteration: int = 0,
+                  rng: np.random.Generator | np.ndarray, iteration: int = 0,
                   hvp=None) -> DiagEstimate:
     """Mean of z * (Hz) over ``cfg.samples_per_estimate`` Rademacher probes.
 
-    ``hvp`` may be a prebuilt ``z -> Hz`` callable (for example the harness's
-    per-iteration tape); otherwise one is built from the problem at ``theta``
-    over ``batch``. All probes share the same tape and batch. Raises
-    NumericError (phase ``hvp``) if the probes' sum overflows.
+    ``rng`` is a Generator or a probe key (see :func:`probe_blocks`); the
+    probes are drawn in blocks of bounded size. ``hvp`` may be a prebuilt
+    ``z -> Hz`` callable (for example the harness's per-iteration tape);
+    otherwise one is built from the problem at ``theta`` over ``batch``. All
+    probes share the same tape and batch. Raises NumericError (phase ``hvp``)
+    if the probes' sum overflows.
     """
     if hvp is None:
         hvp = problem.hvp_operator(theta, batch)
     d = as_float64(theta).shape[0]
     acc = np.zeros(d)
-    for _ in range(cfg.samples_per_estimate):
-        z = rademacher(d, rng)
-        acc += z * hvp(z)
+    for block in probe_blocks(cfg.samples_per_estimate, d, rng):
+        for z in block:
+            acc += z * hvp(z)
     if not all_finite(acc):
         raise NumericError(f"non-finite value in {problem.name} Hutchinson sum of "
                            f"{cfg.samples_per_estimate} probes", phase="hvp")
@@ -141,3 +273,9 @@ def should_compute(t: int, cfg: HutchinsonConfig) -> bool:
     if t <= cfg.warmup_steps:
         return True
     return (t - cfg.warmup_steps - 1) % cfg.frequency == 0
+
+
+def estimate_iterations(cfg: HutchinsonConfig, iters: int) -> list[int]:
+    """The iterations t in 1..iters at which ``should_compute(t, cfg)`` holds."""
+    return [*range(1, min(cfg.warmup_steps, iters) + 1),
+            *range(cfg.warmup_steps + 1, iters + 1, cfg.frequency)]

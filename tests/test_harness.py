@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hessopt import harness
+from hessopt import harness, hutchinson
 from hessopt.harness import (
     ConfigError,
     RunConfig,
@@ -22,6 +22,7 @@ from hessopt.harness import (
     summarize_trajectory,
     sweep,
 )
+from hessopt.hutchinson import probe_keys
 from hessopt.optim import OPTIMIZERS, SGD, AdaHessian, Schedule
 from hessopt.problems import LogisticRegression, get_problem
 
@@ -547,6 +548,41 @@ class TestSweepSharing:
         monkeypatch.setattr(LogisticRegression, "sample_batch", counting)
         sweep(sharing_base(tmp_path), SHARING_AXES, seeds=SHARING_SEEDS, out=tmp_path)
         assert sorted(draws) == [(t, s) for t in range(1, 31) for s in SHARING_SEEDS]
+
+    def test_sweep_derives_each_seed_keys_once(self, tmp_path, monkeypatch):
+        # One key pass per seed, over the union of its cells' estimate iterations;
+        # no run derives keys of its own or builds a probe generator.
+        passes = []
+        original = harness.probe_keys
+
+        def counting(seed, streams):
+            passes.append((seed, list(streams)))
+            return original(seed, streams)
+
+        def unused(*args):
+            raise AssertionError("runs draw their probes from keys")
+
+        monkeypatch.setattr(harness, "probe_keys", counting)
+        monkeypatch.setattr(hutchinson, "probe_rng", unused)
+        monkeypatch.setattr(hutchinson, "rademacher", unused)
+        axes = {"hessian_freq": [10, 4], "warmup": [0, 3]}
+        sweep(sharing_base(tmp_path), axes, seeds=SHARING_SEEDS, out=tmp_path)
+        union = sorted({1, 11, 21}  # freq 10
+                       | set(range(1, 31, 4))  # freq 4
+                       | {1, 2, 3, 4, 14, 24}  # freq 10 after 3 warmup iterations
+                       | {1, 2, 3, 4, 8, 12, 16, 20, 24, 28})  # freq 4 after 3
+        assert passes == [(s, union) for s in SHARING_SEEDS]
+        run(sharing_base(tmp_path, hessian_freq=10), write_files=False)
+        assert passes[-1] == (0, [1, 11, 21])
+
+    def test_shared_keys_equal_probe_keys(self, tmp_path):
+        configs = [sharing_base(tmp_path, seed=4, hessian_freq=f, warmup=w)
+                   for f, w in [(10, 0), (7, 2)]] + [sharing_base(tmp_path, optimizer="sgd")]
+        shared = harness._SeedPass(4, {}, configs)
+        for its in ([1, 11, 21], [1, 2, 3, 10, 17, 24], [21, 3]):
+            np.testing.assert_array_equal(shared.probe_keys(its), probe_keys(4, its))
+        with pytest.raises(KeyError):
+            shared.probe_keys([5])
 
     def test_shared_batches_equal_sample_batch_and_are_read_only(self, tmp_path):
         cfg = sharing_base(tmp_path, seed=4)

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hessopt import hutchinson
 from hessopt import problems as pr
 from hessopt.hutchinson import (
     DiagEstimate,
     HutchinsonConfig,
     estimate_diag,
+    estimate_iterations,
+    probe_blocks,
+    probe_keys,
     probe_rng,
     rademacher,
     should_compute,
@@ -101,7 +105,89 @@ class TestRademacherBatch:
             rademacher(shape, probe_rng(0, 0))
 
 
+def numpy_key(seed, stream):
+    return np.random.SeedSequence([seed, stream]).generate_state(2, np.uint64)
+
+
+def keyed_draw(n, d, key):
+    return np.concatenate(list(probe_blocks(n, d, key)))
+
+
+class TestProbeKeys:
+    # Seeds up to 5 words (longer than the pool of 4); streams of 1 or 2 words.
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**130 - 1),
+           streams=st.lists(st.integers(1, 2**33 - 1), min_size=1, max_size=6))
+    @example(seed=0, streams=[1, 2**32 - 1, 2**32, 2**33 - 1])
+    @example(seed=2**64 + 1, streams=[2**32 + 5, 7, 2**32, 1])
+    @example(seed=2**129 + 3, streams=[5, 2**32 + 5])
+    @example(seed=2**32 + 5, streams=[300])
+    def test_equal_numpy_seed_sequence_keys(self, seed, streams):
+        keys = probe_keys(seed, streams)
+        assert keys.shape == (len(streams), 2) and keys.dtype == np.uint64
+        np.testing.assert_array_equal(keys, [numpy_key(seed, s) for s in streams])
+
+    def test_key_is_the_key_of_probe_rng(self):
+        (key,) = probe_keys(5, [17])
+        state = probe_rng(5, 17).bit_generator.state["state"]
+        np.testing.assert_array_equal(key, state["key"])
+
+    def test_stream_zero_and_no_streams(self):
+        np.testing.assert_array_equal(probe_keys(3, [0, 4]), [numpy_key(3, 0), numpy_key(3, 4)])
+        assert probe_keys(3, []).shape == (0, 2)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError):
+            probe_keys(-1, [1])
+
+
+class TestKeyedDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 8), d=st.integers(1, 64), seed=st.integers(0, 2**65),
+           stream=st.integers(0, 2**33))
+    @example(n=1, d=1, seed=0, stream=1)
+    @example(n=3, d=7, seed=0, stream=1)  # odd n * d: the last word's low half only
+    @example(n=1, d=57, seed=11, stream=300)
+    @example(n=8, d=64, seed=5, stream=2**32 + 5)
+    def test_equals_rademacher_on_probe_rng(self, n, d, seed, stream):
+        (key,) = probe_keys(seed, [stream])
+        z = keyed_draw(n, d, key)
+        assert z.shape == (n, d) and z.dtype == np.float64
+        np.testing.assert_array_equal(z, rademacher((n, d), probe_rng(seed, stream)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 100), d=st.integers(1, 64), max_entries=st.integers(1, 300),
+           stream=st.integers(1, 2**33))
+    @example(n=17, d=7, max_entries=1, stream=1)
+    @example(n=100, d=57, max_entries=456, stream=3)
+    def test_blocks_equal_the_one_shot_draw(self, n, d, max_entries, stream):
+        (key,) = probe_keys(7, [stream])
+        whole = keyed_draw(n, d, key)  # one block: n * d <= 6,400 entries
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hutchinson, "_BLOCK_ENTRIES", max_entries)
+            blocks = list(probe_blocks(n, d, key))
+            gen_blocks = list(probe_blocks(n, d, probe_rng(7, stream)))
+        assert all(len(b) % 8 == 0 for b in blocks[:-1])
+        assert sum(map(len, blocks)) == n
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+        np.testing.assert_array_equal(np.concatenate(gen_blocks), whole)
+
+    def test_rejects_an_empty_probe(self):
+        with pytest.raises(ValueError):
+            next(probe_blocks(1, 0, probe_keys(0, [1])[0]))
+
+
 class TestEstimateDiag:
+    def test_key_and_generator_give_the_same_estimate(self):
+        # 32,770 probes of length 2 span two blocks of 32,768 rows.
+        A = np.array([[2.0, 1.0], [1.0, 3.0]])
+        p = pr.QuadraticProblem(A, np.zeros(2), name="q")
+        cfg = HutchinsonConfig(samples_per_estimate=32_770)
+        (key,) = probe_keys(3, [9])
+        keyed = estimate_diag(p, np.zeros(2), None, cfg, key, hvp=A.__matmul__)
+        numpy = estimate_diag(p, np.zeros(2), None, cfg, probe_rng(3, 9), hvp=A.__matmul__)
+        np.testing.assert_array_equal(keyed.values, numpy.values)
+
     def test_diagonal_hessian_is_recovered_exactly_by_any_probe(self):
         # for diagonal H, z * (H z) = diag(H) regardless of the signs in z
         p = pr.make_fig1_quadratic()
@@ -189,6 +275,13 @@ class TestSchedule:
         cfg = HutchinsonConfig(frequency=5, warmup_steps=3)
         computed = [t for t in range(1, 31) if should_compute(t, cfg)]
         assert computed == [1, 2, 3, 4, 9, 14, 19, 24, 29]
+
+    @settings(max_examples=200, deadline=None)
+    @given(frequency=st.integers(1, 12), warmup=st.integers(0, 30), iters=st.integers(1, 60))
+    def test_estimate_iterations_are_the_scheduled_ones(self, frequency, warmup, iters):
+        cfg = HutchinsonConfig(frequency=frequency, warmup_steps=warmup)
+        assert estimate_iterations(cfg, iters) == [
+            t for t in range(1, iters + 1) if should_compute(t, cfg)]
 
     def test_iterations_start_at_one(self):
         cfg = HutchinsonConfig()
