@@ -7,8 +7,10 @@ backward pass extends the graph instead of leaving it. That is what makes
 second derivatives possible: the gradient returned by :func:`backward` is a
 graph node, and backpropagating the scalar ``dot(gradient, z)`` a second time
 yields the exact Hessian-vector product ``H @ z``; so does backpropagating
-the gradient itself seeded with z, which skips the dot. Every backward pass
-records its graph. Nodes that cannot reach a :func:`variable`
+the gradient itself seeded with z, which skips the dot. A pass can start at
+several outputs at once, each with its own seed: the gradients of several
+parameter tensors probed by one vector. Every backward pass records its
+graph. Nodes that cannot reach a :func:`variable`
 (``needs_grad`` false) record no parents: no backward pass visits them.
 
 Every op makes its node the same way: :class:`Tensor` calls the op's step
@@ -29,12 +31,10 @@ names the op behind a non-finite value on a replayed tape as on a fresh one.
 
 When a recording ends, its steps are optimized once, so that a replay runs
 only numpy work whose result can change (``_optimize``): steps computed from
-constants made inside the recording are folded, a step repeating an earlier
-one is merged into it (also across a probe program and the tape it
-extends), and each ``add`` chain of ``embed``s that assembles a flat
-parameter's cotangent becomes one ``np.concatenate``. Each rewrite is exact;
-the docstrings of ``_optimize`` and ``_fuse_assembly`` say why. Some ops
-call cheaper kernels that compute the same bits: ``np.square`` and
+constants made inside the recording are folded, and a step repeating an
+earlier one is merged into it (also across a probe program and the tape it
+extends). Each rewrite is exact; the docstring of ``_optimize`` says why.
+Some ops call cheaper kernels that compute the same bits: ``np.square`` and
 ``np.reciprocal`` for the powers 2 and -1, ``einsum`` for axis-0 sums of
 C-contiguous matrices (``_power_kernel``, ``_sum_rows``), and
 ``np.add.reduce``, the call behind ``ndarray.sum``, for other sums. In a
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections import Counter
 from contextlib import contextmanager
 from functools import cache, partial
 from operator import itemgetter, methodcaller
@@ -166,38 +165,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
-
-    # Arithmetic sugar; all routed through the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_float64(x) -> np.ndarray:
@@ -624,8 +591,7 @@ def _optimize(recorded: list, table: _Table) -> list:
       Later steps read the earlier node, and the repeat becomes an alias
       step that hands it the earlier node's array, so every node still holds
       current data for whatever reads the tape from outside: the loss, the
-      gradient, a program extending this one, or :func:`find_nonfinite`;
-    - gradient assembly is fused (see :func:`_fuse_assembly`).
+      gradient, a program extending this one, or :func:`find_nonfinite`.
 
     A step that makes a 0-d node gets an array back, as :class:`Tensor`
     makes one of numpy's scalar result: a ufunc or a sum writes into the
@@ -656,7 +622,7 @@ def _optimize(recorded: list, table: _Table) -> list:
         else:
             steps.append((node, fn, a, b))
     return [(node, fn if node.data.ndim or fn is _same else _scalar_step(node, fn), a, b)
-            for node, fn, a, b in _fuse_assembly(steps, table)]
+            for node, fn, a, b in steps]
 
 
 def _same(x):
@@ -675,90 +641,20 @@ def _scalar_step(node: Tensor, fn):
     return lambda *args: np.asarray(fn(*args), dtype=np.float64)
 
 
-class _Parts:
-    """The input of a fused assembly step: its parts' current arrays."""
-
-    __slots__ = ("nodes",)
-
-    def __init__(self, nodes: tuple[Tensor, ...]):
-        self.nodes = nodes
-
-    @property
-    def data(self) -> list[np.ndarray]:
-        return [node.data for node in self.nodes]
+def _outputs(output: Tensor | Sequence[Tensor]) -> list[Tensor]:
+    return [output] if type(output) is Tensor else list(output)
 
 
-def _assembled(parts: list[np.ndarray]) -> np.ndarray:
-    out = np.concatenate(parts)
-    out += 0.0
-    return out
-
-
-def _fuse_assembly(steps: list, table: _Table) -> list:
-    """Join each ``add`` chain of ``embed``s that tile a vector into one step.
-
-    A flat parameter's cotangent is assembled from one ``embed`` per slice
-    read of it, added up in a chain. At each position one embed holds the
-    slice's value x and every other holds +0.0, so the chain computes
-    ``x + 0.0`` there, whatever its order: x itself, except that -0.0
-    becomes +0.0. ``np.concatenate`` of the slices followed by ``+= 0.0``
-    computes the same. The embeds and partial sums of a fused chain are
-    read by nothing but the chain (VJPs of ``add`` and ``embed`` read only
-    their shapes), so they are no longer computed, and their steps leave
-    the table so that no later program reads their stale data.
-    """
-    made = {node: i for i, (node, _, _, _) in enumerate(steps)}
-    uses = Counter(x for _, _, a, b in steps for x in (a, b))
-    dropped: set[int] = set()
-    for i in reversed(range(len(steps))):
-        head, fn, a, b = steps[i]
-        if fn is not np.add or i in dropped:
-            continue
-        slices, chain, pending = [], [], [a, b]
-        while pending:
-            x = pending.pop()
-            j = made.get(x)
-            if j is None or uses[x] != 1:
-                break
-            _, f, xa, xb = steps[j]
-            if f is np.add:
-                pending += (xa, xb)
-            elif type(f) is partial and f.func is _embedded:
-                slices.append((f.args[0], xa))
-            else:
-                break
-            chain.append(j)
-        else:
-            slices.sort(key=itemgetter(0))
-            if _tiles(slices, head.data.shape[0]):
-                steps[i] = (head, _assembled, _Parts(tuple(x for _, x in slices)), None)
-                dropped.update(chain)
-                for j in chain:
-                    _, f, xa, xb = steps[j]
-                    del table.steps[f, xa, xb]
-    return [step for i, step in enumerate(steps) if i not in dropped]
-
-
-def _tiles(slices: list, length: int) -> bool:
-    """Whether the (start, node) slices, sorted by start, cover [0, length)
-    exactly once."""
-    end = 0
-    for start, x in slices:
-        if start != end:
-            return False
-        end += x.data.shape[0]
-    return end == length
-
-
-def _toposort(output: Tensor) -> list[Tensor]:
-    """Iterative topological order of the needs_grad subgraph ending at output.
+def _toposort(outputs: list[Tensor]) -> list[Tensor]:
+    """Iterative topological order of the needs_grad subgraph ending at outputs.
 
     A ``None`` pushed above a node marks it as expanded: popping the marker
-    emits the node beneath it.
+    emits the node beneath it. The last output is expanded first, as the
+    second input of an ``add`` is.
     """
     topo: list[Tensor] = []
     visited: set[Tensor] = set()
-    stack: list[Tensor | None] = [output]
+    stack: list[Tensor | None] = list(outputs)
     while stack:
         node = stack.pop()
         if node is None:
@@ -775,8 +671,8 @@ def _toposort(output: Tensor) -> list[Tensor]:
     return topo
 
 
-def backward(output: Tensor, wrt: Sequence[Tensor],
-             cotangent: Tensor | None = None) -> list[Tensor]:
+def backward(output: Tensor | Sequence[Tensor], wrt: Sequence[Tensor],
+             cotangent: Tensor | Sequence[Tensor | None] | None = None) -> list[Tensor]:
     """Reverse-mode pass from a scalar ``output`` to the ``wrt`` leaves.
 
     Returns one cotangent tensor per entry of ``wrt``. The cotangents are
@@ -789,12 +685,22 @@ def backward(output: Tensor, wrt: Sequence[Tensor],
     Backpropagating ``dot(output, z)`` reaches ``output`` with ``1.0 * z``,
     which is z bit for bit, so ``cotangent=z`` gives the same cotangents
     without computing the dot.
+
+    ``output`` may be a list, with one cotangent (or None) per output. One
+    pass from them all visits the nodes as backpropagating the chain
+    ``add(add(dot(g1, z1), dot(g2, z2)), ...)`` does, so it gives its bits.
     """
-    if cotangent is None and output.data.ndim != 0:
-        raise ValueError("backward requires a scalar output")
-    cotangents: dict[Tensor, Tensor] = {
-        output: constant(1.0) if cotangent is None else cotangent}
-    for node in reversed(_toposort(output)):
+    outputs = _outputs(output)
+    seeds = [cotangent] if type(output) is Tensor else cotangent or [None] * len(outputs)
+    cotangents: dict[Tensor, Tensor] = {}
+    for out, seed in zip(outputs, seeds):
+        if seed is None:
+            if out.data.ndim != 0:
+                raise ValueError("backward requires a scalar output")
+            seed = constant(1.0)
+        prev = cotangents.get(out)
+        cotangents[out] = seed if prev is None else add(prev, seed)
+    for node in reversed(_toposort(outputs)):
         cot = cotangents.get(node)
         if cot is None:
             continue
@@ -811,9 +717,9 @@ def backward(output: Tensor, wrt: Sequence[Tensor],
     return results
 
 
-def find_nonfinite(output: Tensor) -> Tensor | None:
-    """First node (in forward order) holding a non-finite value, if any."""
-    for node in _toposort(output):
+def find_nonfinite(output: Tensor | Sequence[Tensor]) -> Tensor | None:
+    """First node (in forward order) ending at ``output``(s) that is not finite, if any."""
+    for node in _toposort(_outputs(output)):
         if not all_finite(node.data):
             return node
     return None
@@ -831,9 +737,11 @@ def all_finite(x: np.ndarray) -> bool:
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
-def check_finite(output: Tensor, context: str, phase: str | None = None) -> None:
-    """Raise :class:`NumericError` naming the offending op if non-finite."""
-    if all_finite(output.data):
+def check_finite(output: Tensor | Sequence[Tensor], context: str,
+                 phase: str | None = None) -> None:
+    """Raise :class:`NumericError` naming the offending op if ``output``, or
+    an output of a list, is non-finite."""
+    if all(all_finite(out.data) for out in _outputs(output)):
         return
     bad = find_nonfinite(output)
     op = bad.op if bad is not None else "unknown"

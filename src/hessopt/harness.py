@@ -396,12 +396,13 @@ class _SeedPass:
     ``configs`` (the seed's run configs) in one ``probe_keys`` call.
     ``companions`` maps (key, iters) to the gradient-descent companion time of
     the first run of that key that timed one and finished ok; ``run`` reads
-    and fills it. One instance lives for one seed of one ``sweep()`` call.
+    and fills it. One instance lives for one seed of one ``sweep()`` call, or
+    for one standalone ``run()``.
     """
 
     def __init__(self, seed: int, problems: dict, configs: typing.Iterable[RunConfig] = ()):
         self.seed = seed
-        self._problems = problems
+        self.problems = problems
         self._streams: dict[str, list] = {}
         self.companions: dict[tuple[str, int], float] = {}
         iterations = sorted({t for config in configs
@@ -414,9 +415,6 @@ class _SeedPass:
     def _key(config: RunConfig) -> str:
         return _dump_json_line({"problem": config.problem,
                                 "params": config.problem_params})
-
-    def problem(self, config: RunConfig):
-        return self._problems[self._key(config)]
 
     def probe_keys(self, iterations: list[int]) -> np.ndarray:
         """Probe keys of ``iterations``, all estimate iterations of the pass's
@@ -484,29 +482,24 @@ def run(config: RunConfig, write_files: bool = True, *,
     reading ``iteration <t>, <phase>: <message>``. With ``cost_ratio`` on,
     the gradient-descent companion (SGD with lr 1e-9, momentum 0.9, constant
     schedule, no weight decay) runs one ``_iterate`` before each of the run's.
-    ``_shared`` is internal to ``sweep``: the run reads its problem and batches
-    from the seed pass, and its companion time once a run has stored one.
+    It reads its problem, batches, probe keys and companion time (once stored)
+    from a seed pass: ``_shared``, internal to ``sweep``, or one of its own.
     """
     config.validate()
-    if _shared is not None:
-        problem = _shared.problem(config)
-        batches = _shared.batches(config, problem)[:config.iters]
-    else:
-        problem = _build_problem(config)
-        batches = (problem.sample_batch(t, config.seed) for t in range(1, config.iters + 1))
+    key = _SeedPass._key(config)
+    if _shared is None:
+        _shared = _SeedPass(config.seed, {key: _build_problem(config)}, [config])
+    problem = _shared.problems[key]
+    batches = _shared.batches(config, problem)[:config.iters]
     opt = make_optimizer(config.optimizer, problem.dim, group_sizes=problem.group_sizes,
                          **_optimizer_args(config))
     schedule = make_schedule(config.schedule, **config.schedule_params)
     hcfg = _hutchinson_config(config)
-    probes = None
-    if hcfg is not None:
-        # every estimate's key is derived here, before the loop
-        iterations = estimate_iterations(hcfg, config.iters)
-        keys = (_shared.probe_keys(iterations) if _shared is not None
-                else probe_keys(config.seed, iterations))
-        probes = (hcfg, iter(keys))
-    companion_key = (_SeedPass._key(config), config.iters)
-    sgd_time = _shared.companions.get(companion_key) if _shared is not None else None
+    # every estimate's key is derived before the loop
+    probes = (None if hcfg is None else
+              (hcfg, iter(_shared.probe_keys(estimate_iterations(hcfg, config.iters)))))
+    companion_key = (key, config.iters)
+    sgd_time = _shared.companions.get(companion_key)
     sgd = None
     if config.cost_ratio and sgd_time is None:
         # Its tiny learning rate keeps its iterates ordinary; only its time is used.
@@ -586,8 +579,7 @@ def run(config: RunConfig, write_files: bool = True, *,
     if config.cost_ratio and status == "ok":
         if sgd_time is None:
             sgd_time = statistics.median(sgd_seconds[10:] or sgd_seconds)
-            if _shared is not None:
-                _shared.companions[companion_key] = sgd_time
+            _shared.companions[companion_key] = sgd_time
         if sgd_time > 0:
             summary["sgd_median_iter_seconds"] = sgd_time
             summary["cost_ratio_vs_sgd"] = summary["amortized_iter_seconds"] / sgd_time

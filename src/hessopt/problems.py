@@ -17,19 +17,22 @@ Hessian-vector product within one optimizer iteration always share a batch.
 
 Parameters are flat float64 vectors. ``group_sizes`` records the parameter
 tensor layout (weight matrices, biases) so block-structured operations never
-straddle tensor boundaries.
+straddle tensor boundaries. A loss reads one tensor per group
+(``loss(params, *inputs)``); ``build_loss`` narrows them from a flat theta.
 
 Tapes are recorded once and replayed (see ``hessopt.autodiff``). A problem
 keeps one recorded tape per batch shape (``None`` for full batch), replayed by
 both ``value_and_gradient`` and ``full_tape``; the tape also keeps the
 program of its HVP probe, recorded on its first probe as an extension of the
 tape's program, so that steps the probe repeats of the tape (tanh's
-``1 - y**2``, the weights' transposes) are computed once. The leaves are made
-before each recording, and each program is optimized once when its
-recording ends (constants folded, repeated steps merged, the gradient
-assembled by one concatenation). A replay writes theta, the batch's arrays
-(``batch_inputs``) and the probe into the recorded leaves and reruns the
-remaining numpy steps, so its outputs equal a fresh tape's bit for bit.
+``1 - y**2``, the weights' transposes) are computed once. The leaves, one
+per parameter tensor and one per batch array (``batch_inputs``), are made
+before each recording, and each program is optimized once when its recording
+ends (constants folded, repeated steps merged). The probe is one backward
+pass from every gradient part, seeded with z's slice. A replay writes the
+slices of theta, the batch's arrays and the probe into the recorded leaves
+and reruns the remaining numpy steps, then joins the gradient's and the HVP's
+parts, so its outputs equal a fresh tape's at a flat theta bit for bit.
 Everything a loss computes from those leaves must therefore be a taped op:
 data selected by the batch enters only through ``batch_inputs``. After a
 batch shape's first recording, every gradient and HVP of it is a replay: an
@@ -41,6 +44,7 @@ raised is never kept.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -68,31 +72,49 @@ __all__ = [
 ]
 
 
-class _Tape:
-    """A recorded gradient tape: its leaves, loss, gradient and program.
+def _group_slices(group_sizes: Sequence[int]) -> list[slice]:
+    """The slice of a flat parameter vector holding each tensor."""
+    stops = list(itertools.accumulate(group_sizes))
+    return [slice(stop - size, stop) for size, stop in zip(group_sizes, stops)]
 
-    ``leaves`` are the parameter leaf and then one leaf per batch input.
-    ``generation`` counts the tape's replays, so an hvp callable can tell
-    that the nodes it would read now hold another point's data. ``probe``
-    holds the recorded probe program over this tape, its probe leaf and its
-    output, once a first probe has succeeded.
+
+def _split(x: np.ndarray, slices: list[slice]) -> list[np.ndarray]:
+    """Views of ``x``'s parameter tensors; ``[x]`` itself for one tensor."""
+    return [x] if len(slices) == 1 else [x[part] for part in slices]
+
+
+class _Tape:
+    """A gradient tape of ``problem``, recorded at ``theta`` and ``inputs``.
+
+    ``params`` holds one leaf per parameter tensor, written with theta's
+    ``slices``, and ``inputs`` one per batch array; ``grads`` holds the
+    gradient's part of each parameter leaf. ``generation`` counts the tape's
+    replays, so an hvp callable can tell that the nodes it would read now
+    hold another point's data. ``probe`` holds the recorded probe program
+    over this tape, its leaves and its outputs (the HVP's parts), once a
+    first probe has succeeded.
     """
 
-    __slots__ = ("leaves", "loss", "grad", "program", "generation", "probe")
+    __slots__ = ("params", "inputs", "slices", "loss", "grads", "program", "generation",
+                 "probe")
 
-    def __init__(self, leaves: list, loss: ad.Tensor, grad: ad.Tensor, program: ad.Program):
-        self.leaves = leaves
-        self.loss = loss
-        self.grad = grad
-        self.program = program
+    def __init__(self, problem: "DifferentiableProblem", theta: np.ndarray, inputs):
+        self.slices = _group_slices(problem.group_sizes)
+        self.params = [ad.variable(part) for part in _split(theta, self.slices)]
+        self.inputs = list(map(ad.constant, inputs))
+        self.program = ad.Program()
+        with self.program.recording():
+            self.loss = problem.loss(self.params, *self.inputs)
+            self.grads = ad.backward(self.loss, self.params)
         self.generation = 0
-        self.probe: tuple[ad.Program, ad.Tensor, ad.Tensor] | None = None
+        self.probe: tuple[ad.Program, list, list] | None = None
 
     def replay(self, theta: np.ndarray, inputs) -> None:
         """Rerun the recorded tape at new leaf data."""
         self.generation += 1
-        self.leaves[0].data = theta
-        for leaf, x in zip(self.leaves[1:], inputs):
+        for leaf, part in zip(self.params, _split(theta, self.slices)):
+            leaf.data = part
+        for leaf, x in zip(self.inputs, inputs):
             leaf.data = ad.as_float64(x)
         self.program.replay()
 
@@ -101,8 +123,8 @@ class DifferentiableProblem:
     """Base class for scalar objectives with exact second-order products.
 
     A subclass declares the arrays its loss reads of a batch
-    (:meth:`batch_inputs`) and builds the taped loss from the parameter
-    tensor and one leaf per array (:meth:`loss`). Everything else (values,
+    (:meth:`batch_inputs`) and builds the taped loss from its parameter
+    tensors and one leaf per array (:meth:`loss`). Everything else (values,
     gradients, Hessian-vector products) derives from that single definition,
     so the three are consistent by construction.
     """
@@ -120,13 +142,22 @@ class DifferentiableProblem:
         """The arrays the loss reads of ``batch``, each entering the tape as a leaf."""
         raise NotImplementedError
 
-    def loss(self, theta: ad.Tensor, *inputs: ad.Tensor) -> ad.Tensor:
-        """The taped scalar loss from the parameter tensor and one leaf per
-        array of :meth:`batch_inputs`."""
+    def loss(self, params: list[ad.Tensor], *inputs: ad.Tensor) -> ad.Tensor:
+        """The taped scalar loss from the parameter tensors, one 1-D tensor
+        per entry of ``group_sizes``, and one leaf per array of
+        :meth:`batch_inputs`."""
         raise NotImplementedError
 
     def build_loss(self, theta: ad.Tensor, batch: np.ndarray | None) -> ad.Tensor:
-        return self.loss(theta, *map(ad.constant, self.batch_inputs(batch)))
+        """The loss at a flat ``theta`` tensor, an eager tape unless recorded."""
+        return self.loss(self._params(theta), *map(ad.constant, self.batch_inputs(batch)))
+
+    def _params(self, theta: ad.Tensor) -> list[ad.Tensor]:
+        """The parameter tensors narrowed from a flat ``theta``; ``[theta]`` for one."""
+        if len(self.group_sizes) == 1:
+            return [theta]
+        return [ad.narrow(theta, part.start, part.stop - part.start)
+                for part in _group_slices(self.group_sizes)]
 
     def sample_batch(self, t: int, seed: int) -> np.ndarray | None:
         """Deterministic index batch for iteration ``t``; None if full-batch."""
@@ -163,8 +194,8 @@ class DifferentiableProblem:
         return loss.item()
 
     def value_and_gradient(self, theta, batch=None) -> tuple[float, np.ndarray]:
-        tape = self._gradient_tape(self._check_theta(theta), batch)
-        return tape.loss.item(), tape.grad.data.copy()
+        tape, grad = self._gradient_tape(self._check_theta(theta), batch)
+        return tape.loss.item(), grad
 
     def gradient(self, theta, batch=None) -> np.ndarray:
         return self.value_and_gradient(theta, batch)[1]
@@ -186,7 +217,7 @@ class DifferentiableProblem:
         its own ``theta`` and ``batch`` before probing.
         """
         theta = self._check_theta(theta)
-        tape = self._gradient_tape(theta, batch)
+        tape, grad = self._gradient_tape(theta, batch)
         generation = tape.generation
 
         def apply(z: np.ndarray) -> np.ndarray:
@@ -199,55 +230,67 @@ class DifferentiableProblem:
                 generation = tape.generation
             return self._probe(tape, z)
 
-        return tape.loss.item(), tape.grad.data.copy(), apply
+        return tape.loss.item(), grad, apply
 
-    def _gradient_tape(self, theta: np.ndarray, batch) -> _Tape:
+    def _gradient_tape(self, theta: np.ndarray, batch) -> tuple[_Tape, np.ndarray]:
         """The tape of this batch shape at ``theta``, recorded on first use and
-        replayed after; a non-finite loss or gradient raises the NumericError
-        naming the op, and a recording that raised is not kept."""
+        replayed after, and its joined gradient; a non-finite loss or gradient
+        raises the NumericError naming the op, and a recording that raised is
+        not kept."""
         inputs = self.batch_inputs(batch)
         key = None if batch is None else batch.shape
         tape = self._tapes.get(key)
         if tape is None:
-            leaves = [ad.variable(theta), *map(ad.constant, inputs)]
-            program = ad.Program()
-            with program.recording():
-                loss = self.loss(*leaves)
-                (grad,) = ad.backward(loss, leaves[:1])
-            tape = _Tape(leaves, loss, grad, program)
+            tape = _Tape(self, theta, inputs)
         else:
             tape.replay(theta, inputs)
         # A replay names the op as a fresh recording does: folded nodes are
-        # constants and merged ones get alias steps. The embeds and sums of a
-        # fused assembly keep the recording's finite data; a fresh tape's are
-        # non-finite only after a slice they read, which comes first in order.
-        if not (math.isfinite(tape.loss.data) and ad.all_finite(tape.grad.data)):
+        # constants and merged ones get alias steps.
+        if not math.isfinite(tape.loss.data):
             self._check(tape.loss, "loss")
-            self._check(tape.grad, "gradient")
+        grad = self._joined(tape.grads, "gradient")
         self._tapes[key] = tape
-        return tape
+        return tape, grad
 
     def _probe(self, tape: _Tape, z: np.ndarray) -> np.ndarray:
         """``H @ z`` over a tape holding its current generation: its first probe
-        is recorded as a program extending the tape's, and later ones replay
-        it. A non-finite HVP raises the NumericError naming the op."""
+        is recorded as a program extending the tape's, one backward pass from
+        every gradient part seeded with z's slice, and later ones replay it.
+        A non-finite HVP raises the NumericError naming the op."""
         if tape.probe is None:
-            leaf = ad.constant(z)
+            leaves = [ad.constant(part) for part in _split(z, tape.slices)]
             program = ad.Program(extends=tape.program)
             with program.recording():
-                (hz,) = ad.backward(tape.grad, tape.leaves[:1], leaf)
-                self._check(hz, "hvp")  # so that a probe that raised is not kept
-            tape.probe = (program, leaf, hz)
-        else:
-            program, leaf, hz = tape.probe
-            leaf.data = z
-            program.replay()
-            self._check(hz, "hvp")
-        return hz.data.copy()
+                hz = ad.backward(tape.grads, tape.params, leaves)
+                hvp = self._joined(hz, "hvp")  # so that a probe that raised is not kept
+            tape.probe = (program, leaves, hz)
+            return hvp
+        program, leaves, hz = tape.probe
+        for leaf, part in zip(leaves, _split(z, tape.slices)):
+            leaf.data = part
+        program.replay()
+        return self._joined(hz, "hvp")
 
-    def _check(self, node: ad.Tensor, what: str) -> None:
-        """Raise the NumericError naming the op if ``node`` is not finite."""
-        ad.check_finite(node, f"{self.name} {what}", phase=what)
+    def _joined(self, parts: list[ad.Tensor], what: str) -> np.ndarray:
+        """A new flat vector of the parts' data; raises the NumericError naming
+        the op if it is not finite. A flat theta read through slices gets its
+        cotangent by adding one zero-padded vector per slice that backward
+        reaches (a part it does not reach is its zero constant), which makes
+        -0.0 +0.0 once there are two: so then does ``+= 0.0``."""
+        if len(parts) == 1:
+            out = parts[0].data.copy()
+        else:
+            out = np.concatenate([part.data for part in parts])
+            if sum(part.op != "constant" for part in parts) > 1:
+                out += 0.0
+        if not ad.all_finite(out):
+            self._check(parts, what)
+        return out
+
+    def _check(self, output: ad.Tensor | list[ad.Tensor], what: str) -> None:
+        """Raise the NumericError naming the op if ``output``, a node or a
+        list of them, is not finite."""
+        ad.check_finite(output, f"{self.name} {what}", phase=what)
 
 
 class QuadraticProblem(DifferentiableProblem):
@@ -283,7 +326,8 @@ class QuadraticProblem(DifferentiableProblem):
     def batch_inputs(self, batch):
         return ()
 
-    def loss(self, theta):
+    def loss(self, params):
+        (theta,) = params
         Ax = ad.matmul(ad.constant(self.A), theta)
         quad = ad.mul(ad.constant(0.5), ad.dot(theta, Ax))
         return ad.add(quad, ad.dot(ad.constant(self.c), theta))
@@ -330,8 +374,8 @@ class NoisyParabola(DifferentiableProblem):
     def batch_inputs(self, batch):
         return ()
 
-    def loss(self, theta):
-        x = theta  # length-1 vector; taped ops are elementwise
+    def loss(self, params):
+        (x,) = params  # length-1 vector; taped ops are elementwise
         ripple = ad.mul(ad.mul(ad.constant(0.1), x), ad.sin(ad.mul(ad.constant(20.0 * math.pi), x)))
         return ad.tsum(ad.add(ad.square(x), ripple))
 
@@ -426,7 +470,8 @@ class LogisticRegression(DifferentiableProblem):
             return self.data.X, self.data.y
         return self.data.X.take(batch, axis=0), self.data.y.take(batch, axis=0)
 
-    def loss(self, theta, X, y):
+    def loss(self, params, X, y):
+        (theta,) = params
         margins = ad.mul(y, ad.matmul(X, theta))
         return ad.mean(ad.softplus(ad.neg(margins)))
 
@@ -447,16 +492,10 @@ class LogisticRegression(DifferentiableProblem):
         return self.analytic_hessian(theta, batch) @ np.asarray(z, dtype=np.float64)
 
 
-def _mlp_slices(layers: Sequence[int]):
-    """(start, shape) for each weight matrix and bias vector, in order."""
-    slices = []
-    offset = 0
-    for fan_in, fan_out in zip(layers[:-1], layers[1:]):
-        slices.append((offset, (fan_in, fan_out)))
-        offset += fan_in * fan_out
-        slices.append((offset, (fan_out,)))
-        offset += fan_out
-    return slices, offset
+def _mlp_shapes(layers: Sequence[int]) -> list[tuple[int, ...]]:
+    """The shape of each weight matrix and bias vector, in order."""
+    return [shape for fan_in, fan_out in zip(layers[:-1], layers[1:])
+            for shape in ((fan_in, fan_out), (fan_out,))]
 
 
 class _MLPBase(DifferentiableProblem):
@@ -470,16 +509,18 @@ class _MLPBase(DifferentiableProblem):
             raise ValueError("first layer width must match feature count")
         self.layers = layers
         self.data = data
-        self._slices, self.dim = _mlp_slices(layers)
+        self._shapes = _mlp_shapes(layers)
+        sizes = [math.prod(shape) for shape in self._shapes]
+        self.dim = sum(sizes)
         self.name = name
         self.batch_size = _check_batch_size(batch_size, data.n)
         if self.dim > 64:
             raise ValueError("tiny MLP exceeds d = 64; shrink the layer widths")
         super().__init__()
-        self.group_sizes = [int(np.prod(shape)) for _, shape in self._slices]
+        self.group_sizes = sizes
         rng = np.random.default_rng(data.seed + 1)
         init = []
-        for _, shape in self._slices:
+        for shape in self._shapes:
             if len(shape) == 2:
                 scale = 1.0 / math.sqrt(shape[0])
                 init.append(rng.normal(0.0, scale, size=shape).ravel())
@@ -498,13 +539,11 @@ class _MLPBase(DifferentiableProblem):
             return self.data.X, self.targets
         return self.data.X.take(batch, axis=0), self.targets.take(batch, axis=0)
 
-    def _forward(self, theta, X: ad.Tensor, hidden: list | None = None) -> ad.Tensor:
+    def _forward(self, params, X: ad.Tensor, hidden: list | None = None) -> ad.Tensor:
         """Output layer of the network; ``hidden``, if given, collects each
         hidden layer's pre-activation data."""
-        params = []
-        for (start, shape), size in zip(self._slices, self.group_sizes):
-            flat = ad.narrow(theta, start, size)
-            params.append(ad.reshape(flat, shape) if len(shape) == 2 else flat)
+        params = [ad.reshape(flat, shape) if len(shape) == 2 else flat
+                  for flat, shape in zip(params, self._shapes)]
         h = X
         n_layers = len(self.layers) - 1
         for i in range(n_layers):
@@ -521,7 +560,7 @@ class _MLPBase(DifferentiableProblem):
             return np.empty(0)
         hidden: list[np.ndarray] = []
         X = ad.constant(self.batch_inputs(batch)[0])
-        self._forward(ad.constant(self._check_theta(theta)), X, hidden)
+        self._forward(self._params(ad.constant(self._check_theta(theta))), X, hidden)
         return np.concatenate([h.ravel() for h in hidden])
 
 
@@ -531,8 +570,8 @@ class TinyMLPRegression(_MLPBase):
 
     activation = "tanh"
 
-    def loss(self, theta, X, y):
-        out = self._forward(theta, X)  # (n, 1)
+    def loss(self, params, X, y):
+        out = self._forward(params, X)  # (n, 1)
         resid = ad.sub(ad.reshape(out, (X.shape[0],)), y)
         return ad.mean(ad.square(resid))
 
@@ -552,8 +591,8 @@ class TinyMLPClassifier(_MLPBase):
         super().__init__(data, layers, name, batch_size)
         self.targets = np.eye(self.layers[-1])[data.y]  # one-hot labels
 
-    def loss(self, theta, X, onehot):
-        logits = self._forward(theta, X)  # (n, classes)
+    def loss(self, params, X, onehot):
+        logits = self._forward(params, X)  # (n, classes)
         picked = ad.tsum(ad.mul(logits, onehot), axis=1)
         return ad.mean(ad.sub(ad.logsumexp_rows(logits), picked))
 

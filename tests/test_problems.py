@@ -255,8 +255,9 @@ class TestSharedInterface:
         if name != "tiny-mlp-relu":
             assert got.size == 0
             return
-        (w_start, w_shape), (b_start, b_shape) = p._slices[:2]
-        W = theta[w_start:w_start + w_shape[0] * w_shape[1]].reshape(w_shape)
+        w_shape, b_shape = p._shapes[:2]
+        b_start = w_shape[0] * w_shape[1]
+        W = theta[:b_start].reshape(w_shape)
         b = theta[b_start:b_start + b_shape[0]]
         np.testing.assert_allclose(got, (p.data.X @ W + b).ravel(), rtol=1e-14)
 
