@@ -8,8 +8,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration error (or a file ``report`` cannot
 read), 2 numeric failure during a run (one ``numeric failure:`` line on
-stderr names its iteration and phase), 3 verification failure. The default
-output directory is taken from ``$HESSOPT_OUT`` when set, else ``./runs``.
+stderr names its iteration and phase), 3 verification failure. Every file
+and JSON flag loaded is read and checked field by field by ``harness``, so a
+bad one is a config error. The default output directory is taken from
+``$HESSOPT_OUT`` when set, else ``./runs``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from .autodiff import NumericError
 from .harness import (
     ConfigError,
     RunConfig,
+    json_object,
     load_trajectory,
     make_out_dir,
+    read_text,
     run,
     summarize_trajectory,
     sweep,
@@ -85,13 +89,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for name in ("problem_params", "schedule_params"):
         raw = getattr(args, name)
         if raw is not None:
-            try:
-                parsed = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--{name.replace('_', '-')} is not valid JSON: {exc}")
-            if not isinstance(parsed, dict):
-                raise ConfigError(f"--{name.replace('_', '-')} must be a JSON object")
-            overrides[name] = parsed
+            overrides[name] = json_object(raw, f"--{name.replace('_', '-')}")
     if args.no_hessian_ema:
         overrides["hessian_ema"] = False
     if args.no_cost_ratio:
@@ -192,53 +190,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.path)
-    if not path.exists():
-        raise ConfigError(f"no such file: {path}")
-    if path.is_dir():
-        raise ConfigError(f"cannot report on {path.name!r}: it is a directory")
-    if path.suffix == ".jsonl":
-        # A line that is not JSON, a file that is not text, or a record whose
-        # fields have the wrong types, fails here as a ValueError or a TypeError.
-        try:
-            digest = summarize_trajectory(path)
-            _, records = load_trajectory(path)
-            show = records[:3] + ([] if len(records) <= 6 else records[-3:])
-            rows = [f"  t={r['t']:<5d} loss={r['loss']:.6e} |g|={r['grad_norm']:.3e}"
-                    f" lr={r['lr']:.4g} hess={'Y' if r['hessian_computed'] else 'n'}"
-                    for r in show]
-        except (OSError, ValueError, TypeError) as exc:
-            raise ConfigError(f"cannot report on {path.name!r}: {exc}") from None
-        config = digest.pop("config", {})
-        print(f"trajectory: {path}")
-        print(f"problem: {config.get('problem')}  optimizer: {config.get('optimizer')}"
-              f"  seed: {config.get('seed')}")
-        for key, value in digest.items():
-            print(f"{key}: {value}")
-        for row in rows:
-            print(row)
-    elif path.suffix == ".csv":
-        print(_read_text(path).rstrip())
-    elif path.suffix == ".json":
-        try:
-            data = json.loads(_read_text(path))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot report on {path.name!r}: not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"cannot report on {path.name!r}: expected a JSON object")
-        for key, value in data.items():
-            print(f"{key}: {value}")
-    else:
-        raise ConfigError(f"cannot report on {path.name!r}; expected .jsonl, .json, or .csv")
-    return 0
-
-
-def _read_text(path: Path) -> str:
-    """The text of a file to report on; one that cannot be read as text is a
-    config error."""
     try:
-        return path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        if path.is_dir():
+            raise ConfigError("it is a directory")
+        if path.suffix == ".jsonl":
+            header, records = load_trajectory(path)
+            config = header.get("config", {})
+            lines = [f"trajectory: {path}",
+                     f"problem: {config.get('problem')}  optimizer: {config.get('optimizer')}"
+                     f"  seed: {config.get('seed')}"]
+            lines += [f"{key}: {value}" for key, value in summarize_trajectory(records).items()]
+            lines += [f"  t={r['t']:<5d} loss={r['loss']:.6e} |g|={r['grad_norm']:.3e}"
+                      f" lr={r['lr']:.4g} hess={'Y' if r['hessian_computed'] else 'n'}"
+                      for r in records[:3] + ([] if len(records) <= 6 else records[-3:])]
+        elif path.suffix == ".csv":
+            lines = [read_text(path, "file").rstrip()]
+        elif path.suffix == ".json":
+            data = json_object(read_text(path, "file"), "file")
+            lines = [f"{key}: {value}" for key, value in data.items()]
+        else:
+            raise ConfigError("expected .jsonl, .json, or .csv")
+    except ConfigError as exc:
         raise ConfigError(f"cannot report on {path.name!r}: {exc}") from None
+    print("\n".join(lines))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,6 +271,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # as on stderr, a lone surrogate from a loaded file prints as an escape
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main())
 
 

@@ -52,7 +52,7 @@ import os
 import statistics
 import time
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +75,8 @@ __all__ = [
     "sweep",
     "load_trajectory",
     "summarize_trajectory",
+    "read_text",
+    "json_object",
     "write_atomic",
 ]
 
@@ -82,8 +84,6 @@ TRAJECTORY_SCHEMA = "hessopt-trajectory-1"
 CONFIG_SCHEMA = "hessopt-run-1"
 SNAPSHOT_MAX_DIM = 16
 NAME_MAX = 255  # bytes in one file name on common file systems
-# Keys of every trajectory record; ``theta`` is there only for small problems.
-RECORD_KEYS = frozenset({"t", "loss", "grad_norm", "lr", "hessian_computed"})
 
 
 class ConfigError(ValueError):
@@ -126,12 +126,9 @@ class RunConfig:
     cost_ratio: bool = True
 
     def validate(self) -> "RunConfig":
-        for name, allowed in _field_types().items():
+        _check_fields(RunConfig, vars(self))
+        for name, (allowed, _) in _field_types(RunConfig).items():
             value = getattr(self, name)
-            if not any(_has_type(value, tp) for tp in allowed):
-                expected = " or ".join("null" if tp is type(None) else tp.__name__
-                                       for tp in allowed)
-                raise ConfigError(f"{name} must be {expected}, got {value!r}")
             if float in allowed and value is not None and not _is_finite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.problem not in problem_names():
@@ -150,18 +147,11 @@ class RunConfig:
             raise ConfigError(
                 f"unknown optimizer {self.optimizer!r}; available: {', '.join(optimizer_names())}"
             )
-        if self.iters < 1:
-            raise ConfigError("iters must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.hessian_freq < 1:
-            raise ConfigError("hessian-freq must be >= 1")
-        if self.warmup < 0:
-            raise ConfigError("warmup must be >= 0")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
-        if self.block_size < 1:
-            raise ConfigError("block-size must be >= 1")
+        for name, least in (("iters", 1), ("seed", 0), ("hessian_freq", 1), ("warmup", 0),
+                            ("samples", 1), ("block_size", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name.replace('_', '-')} must be >= {least}, "
+                                  f"got {getattr(self, name)}")
         # the summary's temporary name is the longest one a run derives
         _check_file_name("run-name", self.default_run_name(), ".summary.json")
         try:
@@ -176,19 +166,9 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        """Load a JSON config file (schema ``hessopt-run-1``)."""
-        try:
-            data = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except OSError as exc:  # a directory, or a file that cannot be read
-            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {path} is not text: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
+        """Load a JSON config file (schema ``hessopt-run-1``): a JSON object, or
+        a ConfigError. ``validate`` then checks it field by field."""
+        data = json_object(read_text(path, "config file"), "config file")
         data.pop("schema", None)
         return cls().with_overrides(data)
 
@@ -196,7 +176,7 @@ class RunConfig:
         known = {f.name for f in fields(self)}
         unknown = sorted(set(overrides) - known)
         if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+            raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         return replace(self, **overrides)
 
     def to_dict(self, include_out: bool = True) -> dict:
@@ -211,15 +191,57 @@ class RunConfig:
         return self.run_name or f"{self.problem}_{self.optimizer}_s{self.seed}"
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The text of the file ``path``, which the messages call ``what``. A file
+    that is missing, cannot be read or is not UTF-8 is a ConfigError."""
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not text: {exc}") from None
+
+
+def json_object(text: str, what: str) -> dict:
+    """``text`` decoded as one JSON object. Text that is not JSON, nests too
+    deep to decode, or holds another value is a ConfigError naming ``what``."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an int of too many digits
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what}: expected a JSON object")
+    return data
+
+
 @functools.cache
-def _field_types() -> dict[str, tuple]:
-    """Field name -> the types its annotation allows (``X | None`` allows both).
+def _field_types(cls) -> dict[str, tuple[tuple, bool]]:
+    """Field name -> the types its annotation allows (``X | None`` allows both),
+    and whether the dataclass ``cls`` requires it (it has no default).
 
     Resolved on first use rather than at import: evaluating the string
     annotations costs about as much as the rest of the module's import.
     """
-    return {name: typing.get_args(tp) or (tp,)
-            for name, tp in typing.get_type_hints(RunConfig).items()}
+    hints = typing.get_type_hints(cls)
+    return {f.name: (typing.get_args(hints[f.name]) or (hints[f.name],),
+                     f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def _check_fields(cls, data: dict, where: str = "") -> None:
+    """Check ``data``'s fields against the dataclass ``cls``: each one without a
+    default is there, and each has a type its annotation allows, or a
+    ConfigError prefixed by ``where`` names it. Other keys are left alone."""
+    for name, (allowed, required) in _field_types(cls).items():
+        if name not in data:
+            if required:
+                raise ConfigError(f"{where}{name} is missing")
+        elif not any(_has_type(data[name], tp) for tp in allowed):
+            expected = " or ".join("null" if tp is type(None) else tp.__name__
+                                   for tp in allowed)
+            raise ConfigError(f"{where}{name} must be {expected}, got {data[name]!r}")
 
 
 @functools.cache
@@ -242,13 +264,12 @@ def _optimizer_args(config: RunConfig) -> dict:
 
 
 def _has_type(value, tp) -> bool:
-    """isinstance for config fields: an int passes as float, a bool never as a number."""
-    if tp is type(None):
-        return value is None
-    if tp in (int, float) and isinstance(value, bool):
-        return False
+    """isinstance for dataclass fields: an int that a float can hold passes as
+    float, a bool never as a number."""
+    if isinstance(value, bool):
+        return tp is bool
     if tp is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, float) or isinstance(value, int) and _is_finite(value)
     return isinstance(value, tp)
 
 
@@ -661,29 +682,31 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
 
 
 def load_trajectory(path: str | Path) -> tuple[dict, list[dict]]:
-    """Read a trajectory file back into (header, records)."""
-    lines = Path(path).read_text().splitlines()
+    """Read a trajectory file back into (header, records), checked field by
+    field: the header's schema, its config a JSON object, and each record's
+    fields against ``TrajectoryRecord``'s annotations. A file that fails is a
+    ConfigError naming the line and the field."""
+    lines = read_text(path, "trajectory file").splitlines()
     if not lines:
-        raise ValueError(f"empty trajectory file: {path}")
-    header = json.loads(lines[0])
-    if not isinstance(header, dict) or header.get("schema") != TRAJECTORY_SCHEMA:
-        raise ValueError(f"unrecognized trajectory schema in {path}")
-    records = [json.loads(line) for line in lines[1:]]
-    for number, record in enumerate(records, start=2):
-        if not isinstance(record, dict) or not RECORD_KEYS <= record.keys():
-            raise ValueError(f"line {number} of {path} is not a record with the keys "
-                             f"{', '.join(sorted(RECORD_KEYS))}")
+        raise ConfigError(f"empty trajectory file: {path}")
+    header = json_object(lines[0], f"line 1 of {path}")
+    if header.get("schema") != TRAJECTORY_SCHEMA:
+        raise ConfigError(f"unrecognized trajectory schema in {path}")
+    if not isinstance(header.get("config", {}), dict):
+        raise ConfigError(f"line 1 of {path}: config: expected a JSON object")
+    records = []
+    for number, line in enumerate(lines[1:], start=2):
+        records.append(json_object(line, f"line {number} of {path}"))
+        _check_fields(TrajectoryRecord, records[-1], f"line {number} of {path}: ")
     return header, records
 
 
-def summarize_trajectory(path: str | Path) -> dict:
-    """Recompute summary statistics from a trajectory file alone."""
-    header, records = load_trajectory(path)
+def summarize_trajectory(records: list[dict]) -> dict:
+    """Recompute summary statistics from the records ``load_trajectory`` reads."""
     if not records:
-        return {"iterations_run": 0, "config": header.get("config", {})}
+        return {"iterations_run": 0}
     losses = [r["loss"] for r in records]
     return {
-        "config": header.get("config", {}),
         "iterations_run": len(records),
         "first_loss": losses[0],
         "last_recorded_loss": losses[-1],

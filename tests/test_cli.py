@@ -1,5 +1,7 @@
 """Tests for the command-line interface: subcommands, exit codes, output."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hessopt
 from hessopt import cli, harness, optim, oracle
@@ -59,7 +63,8 @@ class TestRunCommand:
         ("{oops", "config file is not valid JSON"),
         (b'{"lr": 0.1\xff}', "is not text: 'utf-8' codec can't decode byte 0xff"),
         (None, "cannot read config file"),
-    ], ids=["invalid-json", "not-utf8", "directory"])
+        ('{"a\\u001cb": 1}', r"unknown config keys: 'a\x1cb'"),
+    ], ids=["invalid-json", "not-utf8", "directory", "control-character-key"])
     def test_bad_config_file_exits_one(self, tmp_path, capsys, command, content, needle):
         cfg = write_input(tmp_path / "broken.json", content)
         grid = ["--grid", "lr=0.1"] if command == "sweep" else []
@@ -71,6 +76,18 @@ class TestRunCommand:
     def test_bad_problem_params_json_exits_one(self, tmp_path):
         code = main(["run", "--problem-params", "[1,2]", "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("flag,needle", [
+        ("--config", "config file is not valid JSON"),
+        ("--problem-params", "--problem-params is not valid JSON"),
+    ])
+    def test_deeply_nested_json_exits_one(self, tmp_path, capsys, flag, needle):
+        text = "[" * 100_000
+        value = str(write_input(tmp_path / "deep.json", text)) if flag == "--config" else text
+        code = main(["run", flag, value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert (code, len(err.strip().splitlines())) == (1, 1)
+        assert err.startswith("config error:") and needle in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exits_two(self, tmp_path, capsys):
@@ -447,6 +464,17 @@ class TestReportCommand:
         assert code == 0
         assert "final_loss_mean" in capsys.readouterr().out
 
+    def test_lone_surrogate_prints_as_an_escape(self, tmp_path):
+        # A console's strict UTF-8 stdout cannot encode one; the entry point
+        # prints it escaped, as stderr does, instead of raising.
+        path = write_input(tmp_path / "run.summary.json", '{"\\ud800": 1}')
+        src = str(Path(hessopt.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "hessopt.cli", "report", str(path)],
+                              env=env, capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"\\ud800: 1\n", b"")
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 1
 
@@ -474,11 +502,26 @@ class TestReportCommand:
          "line 2 of"),
         ("run.trajectory.jsonl", '{"schema": "hessopt-trajectory-1"}\n'
          '{"t": 1, "loss": "low", "grad_norm": 1.0, "lr": 0.1, "hessian_computed": false}\n',
-         "Unknown format code"),
+         "loss must be float, got 'low'"),
+        ("run.trajectory.jsonl", '{"schema": "hessopt-trajectory-1", "config": 5}\n',
+         "config: expected a JSON object"),
+        *[("run.trajectory.jsonl", '{"schema": "hessopt-trajectory-1"}\n'
+           f'{{"t": {t}, "loss": 1.0, "grad_norm": 1.0, "lr": 0.1, "hessian_computed": false}}\n',
+           f"t must be int, got {shown}")
+          for t, shown in (('"a"', "'a'"), ("1.5", "1.5"), ("true", "True"))],
+        ("run.trajectory.jsonl", '{"schema": "hessopt-trajectory-1"}\n'
+         '{"t": 1, "loss": 1.0, "grad_norm": 1.0, "lr": 0.1, "hessian_computed": null}\n',
+         "hessian_computed must be bool, got None"),
+        ("run.trajectory.jsonl", '{"schema": "hessopt-trajectory-1"}\n'
+         f'{{"t": 1, "loss": 1{"0" * 400}, "grad_norm": 1.0, "lr": 0.1, "hessian_computed": true}}\n',
+         "loss must be float, got 1000"),
+        ("run.summary.json", "[" * 100_000, "not valid JSON"),
+        ("run.trajectory.jsonl", "[" * 100_000, "not valid JSON"),
     ], ids=["invalid-json", "json-not-utf8", "csv-not-utf8", "trajectory-not-utf8",
             "json-directory", "csv-directory", "trajectory-directory", "json-list",
             "empty-trajectory", "unknown-schema", "empty-record", "list-record",
-            "string-loss"])
+            "string-loss", "config-not-object", "string-t", "float-t", "bool-t",
+            "null-hessian-computed", "huge-int-loss", "deep-json", "deep-trajectory"])
     def test_malformed_file_is_a_config_error(self, tmp_path, capsys, name, text, needle):
         path = write_input(tmp_path / name, text)
         code = main(["report", str(path)])
@@ -497,3 +540,87 @@ class TestParser:
         parser = cli.build_parser()
         assert "adahessian" in parser.epilog
         assert "noisy-parabola" in parser.epilog
+
+
+# Leaves of the values a fuzzed file's JSON value is swapped for: every JSON
+# type, the non-finite floats, an int no float holds, and odd strings.
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+                | st.sampled_from([10**400, 2**64, "", "\n", "\ud800", "[[[", "a/b"])
+                | st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+
+
+class TestFuzz:
+    """Mutated copies of real config, trajectory, summary and CSV files, through
+    ``report`` and ``run --config``: every one ends in a documented exit code
+    with at most one line on stderr, and nothing escapes ``main``."""
+
+    @pytest.fixture(scope="class")
+    def seeds(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz-seeds")
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["run", "--problem", "fig1-quadratic", "--lr", "0.5", "--iters", "3",
+                  "--out", str(out), "--run-name", "r"])
+            main(["sweep", "--problem", "fig1-quadratic", "--optimizer", "sgd",
+                  "--iters", "2", "--grid", "lr=0.01,0.1", "--out", str(out),
+                  "--no-cost-ratio"])
+        config = harness.RunConfig(iters=3, cost_ratio=False).to_dict(include_out=False)
+        (out / "config.json").write_text(json.dumps(config, indent=1))
+        return out
+
+    @staticmethod
+    def swap(data, draw):
+        """``data`` (parsed JSON) with the value at a drawn path of keys and
+        indices, most often a leaf, swapped for a drawn JSON value."""
+        if isinstance(data, (dict, list)) and data and draw(st.integers(0, 4)):
+            key = draw(st.sampled_from(sorted(data) if isinstance(data, dict) else range(len(data))))
+            data[key] = TestFuzz.swap(data[key], draw)
+            return data
+        return draw(_JSON_VALUES)
+
+    @staticmethod
+    def mutate(text: bytes, suffix: str, kind: str, draw) -> bytes:
+        if kind == "truncate":
+            return text[:draw(st.integers(0, len(text)))]
+        if kind == "nest":  # where a value or a line starts
+            at = draw(st.sampled_from([0] + [i + 1 for i, c in enumerate(text) if c in b":[\n"]))
+            return text[:at] + b"[" * draw(st.sampled_from([100_000, 500])) + text[at:]
+        if kind == "flip":
+            for _ in range(draw(st.integers(1, 3))):
+                i = draw(st.integers(0, len(text) - 1))
+                text = text[:i] + bytes([text[i] ^ draw(st.integers(1, 255))]) + text[i + 1:]
+            return text
+        if suffix == ".json":
+            return json.dumps(TestFuzz.swap(json.loads(text), draw)).encode()
+        lines = text.decode().splitlines()
+        i = draw(st.integers(0, len(lines) - 1))
+        if suffix == ".csv":
+            cells = lines[i].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = json.dumps(draw(_JSON_VALUES))
+            lines[i] = ",".join(cells)
+        else:
+            lines[i] = json.dumps(TestFuzz.swap(json.loads(lines[i]), draw))
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("kind", ["truncate", "flip", "swap", "nest"])
+    @pytest.mark.parametrize("name", ["config.json", "r.summary.json", "r.trajectory.jsonl",
+                                      "sweep.csv"])
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_mutated_files_end_in_a_documented_exit(self, seeds, tmp_path_factory, name, kind,
+                                                    data):
+        suffix = Path(name).suffix
+        text = self.mutate((seeds / name).read_bytes(), suffix, kind, data.draw)
+        work = tmp_path_factory.mktemp("fuzz")
+        path = work / f"input{suffix}"
+        path.write_bytes(text)
+        for argv in (["report", str(path)],
+                     ["run", "--config", str(path), "--iters", "1", "--samples", "1",
+                      "--no-cost-ratio", "--out", str(work / "out")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, text)
+            assert len(err.getvalue().splitlines()) <= 1, (argv, text, err.getvalue())

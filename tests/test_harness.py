@@ -362,7 +362,7 @@ class TestTrajectoryFiles:
 
     def test_summarize_trajectory_agrees_with_summary(self, tmp_path):
         result = run(quick_config(tmp_path, iters=8))
-        digest = summarize_trajectory(result.trajectory_path)
+        digest = summarize_trajectory(load_trajectory(result.trajectory_path)[1])
         assert digest["iterations_run"] == 8
         assert digest["best_recorded_loss"] == result.summary["best_recorded_loss"]
         assert digest["final_grad_norm"] == result.summary["final_grad_norm"]
