@@ -84,6 +84,7 @@ TRAJECTORY_SCHEMA = "hessopt-trajectory-1"
 CONFIG_SCHEMA = "hessopt-run-1"
 SNAPSHOT_MAX_DIM = 16
 NAME_MAX = 255  # bytes in one file name on common file systems
+MAX_COUNT = 1_000_000  # the most iterations a run takes, and probes an estimate averages
 
 
 class ConfigError(ValueError):
@@ -135,7 +136,7 @@ class RunConfig:
             raise ConfigError(
                 f"unknown problem {self.problem!r}; available: {', '.join(problem_names())}"
             )
-        signature = inspect.signature(PROBLEM_BUILDERS[self.problem])
+        signature = _problem_signature(self.problem)
         try:
             signature.bind(**self.problem_params)
         except TypeError as exc:
@@ -147,11 +148,15 @@ class RunConfig:
             raise ConfigError(
                 f"unknown optimizer {self.optimizer!r}; available: {', '.join(optimizer_names())}"
             )
-        for name, least in (("iters", 1), ("seed", 0), ("hessian_freq", 1), ("warmup", 0),
-                            ("samples", 1), ("block_size", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name.replace('_', '-')} must be >= {least}, "
-                                  f"got {getattr(self, name)}")
+        # A run holds every iteration's batch and probe key before its loop.
+        for name, least, most in (("iters", 1, MAX_COUNT), ("seed", 0, None),
+                                  ("hessian_freq", 1, None), ("warmup", 0, None),
+                                  ("samples", 1, MAX_COUNT), ("block_size", 1, None)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name.replace('_', '-')} must be >= {least}, got {value}")
+            if most is not None and value > most:
+                raise ConfigError(f"{name.replace('_', '-')} must be <= {most}, got {value}")
         # the summary's temporary name is the longest one a run derives
         _check_file_name("run-name", self.default_run_name(), ".summary.json")
         try:
@@ -242,6 +247,13 @@ def _check_fields(cls, data: dict, where: str = "") -> None:
             expected = " or ".join("null" if tp is type(None) else tp.__name__
                                    for tp in allowed)
             raise ConfigError(f"{where}{name} must be {expected}, got {data[name]!r}")
+
+
+@functools.cache
+def _problem_signature(name: str) -> inspect.Signature:
+    """The problem builder's signature, which ``validate`` binds
+    ``problem_params`` to. Cached, as ``_optimizer_fields`` is."""
+    return inspect.signature(PROBLEM_BUILDERS[name])
 
 
 @functools.cache
@@ -413,8 +425,9 @@ class _SeedPass:
     ``problems`` maps each (problem, problem_params) key to its problem, and
     so its recorded tapes, built before the sweep's first run and shared with
     the other passes. The pass draws each key's minibatch index stream once,
-    read-only, and derives the probe keys of every estimate iteration of
-    ``configs`` (the seed's run configs) in one ``probe_keys`` call.
+    read-only, in one vectorized ``sample_batches`` pass, and derives the probe
+    keys of every estimate iteration of ``configs`` (the seed's run configs)
+    in one ``probe_keys`` call.
     ``companions`` maps (key, iters) to the gradient-descent companion time of
     the first run of that key that timed one and finished ok; ``run`` reads
     and fills it. One instance lives for one seed of one ``sweep()`` call, or
@@ -443,13 +456,17 @@ class _SeedPass:
         return self._keys[[self._key_rows[t] for t in iterations]]
 
     def batches(self, config: RunConfig, problem) -> list:
-        """The stream's batches for t = 1..config.iters, at index t - 1."""
+        """The stream's batches for t = 1..config.iters, at index t - 1; a
+        longer run extends it by one ``sample_batches`` pass."""
         stream = self._streams.setdefault(self._key(config), [])
-        for t in range(len(stream) + 1, config.iters + 1):
-            batch = problem.sample_batch(t, self.seed)
-            if batch is not None:
-                batch.flags.writeable = False
-            stream.append(batch)
+        if len(stream) < config.iters:
+            drawn = problem.sample_batches(np.arange(len(stream) + 1, config.iters + 1),
+                                           self.seed)
+            if drawn is None:
+                stream.extend([None] * (config.iters - len(stream)))
+            else:
+                drawn.flags.writeable = False
+                stream.extend(drawn)
         return stream
 
 

@@ -18,11 +18,14 @@ one-probe calls would have drawn, in order.
 
 A run derives the keys of all its estimate iterations once, before its loop:
 :func:`probe_keys` hashes every (seed, t) in one vectorized pass, to the keys
-that :func:`probe_rng` would give its generators. Each estimate then draws its
-probes from raw Philox words under its key (:func:`probe_blocks`), the same
-probes that ``rademacher`` draws from ``probe_rng(seed, t)``. So an
-iteration's time includes no key derivation. ``probe_rng`` and ``rademacher``
-stay the numpy reference that the oracle and the tests call.
+that :func:`probe_rng` would give its generators. Each estimate then draws
+its probes from raw Philox words under its key (:func:`probe_blocks`), the
+same probes that ``rademacher`` draws from ``probe_rng(seed, t)``. So an
+iteration's time includes no key derivation. The hash is numpy's
+SeedSequence, and :func:`seed_words` is its one copy: the minibatch pass
+(``DifferentiableProblem.sample_batches``) seeds its PCG64 lanes with it
+too. ``probe_rng`` and ``rademacher`` stay the numpy reference that the
+oracle and the tests call.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "DiagEstimate",
     "probe_rng",
     "probe_keys",
+    "seed_words",
     "rademacher",
     "probe_blocks",
     "estimate_diag",
@@ -138,30 +142,35 @@ def rademacher(shape: int | tuple[int, int], rng: np.random.Generator) -> np.nda
 
 
 def probe_keys(seed: int, streams) -> np.ndarray:
-    """The Philox keys of ``probe_rng(seed, s)`` for every s in ``streams``.
+    """The Philox keys of ``probe_rng(seed, s)`` for every s in ``streams``:
+    ``seed_words(seed, streams, 2)``."""
+    return seed_words(seed, streams, 2)
 
-    Row i of the ``(len(streams), 2)`` uint64 result equals
-    ``SeedSequence([seed, streams[i]]).generate_state(2, np.uint64)``. It is
-    computed for all streams in one vectorized uint32 pass per entropy length
-    (a stream below 2**32 adds one 32-bit word, a larger one two). Streams lie
-    in [0, 2**64).
+
+def seed_words(seed: int, streams, words: int) -> np.ndarray:
+    """``SeedSequence([seed, s]).generate_state(words, np.uint64)`` for every s
+    in ``streams``, as the rows of a ``(len(streams), words)`` uint64 array.
+
+    It is computed for all streams in one vectorized uint32 pass per entropy
+    length (a stream below 2**32 adds one 32-bit word, a larger one two).
+    Streams lie in [0, 2**64).
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     streams = np.asarray(streams, dtype=np.uint64).reshape(-1)
-    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    keys = np.empty((streams.size, 2), dtype=np.uint64)
+    seed_parts = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    state = np.empty((streams.size, words), dtype=np.uint64)
     wide = streams > _MASK32
     for rows, stream_words in ((~wide, (0,)), (wide, (0, 32))):
         chosen = streams[rows]
         if chosen.size:
-            entropy = np.empty((len(seed_words) + len(stream_words), chosen.size), np.uint32)
-            entropy[:len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
-            for i, shift in enumerate(stream_words, start=len(seed_words)):
+            entropy = np.empty((len(seed_parts) + len(stream_words), chosen.size), np.uint32)
+            entropy[:len(seed_parts)] = np.array(seed_parts, np.uint32)[:, None]
+            for i, shift in enumerate(stream_words, start=len(seed_parts)):
                 entropy[i] = chosen >> np.uint64(shift) & np.uint64(_MASK32)
-            keys[rows] = _seed_sequence_keys(entropy)
-    return keys
+            state[rows] = _seed_sequence_state(entropy, words)
+    return state
 
 
 @functools.cache
@@ -186,9 +195,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> np.uint32(16)
 
 
-def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
-    """``generate_state(2, np.uint64)`` of the SeedSequence of each column of
-    ``entropy`` (a (words, n) uint32 array), every step applied to all columns."""
+def _seed_sequence_state(entropy: np.ndarray, words: int) -> np.ndarray:
+    """``generate_state(words, np.uint64)`` of the SeedSequence of each column
+    of ``entropy`` (a (width, n) uint32 array), every step applied to all columns."""
     width = len(entropy)
     a = _multipliers(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(width - _POOL, 0))
     pool = np.zeros((_POOL, entropy.shape[1]), np.uint32)
@@ -202,7 +211,9 @@ def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
     for word in entropy[_POOL:]:  # entropy beyond the pool joins every word
         pool = _mix(pool, _hashmix(word, a[k:k + _POOL + 1]))
         k += _POOL
-    state = _hashmix(pool, _multipliers(_INIT_B, _MULT_B, _POOL)).astype(np.uint64)
+    # the output's 2 * words uint32 words cycle through the pool
+    state = _hashmix(pool[np.arange(2 * words) % _POOL],
+                     _multipliers(_INIT_B, _MULT_B, 2 * words)).astype(np.uint64)
     return (state[0::2] | state[1::2] << np.uint64(32)).T  # little-endian word pairs
 
 

@@ -14,6 +14,12 @@ Every problem exposes the same differentiable-function surface:
 ``batch`` is ``None`` for full-batch evaluation; stochastic problems sample
 index batches deterministically from ``(seed, t)``. The gradient and any
 Hessian-vector product within one optimizer iteration always share a batch.
+``sample_batch`` draws one iteration's batch through numpy's
+``default_rng([seed, t])``, the reference. ``sample_batches`` draws the
+batches of many iterations in one vectorized pass, bit for bit the same: the
+SeedSequence hash shared with ``hutchinson.probe_keys``, PCG64 (O'Neill 2014)
+in uint64 arithmetic and Floyd's sampling with Lemire's bounded draws (Lemire
+2019), each step applied to every iteration at once.
 
 Parameters are flat float64 vectors. ``group_sizes`` records the parameter
 tensor layout (weight matrices, biases) so block-structured operations never
@@ -44,6 +50,7 @@ raised is never kept.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -51,6 +58,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .hutchinson import seed_words
 
 __all__ = [
     "DifferentiableProblem",
@@ -119,6 +127,92 @@ class _Tape:
         self.program.replay()
 
 
+# ``default_rng`` is numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with
+# this multiplier, whose every output is XSL-RR of the state after its step.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# ``Generator.choice(n, b, replace=False)`` runs Floyd's algorithm for n up to
+# this (beyond it, a tail shuffle once b > n // 50); SyntheticDataset's cap.
+_FLOYD_MAX_N = 10_000
+# Taken-mask entries (lanes x population) that one block of the batch pass holds.
+_BATCH_BLOCK_ENTRIES = 1 << 18
+
+
+@functools.cache
+def _pcg_jumps(outputs: int) -> np.ndarray:
+    """A read-only (4, outputs) uint64 array: columns k = 1..outputs hold the
+    high and low halves of a_k and c_k, where PCG64 seeded from (initstate,
+    inc) has state a_k * (initstate + inc) + c_k * inc (mod 2**128) at its
+    k-th output."""
+    a, c = _PCG_MULT, 1  # seeding steps from 0, adds initstate, steps again
+    columns = []
+    for _ in range(outputs):
+        a, c = a * _PCG_MULT & (1 << 128) - 1, (c * _PCG_MULT + 1) & (1 << 128) - 1
+        columns.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+    jumps = np.array(columns, dtype=np.uint64).reshape(outputs, 4).T.copy()
+    jumps.flags.writeable = False
+    return jumps
+
+
+def _mulhi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of uint64 arrays, from 32-bit halves."""
+    x0, x1, y0, y1 = x & _LOW32, x >> _SHIFT32, y & _LOW32, y >> _SHIFT32
+    t = x1 * y0 + (x0 * y0 >> _SHIFT32)
+    u = (t & _LOW32) + x0 * y1
+    return x1 * y1 + (t >> _SHIFT32) + (u >> _SHIFT32)
+
+
+def _mul128(ah, al, bh, bl) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) halves of a * b mod 2**128, for a and b given as halves."""
+    return _mulhi(al, bl) + al * bh + ah * bl, al * bl
+
+
+def _pcg64_uint32(words: np.ndarray, count: int) -> np.ndarray:
+    """A (count, lanes) uint64 array of the first ``count`` 32-bit draws of
+    ``PCG64`` seeded from each row of ``words`` (a ``generate_state(4,
+    np.uint64)`` per lane): initstate is words 0:1, inc is (words 2:3 << 1) | 1,
+    and each 64-bit output gives its low half, then its high half."""
+    w0, w1, w2, w3 = words.T
+    inc_hi, inc_lo = w2 << np.uint64(1) | w3 >> np.uint64(63), w3 << np.uint64(1) | np.uint64(1)
+    x_lo = w1 + inc_lo
+    x_hi = w0 + inc_hi + (x_lo < inc_lo)
+    a_hi, a_lo, c_hi, c_lo = _pcg_jumps((count + 1) // 2)[:, :, None]
+    ax_hi, ax_lo = _mul128(a_hi, a_lo, x_hi, x_lo)
+    ci_hi, ci_lo = _mul128(c_hi, c_lo, inc_hi, inc_lo)
+    lo = ax_lo + ci_lo
+    hi = ax_hi + ci_hi + (lo < ax_lo)
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    out = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+    return np.stack((out & _LOW32, out >> _SHIFT32), axis=1).reshape(-1, len(words))[:count]
+
+
+def _floyd_batches(n: int, b: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.sort(Generator(PCG64).choice(n, b, replace=False))`` for the PCG64
+    seeded from each row of ``words``, as rows, and which lanes numpy would
+    have drawn again (their rows are not its batches).
+
+    Floyd's algorithm, one step for every lane at once: for j = n - b .. n - 1,
+    take val = (u32 * (j + 1)) >> 32 (Lemire's bounded draw), or j if val is
+    taken already. Lemire rejects the draw when its low 32 bits are below
+    (2**32 - 1 - j) mod (j + 1). j = 0 (only when b == n) takes 0 and draws
+    nothing. Each lane's taken-mask row has b entries set; its nonzero columns
+    are the sorted batch.
+    """
+    lanes = len(words)
+    j = np.arange(max(n - b, 1), n, dtype=np.uint64)
+    m = _pcg64_uint32(words, j.size) * (j + np.uint64(1))[:, None]
+    rejected = ((m & _LOW32) < ((_LOW32 - j) % (j + np.uint64(1)))[:, None]).any(axis=0)
+    base = np.arange(lanes) * n  # each lane's row of the flat taken-mask
+    taken = np.zeros(lanes * n, dtype=bool)
+    if b == n:
+        taken[base] = True
+    for pick, own in zip((m >> _SHIFT32).astype(np.intp) + base,
+                         j.astype(np.intp)[:, None] + base):
+        taken[np.where(taken[pick], own, pick)] = True
+    return np.flatnonzero(taken).reshape(lanes, b) - base[:, None], rejected
+
+
 class DifferentiableProblem:
     """Base class for scalar objectives with exact second-order products.
 
@@ -160,11 +254,41 @@ class DifferentiableProblem:
                 for part in _group_slices(self.group_sizes)]
 
     def sample_batch(self, t: int, seed: int) -> np.ndarray | None:
-        """Deterministic index batch for iteration ``t``; None if full-batch."""
+        """Deterministic index batch for iteration ``t``; None if full-batch.
+
+        The reference for :meth:`sample_batches`, which draws the same batches
+        for many iterations at once."""
         if self.batch_size is None:
             return None
         rng = np.random.default_rng([seed, t])
         return np.sort(rng.choice(self.n_samples, size=self.batch_size, replace=False))
+
+    def sample_batches(self, ts, seed: int) -> np.ndarray | None:
+        """The batches of ``sample_batch(t, seed)`` for every t in ``ts`` (each
+        in [0, 2**64)), bit for bit, as the rows of a ``(len(ts), batch_size)``
+        int64 array; None if full-batch.
+
+        Blocks of lanes, one lane per t, are drawn in one vectorized pass each
+        (:func:`_floyd_batches`); a lane whose draw numpy would reject, and so
+        draw again, takes the reference. A block takes batch_size numpy steps
+        whatever its lanes, so when a block holds fewer lanes than that, or the
+        population is beyond Floyd's range, every t takes the reference.
+        """
+        if self.batch_size is None:
+            return None
+        ts = np.asarray(ts, dtype=np.uint64).reshape(-1)
+        n, b = self.n_samples, self.batch_size
+        lanes = _BATCH_BLOCK_ENTRIES // n
+        if n > _FLOYD_MAX_N or lanes < b:
+            return np.array([self.sample_batch(int(t), seed) for t in ts],
+                            dtype=np.int64).reshape(ts.size, b)
+        out = np.empty((ts.size, b), dtype=np.int64)
+        for start in range(0, ts.size, lanes):
+            block = ts[start:start + lanes]
+            out[start:start + lanes], rejected = _floyd_batches(n, b, seed_words(seed, block, 4))
+            for i in np.flatnonzero(rejected):
+                out[start + i] = self.sample_batch(int(block[i]), seed)
+        return out
 
     @property
     def n_samples(self) -> int:

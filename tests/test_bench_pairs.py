@@ -1,6 +1,7 @@
 """Tests for the paired-benchmark summary in ``tools/bench_pairs.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,39 @@ def test_higher_is_better_metrics_gain_from_a_rise():
     assert rise["call_p50_s"]["change_wins"] == "0/10"
     assert not rise["call_p50_s"]["gain_shown"]
     assert not rise["call_p50_s"]["all_change_runs_better"]
+
+
+@pytest.mark.parametrize("seeds,keys", [
+    (["--seed", "0", "--seed", "11"], ["a seed 0", "a seed 11", "b seed 0", "b seed 11"]),
+    ([], ["a seed 0", "b seed 0"]),
+], ids=["two-seeds", "default-seed"])
+def test_each_seed_gets_its_own_pairs(tmp_path, monkeypatch, seeds, keys):
+    trees = {}
+    for side in bench_pairs.SIDES:
+        trees[side] = tmp_path / side
+        (trees[side] / "perfbench").mkdir(parents=True)
+        (trees[side] / "perfbench" / "run.py").touch()
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed))
+        return result(1.0 + seed)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+                             "--pr", "7", "--workload", "a", "--workload", "b",
+                             "--pairs", "2", *seeds]) == 0
+    bench = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert list(bench["end_to_end"]) == keys
+    for key in keys:
+        seed = int(key.rsplit(" ", 1)[1])
+        entry = bench["end_to_end"][key]
+        assert entry["pairs"] == 2
+        assert entry["metrics"]["call_p50_s"]["parent_runs"] == [1.0 + seed] * 2
+    # pairs alternate which side runs first
+    expected = [(side, key.split()[0], int(key.rsplit(" ", 1)[1]))
+                for key in keys for sides in (bench_pairs.SIDES, bench_pairs.SIDES[::-1])
+                for side in sides]
+    assert calls == expected

@@ -209,6 +209,17 @@ class TestBadInput:
         assert calls == []
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("flags,needle", [
+        (["--iters", "100000000000000000000"],
+         "iters must be <= 1000000, got 100000000000000000000"),
+        (["--iters", "1", "--samples", "100000000000000000000"],
+         "samples must be <= 1000000, got 100000000000000000000"),
+    ], ids=["iters", "samples"])
+    def test_count_beyond_its_bound(self, tmp_path, capsys, flags, needle):
+        code = main(["run", "--no-cost-ratio", *flags, "--out", str(tmp_path)])
+        self.assert_config_error(capsys, code, needle)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("problem,params,needle", [
         ("logreg", '{"batch_size": "32"}', "batch_size must be an int or null"),
         ("logreg", '{"batch_size": 500}', "batch_size must lie in [1, 200]"),

@@ -111,6 +111,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(**overrides).validate()
 
+    def test_counts_are_bounded_above(self):
+        # A run holds every iteration's batch and probe key before its loop.
+        RunConfig(iters=harness.MAX_COUNT, samples=harness.MAX_COUNT).validate()
+        for name in ("iters", "samples"):
+            with pytest.raises(ConfigError, match=f"^{name} must be <= 1000000, got 1000001$"):
+                RunConfig(**{name: 10**6 + 1}).validate()
+
     def test_type_check_follows_annotations(self):
         RunConfig(lr=1, loss_threshold=2, divergence_loss=None, out=None).validate()
         with pytest.raises(ConfigError, match="lr must be float, got '0.1'"):
@@ -538,16 +545,21 @@ class TestSweepSharing:
         assert built == ["logreg", "logreg"]  # the run, with its companion
 
     def test_sweep_draws_each_seed_stream_once(self, tmp_path, monkeypatch):
-        draws = []
-        original = LogisticRegression.sample_batch
+        # One batch pass per seed, over t = 1..30; no run draws a batch of its own.
+        passes = []
+        original = LogisticRegression.sample_batches
 
-        def counting(self, t, seed):
-            draws.append((t, seed))
-            return original(self, t, seed)
+        def counting(self, ts, seed):
+            passes.append((seed, list(ts)))
+            return original(self, ts, seed)
 
-        monkeypatch.setattr(LogisticRegression, "sample_batch", counting)
+        def unused(*args):
+            raise AssertionError("runs read their batches from the seed's pass")
+
+        monkeypatch.setattr(LogisticRegression, "sample_batches", counting)
+        monkeypatch.setattr(LogisticRegression, "sample_batch", unused)
         sweep(sharing_base(tmp_path), SHARING_AXES, seeds=SHARING_SEEDS, out=tmp_path)
-        assert sorted(draws) == [(t, s) for t in range(1, 31) for s in SHARING_SEEDS]
+        assert passes == [(s, list(range(1, 31))) for s in SHARING_SEEDS]
 
     def test_sweep_derives_each_seed_keys_once(self, tmp_path, monkeypatch):
         # One key pass per seed, over the union of its cells' estimate iterations;

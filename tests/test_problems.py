@@ -1,13 +1,16 @@
 """Tests for benchmark problems: analytic values, tape agreement, batching."""
 
+import functools
 import gc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hessopt import autodiff as ad
 from hessopt import problems as pr
-from hessopt.hutchinson import probe_rng, rademacher
+from hessopt.hutchinson import probe_rng, rademacher, seed_words
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -158,6 +161,128 @@ class TestLogisticRegression:
     def test_full_batch_problem_returns_none_batch(self):
         p = pr.make_logreg()
         assert p.sample_batch(t=1, seed=0) is None
+
+
+_MINIBATCH = {"logreg": pr.make_logreg, "tiny-mlp": pr.make_tiny_mlp,
+              "tiny-mlp-relu": pr.make_tiny_mlp_classifier}
+
+
+@functools.cache
+def minibatch_problem(name: str, size: str) -> pr.DifferentiableProblem:
+    """``name`` with batch size 1, 2, 32, n - 1 or n."""
+    n = _MINIBATCH[name]().n_samples
+    return _MINIBATCH[name](batch_size={"n-1": n - 1, "n": n}.get(size) or int(size))
+
+
+def reference_batches(problem, ts, seed) -> np.ndarray:
+    return np.array([problem.sample_batch(int(t), seed) for t in ts],
+                    dtype=np.int64).reshape(len(ts), problem.batch_size)
+
+
+def numpy_redraws(seed: int, t: int, n: int, b: int) -> bool:
+    """Whether ``choice(n, b, replace=False)`` on ``default_rng([seed, t])``
+    takes more 32-bit draws than Floyd's algorithm has drawing steps (b, less
+    one when b == n): whether Lemire's bounded draw rejected one."""
+    rng = np.random.default_rng([seed, t])
+    rng.choice(n, b, replace=False, shuffle=False)
+    draws = b - (b == n)
+    fresh = np.random.default_rng([seed, t]).bit_generator
+    fresh.random_raw((draws + 1) // 2)
+    state = rng.bit_generator.state
+    return (state["state"], state["has_uint32"]) != (fresh.state["state"], draws % 2)
+
+
+class TestBatchPass:
+    """``sample_batches`` draws what ``sample_batch`` draws, bit for bit.
+
+    numpy does not promise ``Generator`` streams across versions (NEP 19), so
+    these pin the pass to the installed numpy's draws.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(_MINIBATCH)),
+           size=st.sampled_from(["1", "2", "32", "n-1", "n"]),
+           seed=st.sampled_from([0, 1, 5, 2**32 - 1, 2**32 + 5, 2**64 - 1, 2**64 + 1])
+           | st.integers(0, 2**70),
+           ts=st.lists(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1),
+                       min_size=1, max_size=10))
+    @example(name="logreg", size="32", seed=0, ts=[1, 2**32 - 1, 2**32, 7, 2**64 - 1])
+    @example(name="tiny-mlp", size="n", seed=2**64 + 1, ts=[3, 2**32 + 5])
+    @example(name="tiny-mlp-relu", size="1", seed=2**32 + 5, ts=[0, 1, 2])
+    def test_pass_rows_equal_sample_batch(self, name, size, seed, ts):
+        problem = minibatch_problem(name, size)
+        rows, rejected = pr._floyd_batches(problem.n_samples, problem.batch_size,
+                                           seed_words(seed, ts, 4))
+        assert rows.shape == (len(ts), problem.batch_size)
+        assert rejected.tolist() == [numpy_redraws(seed, t, problem.n_samples,
+                                                   problem.batch_size) for t in ts]
+        want = reference_batches(problem, ts, seed)
+        np.testing.assert_array_equal(rows[~rejected], want[~rejected])
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(_MINIBATCH)), size=st.sampled_from(["1", "2", "32"]),
+           seed=st.integers(0, 2**65), count=st.integers(0, 80), extra=st.integers(0, 2))
+    @example(name="logreg", size="32", seed=0, count=31, extra=0)  # one block, not full
+    @example(name="logreg", size="2", seed=2**64 + 1, count=7, extra=0)  # 4 blocks
+    def test_blocks_equal_sample_batch(self, name, size, seed, count, extra):
+        problem = minibatch_problem(name, size)
+        ts = [t * 7919 + (2**32 if t % 3 else 0) for t in range(count)]
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of batch_size + extra lanes
+            mp.setattr(pr, "_BATCH_BLOCK_ENTRIES",
+                       (problem.batch_size + extra) * problem.n_samples)
+            batches = problem.sample_batches(ts, seed)
+        assert batches.dtype == np.int64 and batches.shape == (count, problem.batch_size)
+        np.testing.assert_array_equal(batches, reference_batches(problem, ts, seed))
+
+    @pytest.mark.parametrize("b,ts,redrawn", [
+        (5_000, [293, 294, 462, 721, 842], [294, 462, 721, 842]),
+        (10_000, [15, 16, 28, 29], [16, 28]),  # b == n: j = 0 takes no draw
+        (32, [36_735, 36_736], [36_736]),
+    ], ids=["half", "all", "small"])
+    def test_pass_flags_the_draws_numpy_rejects(self, b, ts, redrawn):
+        # Lemire's bounded draw rejects a draw of these lanes, so numpy draws again.
+        assert [t for t in ts if numpy_redraws(0, t, 10_000, b)] == redrawn
+        _, rejected = pr._floyd_batches(10_000, b, seed_words(0, ts, 4))
+        assert [t for t, r in zip(ts, rejected) if r] == redrawn
+
+    def test_a_rejected_lane_takes_the_reference(self, monkeypatch):
+        problem = pr.make_logreg(n=10_000, batch_size=32)
+        ts = list(range(36_720, 36_753))  # blocks of 32 lanes and 1; 36,736 rejects
+        want = reference_batches(problem, ts, 0)
+        calls = []
+        original = pr.LogisticRegression.sample_batch
+
+        def counting(self, t, seed):
+            calls.append(t)
+            return original(self, t, seed)
+
+        monkeypatch.setattr(pr.LogisticRegression, "sample_batch", counting)
+        monkeypatch.setattr(pr, "_BATCH_BLOCK_ENTRIES", 32 * 10_000)
+        np.testing.assert_array_equal(problem.sample_batches(ts, 0), want)
+        assert calls == [36_736]
+
+    def test_fewer_lanes_than_the_batch_take_the_reference(self, monkeypatch):
+        # A block takes batch_size numpy steps, so one of 26 lanes would cost more.
+        calls = []
+        monkeypatch.setattr(pr, "_floyd_batches", lambda *args: calls.append(args))
+        problem = pr.make_logreg(n=10_000, batch_size=5_000)
+        np.testing.assert_array_equal(problem.sample_batches([294, 1], 0),
+                                      reference_batches(problem, [294, 1], 0))
+        assert calls == []
+
+    def test_population_beyond_floyd_takes_the_reference(self):
+        # Beyond 10,000 samples numpy shuffles a tail for a large batch instead.
+        class Wide(pr.DifferentiableProblem):
+            n_samples = 20_000
+            batch_size = 1_000
+
+        problem = Wide()
+        np.testing.assert_array_equal(problem.sample_batches([1, 2**40], 3),
+                                      reference_batches(problem, [1, 2**40], 3))
+
+    def test_full_batch_problem_has_no_batches(self):
+        assert pr.make_logreg().sample_batches([1, 2], 0) is None
 
 
 class TestTinyMLP:

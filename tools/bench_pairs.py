@@ -2,13 +2,14 @@
 """Alternating benchmark pairs of two source trees, summarized into a BENCH file.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --pr 10 \
-        --workload train-dense --workload verify --pairs 10 --seed 0 --seconds 30
+        --workload train-dense --workload verify --pairs 10 --seed 0 --seed 11 --seconds 30
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each tree, one run
 after the other, the parent first in even pairs and the change first in odd
 ones, so that a drift of the machine's speed falls on both sides alike. Each
-run uses the benchmark and the package of its own tree, with bytecode writing
-off, as the benchmark is run on a fresh checkout.
+workload gets its pairs on each ``--seed`` in turn (seed 0 if none is given).
+Each run uses the benchmark and the package of its own tree, with bytecode
+writing off, as the benchmark is run on a fresh checkout.
 
 ``BENCH_<pr>.json`` (at the root of the tree holding this script) gets, per
 workload and seed, every end-to-end metric of ``BENCHMARK.json`` with each
@@ -27,6 +28,7 @@ finished; entries of other workloads or seeds already in it are kept.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import operator
 import os
@@ -105,7 +107,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="benchmark seed, repeatable (default: 0)")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--note", default="", help="what the change is, for the file")
     args = parser.parse_args(argv)
@@ -131,13 +134,13 @@ def main(argv: list[str] | None = None) -> int:
                    "reference machine speed. Written by tools/bench_pairs.py."),
     })
     bench.setdefault("end_to_end", {})
-    for workload in args.workload:
-        key = f"{workload} seed {args.seed}"
+    for workload, seed in itertools.product(args.workload, args.seed or [0]):
+        key = f"{workload} seed {seed}"
         runs: list[dict] = []
         for i in range(args.pairs):
             pair = {}
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                pair[side] = run_once(trees[side], workload, args.seed, args.seconds)
+                pair[side] = run_once(trees[side], workload, seed, args.seconds)
             runs.append(pair)
             bench["end_to_end"][key] = {"seconds": args.seconds, **summarize(runs, spec)}
             out.write_text(json.dumps(bench, indent=1) + "\n")
