@@ -6,9 +6,10 @@ Subcommands:
   verify  run the independent property suite, write a JSON report
   report  print a readable digest of a trajectory, summary, or sweep file
 
-Exit codes: 0 success, 1 configuration error (or a file ``report`` cannot
-read), 2 numeric failure during a run (one ``numeric failure:`` line on
-stderr names its iteration and phase), 3 verification failure. Every file
+Exit codes: 0 success (also for ``--help``), 1 configuration error (an
+argument argparse refuses, or a file ``report`` cannot read), 2 numeric
+failure during a run (one ``numeric failure:`` line on stderr names its
+iteration and phase), 3 verification failure. Every file
 and JSON flag loaded is read and checked field by field by ``harness``, so a
 bad one is a config error. The default output directory is taken from
 ``$HESSOPT_OUT`` when set, else ``./runs``.
@@ -216,8 +217,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are config errors: exit 1 with one line,
+    not a usage block and exit 2. Its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        # argparse quotes most values with repr, but not unrecognized arguments
+        raise ConfigError(f"{self.prog}: {' '.join(message.splitlines())}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hessopt",
         description="Second-order optimization toolkit: runs, sweeps, and verification.",
     )
@@ -258,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -24,16 +24,18 @@ blow-up or a final loss beyond the divergence threshold) is recorded and the
 sweep continues.
 
 A sweep does its per-seed work once per ``sweep()`` call. It loops seeds
-outside and cells inside; each seed's pass draws the minibatch index stream
-once per (problem, problem_params), derives the probe keys of the union of
-its cells' estimate iterations in one pass, and keeps one companion time per
+outside and cells inside; each seed's pass holds one minibatch stream per
+(problem, problem_params) and one probe-key stream, both indexed by t and
+extended when a longer run asks for more, and keeps one companion time per
 (problem, problem_params, iters). The companion runs interleaved with the
 first cell of that key that has the cost ratio on and finishes without a
 numeric failure; the later cells of the key divide by its time. Nothing
 outlives the call, so a later sweep times its own companions.
 
-The summary, the sweep CSV and the verify report are written atomically:
-to a temporary file in the target directory, then renamed over the target.
+Every output (the trajectory, the summary, the sweep CSV and the verify
+report) is written once, atomically: to a temporary file in the target
+directory, then renamed over the target. A run that is interrupted leaves
+no file of its own behind.
 
 The default output directory is ``$HESSOPT_OUT`` if set, else ``./runs``.
 """
@@ -58,8 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import NumericError
-from .hutchinson import (HutchinsonConfig, estimate_diag, estimate_iterations, probe_keys,
-                         should_compute)
+from .hutchinson import HutchinsonConfig, estimate_diag, probe_keys, should_compute
 from .optim import OPTIMIZERS, _is_finite, make_optimizer, make_schedule, optimizer_names
 from .problems import PROBLEM_BUILDERS, get_problem, problem_names
 
@@ -157,8 +158,8 @@ class RunConfig:
                 raise ConfigError(f"{name.replace('_', '-')} must be >= {least}, got {value}")
             if most is not None and value > most:
                 raise ConfigError(f"{name.replace('_', '-')} must be <= {most}, got {value}")
-        # the summary's temporary name is the longest one a run derives
-        _check_file_name("run-name", self.default_run_name(), ".summary.json")
+        # the trajectory's temporary name is the longest one a run derives
+        _check_file_name("run-name", self.default_run_name(), ".trajectory.jsonl")
         try:
             make_optimizer(self.optimizer, 1, **_optimizer_args(self))
         except ValueError as exc:
@@ -352,20 +353,23 @@ def make_out_dir(out: str | Path | None) -> Path:
     path = Path(out) if out else default_out_dir()
     try:
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # also a surrogate no path can hold
         raise ConfigError(f"cannot create output directory {str(path)!r}: "
-                          f"{exc.strerror or exc}") from None
+                          f"{getattr(exc, 'strerror', None) or exc}") from None
     return path
 
 
 def _check_file_name(flag: str, name: str, suffix: str = "") -> None:
     """Output files are named inside the output directory, never beside it, and
     ``write_atomic``'s temporary name for ``name + suffix`` fits in NAME_MAX bytes."""
-    if name in ("", ".", "..") or "/" in name or os.sep in name or "\0" in name:
+    try:
+        size = len(os.fsencode(name))
+    except UnicodeEncodeError:  # a surrogate that no file name can hold
+        size = None
+    if size is None or name in ("", ".", "..") or "/" in name or os.sep in name or "\0" in name:
         raise ConfigError(f"{flag} must be a plain file name, got {name!r}")
     excess = len(os.fsencode(_temp_path(Path(name + suffix)).name)) - NAME_MAX
     if excess > 0:
-        size = len(os.fsencode(name))
         raise ConfigError(f"{flag} must be a plain file name of at most "
                           f"{size - excess} bytes, got {size}")
 
@@ -424,36 +428,36 @@ class _SeedPass:
 
     ``problems`` maps each (problem, problem_params) key to its problem, and
     so its recorded tapes, built before the sweep's first run and shared with
-    the other passes. The pass draws each key's minibatch index stream once,
-    read-only, in one vectorized ``sample_batches`` pass, and derives the probe
-    keys of every estimate iteration of ``configs`` (the seed's run configs)
-    in one ``probe_keys`` call.
+    the other passes. The pass draws each key's minibatch index stream, and
+    derives the seed's probe keys, read-only and indexed by t; a run longer
+    than any before it extends them by one vectorized pass each.
     ``companions`` maps (key, iters) to the gradient-descent companion time of
     the first run of that key that timed one and finished ok; ``run`` reads
     and fills it. One instance lives for one seed of one ``sweep()`` call, or
     for one standalone ``run()``.
     """
 
-    def __init__(self, seed: int, problems: dict, configs: typing.Iterable[RunConfig] = ()):
+    def __init__(self, seed: int, problems: dict):
         self.seed = seed
         self.problems = problems
         self._streams: dict[str, list] = {}
+        self._keys = np.empty((0, 2), dtype=np.uint64)
         self.companions: dict[tuple[str, int], float] = {}
-        iterations = sorted({t for config in configs
-                             if (hcfg := _hutchinson_config(config)) is not None
-                             for t in estimate_iterations(hcfg, config.iters)})
-        self._key_rows = {t: row for row, t in enumerate(iterations)}
-        self._keys = probe_keys(seed, iterations)
 
     @staticmethod
     def _key(config: RunConfig) -> str:
         return _dump_json_line({"problem": config.problem,
                                 "params": config.problem_params})
 
-    def probe_keys(self, iterations: list[int]) -> np.ndarray:
-        """Probe keys of ``iterations``, all estimate iterations of the pass's
-        configs, read from the keys derived for all of them at once."""
-        return self._keys[[self._key_rows[t] for t in iterations]]
+    def probe_keys(self, iters: int) -> np.ndarray:
+        """The read-only ``(iters, 2)`` array whose row t - 1 is the probe key of
+        iteration t, ``probe_keys(seed, [t])[0]``; a longer run extends it by
+        one ``probe_keys`` pass."""
+        if len(self._keys) < iters:
+            more = probe_keys(self.seed, np.arange(len(self._keys) + 1, iters + 1))
+            self._keys = np.concatenate([self._keys, more])
+            self._keys.flags.writeable = False
+        return self._keys[:iters]
 
     def batches(self, config: RunConfig, problem) -> list:
         """The stream's batches for t = 1..config.iters, at index t - 1; a
@@ -478,21 +482,12 @@ def _build_problem(config: RunConfig):
         raise ConfigError(f"invalid problem-params for {config.problem!r}: {exc}") from None
 
 
-def _hutchinson_config(config: RunConfig) -> HutchinsonConfig | None:
-    """The run's estimate schedule; None for an optimizer that takes no estimates."""
-    if config.optimizer != "adahessian":
-        return None
-    return HutchinsonConfig(samples_per_estimate=config.samples,
-                            frequency=config.hessian_freq,
-                            warmup_steps=config.warmup, seed=config.seed)
-
-
 def _iterate(problem, opt, schedule, probes, theta, batch, t: int) -> tuple:
     """One timed iteration: the tape, with a Hutchinson estimate if ``probes``
     is due at ``t``, then the step. ``probes`` is None, or a Hutchinson config
-    and an iterator over the probe keys of its estimate iterations, in order.
-    Returns the new theta, the loss and gradient at the old one, the
-    schedule's factor, whether it estimated, and its seconds."""
+    and the run's probe keys, iteration t's at row t - 1. Returns the new
+    theta, the loss and gradient at the old one, the schedule's factor,
+    whether it estimated, and its seconds."""
     start = time.perf_counter()
     lr_factor = schedule(t)
     # Only an iteration with a fresh estimate probes the Hessian; the rest
@@ -501,7 +496,7 @@ def _iterate(problem, opt, schedule, probes, theta, batch, t: int) -> tuple:
     if computed:
         hcfg, keys = probes
         loss, g, hvp_fn = problem.full_tape(theta, batch)
-        est = estimate_diag(problem, theta, batch, hcfg, next(keys), iteration=t, hvp=hvp_fn)
+        est = estimate_diag(problem, theta, batch, hcfg, keys[t - 1], iteration=t, hvp=hvp_fn)
         theta = opt.step(theta, g, Ds=opt.average_diagonal(est.values), lr_factor=lr_factor)
     else:
         loss, g = problem.value_and_gradient(theta, batch)
@@ -513,11 +508,13 @@ def run(config: RunConfig, write_files: bool = True, *,
         _shared: _SeedPass | None = None) -> RunResult:
     """Execute one configured run; optionally write trajectory and summary.
 
-    Raises ConfigError for invalid configs, and for problem parameters the
-    problem builder rejects, before any compute. A numeric failure mid-run
-    preserves all records up to the failing iteration, writes them out, and
-    returns with ``status="numeric_failure"`` and the summary's ``failure``
-    reading ``iteration <t>, <phase>: <message>``. With ``cost_ratio`` on,
+    Raises ConfigError for invalid configs, for problem parameters the problem
+    builder rejects, and for an output directory that cannot be made, before
+    any compute. Both files are written atomically after the loop, so an
+    interrupted run writes neither. A numeric failure mid-run preserves all
+    records up to the failing iteration, writes them out, and returns with
+    ``status="numeric_failure"`` and the summary's ``failure`` reading
+    ``iteration <t>, <phase>: <message>``. With ``cost_ratio`` on,
     the gradient-descent companion (SGD with lr 1e-9, momentum 0.9, constant
     schedule, no weight decay) runs one ``_iterate`` before each of the run's.
     It reads its problem, batches, probe keys and companion time (once stored)
@@ -526,16 +523,18 @@ def run(config: RunConfig, write_files: bool = True, *,
     config.validate()
     key = _SeedPass._key(config)
     if _shared is None:
-        _shared = _SeedPass(config.seed, {key: _build_problem(config)}, [config])
+        _shared = _SeedPass(config.seed, {key: _build_problem(config)})
     problem = _shared.problems[key]
     batches = _shared.batches(config, problem)[:config.iters]
     opt = make_optimizer(config.optimizer, problem.dim, group_sizes=problem.group_sizes,
                          **_optimizer_args(config))
     schedule = make_schedule(config.schedule, **config.schedule_params)
-    hcfg = _hutchinson_config(config)
-    # every estimate's key is derived before the loop
-    probes = (None if hcfg is None else
-              (hcfg, iter(_shared.probe_keys(estimate_iterations(hcfg, config.iters)))))
+    probes = None
+    if config.optimizer == "adahessian":
+        probes = (HutchinsonConfig(samples_per_estimate=config.samples,
+                                   frequency=config.hessian_freq,
+                                   warmup_steps=config.warmup, seed=config.seed),
+                  _shared.probe_keys(config.iters))
     companion_key = (key, config.iters)
     sgd_time = _shared.companions.get(companion_key)
     sgd = None
@@ -550,45 +549,34 @@ def run(config: RunConfig, write_files: bool = True, *,
     records: list[TrajectoryRecord] = []
     status = "ok"
     failure_detail = None
-    traj_path = summary_path = traj_file = None
+    traj_path = summary_path = None
     if write_files:
         out_dir = make_out_dir(config.out)
         name = config.default_run_name()
         traj_path = out_dir / f"{name}.trajectory.jsonl"
         summary_path = out_dir / f"{name}.summary.json"
-        traj_file = traj_path.open("w")
-        header = {"schema": TRAJECTORY_SCHEMA,
-                  "config": config.to_dict(include_out=False)}
-        traj_file.write(_dump_json_line(header) + "\n")
 
-    try:
-        for t, batch in enumerate(batches, start=1):
-            try:
-                if sgd is not None:
-                    sgd_theta, *_, seconds = _iterate(problem, sgd, sgd_schedule, None,
-                                                      sgd_theta, batch, t)
-                    sgd_seconds.append(seconds)
-                theta, loss, g, lr_factor, computed, elapsed = _iterate(
-                    problem, opt, schedule, probes, theta, batch, t)
-            except NumericError as exc:
-                status = "numeric_failure"
-                failure_detail = f"iteration {t}, {exc.phase}: {exc}"
-                break
-            record = TrajectoryRecord(
-                t=t,
-                loss=float(loss),
-                grad_norm=math.sqrt(g.dot(g)),
-                lr=float(config.lr * lr_factor),
-                hessian_computed=bool(computed),
-                theta=theta.tolist() if snapshot else None,
-                elapsed_s=elapsed,
-            )
-            records.append(record)
-            if traj_file is not None:
-                traj_file.write(_dump_json_line(record.to_line_dict()) + "\n")
-    finally:
-        if traj_file is not None:
-            traj_file.close()
+    for t, batch in enumerate(batches, start=1):
+        try:
+            if sgd is not None:
+                sgd_theta, *_, seconds = _iterate(problem, sgd, sgd_schedule, None,
+                                                  sgd_theta, batch, t)
+                sgd_seconds.append(seconds)
+            theta, loss, g, lr_factor, computed, elapsed = _iterate(
+                problem, opt, schedule, probes, theta, batch, t)
+        except NumericError as exc:
+            status = "numeric_failure"
+            failure_detail = f"iteration {t}, {exc.phase}: {exc}"
+            break
+        records.append(TrajectoryRecord(
+            t=t,
+            loss=float(loss),
+            grad_norm=math.sqrt(g.dot(g)),
+            lr=float(config.lr * lr_factor),
+            hessian_computed=bool(computed),
+            theta=theta.tolist() if snapshot else None,
+            elapsed_s=elapsed,
+        ))
 
     final_loss = float("inf")
     if status == "ok":
@@ -622,7 +610,10 @@ def run(config: RunConfig, write_files: bool = True, *,
             summary["sgd_median_iter_seconds"] = sgd_time
             summary["cost_ratio_vs_sgd"] = summary["amortized_iter_seconds"] / sgd_time
 
-    if summary_path is not None:
+    if write_files:
+        header = {"schema": TRAJECTORY_SCHEMA, "config": config.to_dict(include_out=False)}
+        write_atomic(traj_path, "".join(_dump_json_line(line) + "\n" for line in
+                                        [header, *(r.to_line_dict() for r in records)]))
         write_atomic(summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
     return RunResult(config=config, records=records, theta_final=theta,
@@ -676,7 +667,7 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
                        diverged=0, cost_ratios=[]) for overrides in grid]
     csv_path = make_out_dir(base.out if out is None else out) / csv_name
     for i, seed in enumerate(seeds):
-        shared = _SeedPass(seed, problems, [cell_configs[i] for cell_configs in configs])
+        shared = _SeedPass(seed, problems)
         for cell, cell_configs in zip(cells, configs):
             cfg = cell_configs[i]
             result = run(cfg, write_files=False, _shared=shared)

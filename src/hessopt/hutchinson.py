@@ -16,16 +16,17 @@ given (seed, stream) pair. :func:`rademacher` draws one probe or a whole
 ``(n, d)`` batch of them in one call; the batch's rows are the probes that n
 one-probe calls would have drawn, in order.
 
-A run derives the keys of all its estimate iterations once, before its loop:
-:func:`probe_keys` hashes every (seed, t) in one vectorized pass, to the keys
-that :func:`probe_rng` would give its generators. Each estimate then draws
-its probes from raw Philox words under its key (:func:`probe_blocks`), the
-same probes that ``rademacher`` draws from ``probe_rng(seed, t)``. So an
-iteration's time includes no key derivation. The hash is numpy's
-SeedSequence, and :func:`seed_words` is its one copy: the minibatch pass
-(``DifferentiableProblem.sample_batches``) seeds its PCG64 lanes with it
-too. ``probe_rng`` and ``rademacher`` stay the numpy reference that the
-oracle and the tests call.
+A run derives the keys of its iterations once, before its loop, indexed by
+t: :func:`probe_keys` hashes every (seed, t) in one vectorized pass, to the
+keys that :func:`probe_rng` would give its generators. Each estimate then
+draws its probes from raw Philox words under its iteration's key
+(:func:`probe_blocks`), the same probes that ``rademacher`` draws from
+``probe_rng(seed, t)``; :func:`should_compute` alone decides which
+iterations estimate. So an iteration's time includes no key derivation. The
+hash is numpy's SeedSequence, and :func:`seed_words` is its one copy: the
+minibatch pass (``DifferentiableProblem.sample_batches``) seeds its PCG64
+lanes with it too. ``probe_rng`` and ``rademacher`` stay the numpy reference
+that the oracle and the tests call.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "probe_blocks",
     "estimate_diag",
     "should_compute",
-    "estimate_iterations",
 ]
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): entropy words are
@@ -284,9 +284,3 @@ def should_compute(t: int, cfg: HutchinsonConfig) -> bool:
     if t <= cfg.warmup_steps:
         return True
     return (t - cfg.warmup_steps - 1) % cfg.frequency == 0
-
-
-def estimate_iterations(cfg: HutchinsonConfig, iters: int) -> list[int]:
-    """The iterations t in 1..iters at which ``should_compute(t, cfg)`` holds."""
-    return [*range(1, min(cfg.warmup_steps, iters) + 1),
-            *range(cfg.warmup_steps + 1, iters + 1, cfg.frequency)]

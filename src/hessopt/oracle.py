@@ -596,7 +596,7 @@ def run_verification_suite(names: list[str] | None = None,
         known = {name for name, _ in _PROPERTY_CHECKS}
         unknown = sorted(set(names) - known)
         if unknown:
-            raise KeyError(f"unknown properties: {', '.join(unknown)}")
+            raise KeyError(f"unknown properties: {', '.join(map(repr, unknown))}")
         selected = [(n, c) for n, c in _PROPERTY_CHECKS if n in set(names)]
     report = VerificationReport()
     for name, check in selected:

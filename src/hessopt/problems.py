@@ -79,6 +79,11 @@ __all__ = [
     "PROBLEM_BUILDERS",
 ]
 
+# The desk scale: parameters of a quadratic or an MLP, and the samples (n) and
+# features (p) of a synthetic dataset.
+_MAX_DIM = 64
+_DESK_SCALE = {"n": 10_000, "p": 100}
+
 
 def _group_slices(group_sizes: Sequence[int]) -> list[slice]:
     """The slice of a flat parameter vector holding each tensor."""
@@ -429,8 +434,8 @@ class QuadraticProblem(DifferentiableProblem):
         A = np.asarray(A, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
-        if A.shape[0] > 64:
-            raise ValueError("quadratic problems are limited to d <= 64")
+        if A.shape[0] > _MAX_DIM:
+            raise ValueError(f"quadratic problems are limited to d <= {_MAX_DIM}")
         if np.abs(A - A.T).max() > 1e-12:
             raise ValueError("A must be symmetric to 1e-12")
         self.A = 0.5 * (A + A.T)
@@ -532,19 +537,25 @@ def _check_batch_size(batch_size, n: int) -> int | None:
 
 
 def _check_counts(**counts) -> None:
-    """Builders' sample and feature counts must be at least 1."""
+    """Builders' sample count n and feature count p: each at least 1 and within
+    the desk scale, checked before any data is drawn."""
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+        if value > _DESK_SCALE[name]:
+            raise ValueError("dataset exceeds the intended desk scale")
 
 
 def _check_layers(layers: Sequence[int]) -> list[int]:
-    """MLP widths, input first: at least two, each at least 1."""
+    """MLP widths, input first: at least two, each at least 1, with at most
+    ``_MAX_DIM`` parameters, checked before any data is drawn."""
     layers = list(layers)
     if len(layers) < 2:
         raise ValueError(f"layers needs an input and an output width, got {layers}")
     if min(layers) < 1:
         raise ValueError(f"layer widths must be at least 1, got {layers}")
+    if sum(math.prod(shape) for shape in _mlp_shapes(layers)) > _MAX_DIM:
+        raise ValueError(f"tiny MLP exceeds d = {_MAX_DIM}; shrink the layer widths")
     return layers
 
 
@@ -554,7 +565,7 @@ class SyntheticDataset:
     def __init__(self, X: np.ndarray, y: np.ndarray, seed: int):
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y must agree on sample count")
-        if X.shape[0] > 10_000 or X.shape[1] > 100:
+        if X.shape[0] > _DESK_SCALE["n"] or X.shape[1] > _DESK_SCALE["p"]:
             raise ValueError("dataset exceeds the intended desk scale")
         self.X = np.asarray(X, dtype=np.float64)
         self.y = y
@@ -638,8 +649,8 @@ class _MLPBase(DifferentiableProblem):
         self.dim = sum(sizes)
         self.name = name
         self.batch_size = _check_batch_size(batch_size, data.n)
-        if self.dim > 64:
-            raise ValueError("tiny MLP exceeds d = 64; shrink the layer widths")
+        if self.dim > _MAX_DIM:
+            raise ValueError(f"tiny MLP exceeds d = {_MAX_DIM}; shrink the layer widths")
         super().__init__()
         self.group_sizes = sizes
         rng = np.random.default_rng(data.seed + 1)
@@ -747,6 +758,8 @@ def make_random_spd_quadratic(d: int, condition_number: float, seed: int) -> Qua
         raise ValueError("d must be at least 2")
     if condition_number < 1:
         raise ValueError("condition_number must be at least 1")
+    if d > _MAX_DIM:  # before the d x d draw and its QR
+        raise ValueError(f"quadratic problems are limited to d <= {_MAX_DIM}")
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     eigs = np.linspace(1.0, float(condition_number), d)

@@ -1,11 +1,14 @@
 """Tests for the command-line interface: subcommands, exit codes, output."""
 
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 import hessopt
 from hessopt import cli, harness, optim, oracle
 from hessopt.cli import main
+from hessopt.problems import PROBLEM_BUILDERS
 
 
 def write_input(path: Path, content) -> Path:
@@ -230,9 +234,17 @@ class TestBadInput:
         ("tiny-mlp", '{"layers": [5, 0, 1]}', "layer widths must be at least 1"),
         ("logreg", '{"n": 0}', "n must be at least 1"),
         ("logreg", '{"p": 0}', "p must be at least 1"),
+        # refused before any draw: numpy could not hold these (>= 10**10 entries)
+        ("logreg", '{"n": 10000000000}', "dataset exceeds the intended desk scale"),
+        ("logreg", '{"p": 10000000000}', "dataset exceeds the intended desk scale"),
+        ("tiny-mlp", '{"n": 10000000000}', "dataset exceeds the intended desk scale"),
+        ("tiny-mlp-relu", '{"n": 10000000000}', "dataset exceeds the intended desk scale"),
+        ("tiny-mlp", '{"layers": [10000000000, 1]}', "tiny MLP exceeds d = 64"),
+        ("spd-quadratic", '{"d": 100000}', "quadratic problems are limited to d <= 64"),
     ], ids=["string-batch-size", "batch-size-above-n", "zero-batch-size",
             "negative-condition-number", "no-layers", "one-layer", "zero-width-layer",
-            "zero-samples", "zero-features"])
+            "zero-samples", "zero-features", "logreg-samples", "logreg-features",
+            "mlp-samples", "mlp-relu-samples", "mlp-input-width", "spd-dimension"])
     def test_problem_param_value_rejected_by_builder(self, tmp_path, capsys, problem,
                                                      params, needle):
         code = main(["run", "--problem", problem, "--problem-params", params,
@@ -362,7 +374,7 @@ class TestBadInput:
     # An empty run name means the default one, so only the CSV name has that case.
     @pytest.mark.parametrize("command,name", [
         *[(command, name) for command in ("run", "sweep")
-          for name in ("a/b", "../x", ".", "..", "nul\0byte")],
+          for name in ("a/b", "../x", ".", "..", "nul\0byte", "lone\ud800surrogate")],
         ("sweep", ""),
         # too long for one directory entry, as is or with write_atomic's temporary name
         pytest.param("run", "a" * 300, id="run-300-letters"),
@@ -382,6 +394,27 @@ class TestBadInput:
         self.assert_config_error(capsys, code, f"{flag[2:]} must be a plain file name")
         assert calls == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_output_directory_no_path_can_hold(self, tmp_path, capsys):
+        # A config file's JSON can hold a lone surrogate that argv cannot.
+        cfg = write_input(tmp_path / "c.json", json.dumps({"out": str(tmp_path / "\ud800")}))
+        code = main(["run", "--config", str(cfg), "--iters", "1", "--no-cost-ratio"])
+        self.assert_config_error(capsys, code, "cannot create output directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_longest_accepted_run_name_writes_both_files(self, tmp_path, capsys):
+        # write_atomic's temporary trajectory name is the longest a run derives.
+        longest = harness.NAME_MAX - len(f"..trajectory.jsonl.{os.getpid()}.tmp")
+        argv = ["run", "--problem", "fig1-quadratic", "--iters", "2", "--no-cost-ratio",
+                "--out", str(tmp_path), "--run-name"]
+        assert main([*argv, "a" * longest]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a" * longest + ".summary.json", "a" * longest + ".trajectory.jsonl"]
+        capsys.readouterr()
+        code = main([*argv, "b" * (longest + 1)])
+        self.assert_config_error(
+            capsys, code, f"at most {longest} bytes, got {longest + 1}")
+        assert len(list(tmp_path.iterdir())) == 2
 
     @pytest.mark.parametrize("argv", [
         ["run", "--problem", "fig1-quadratic", "--iters", "2", "--no-cost-ratio"],
@@ -427,6 +460,11 @@ class TestVerifyCommand:
     def test_unknown_property_exits_one(self, tmp_path, capsys):
         code = main(["verify", "--properties", "bogus", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_unknown_property_is_named_on_one_line(self, tmp_path, capsys):
+        code = main(["verify", "--properties", "two\nlines", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: unknown properties: 'two\\nlines'\n"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_injected_fault_exits_three(self, tmp_path, capsys, monkeypatch):
@@ -543,9 +581,28 @@ class TestReportCommand:
 
 
 class TestParser:
-    def test_subcommand_is_required(self):
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args([])
+    def test_subcommand_is_required(self, capsys):
+        assert main([]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: hessopt: ")
+
+    @pytest.mark.parametrize("argv,line", [
+        (["run", "--iters", "abc"],
+         "config error: hessopt run: argument --iters: invalid int value: 'abc'"),
+        (["run", "--bogus"], "config error: hessopt: unrecognized arguments: --bogus"),
+        (["frobnicate"], "config error: hessopt: argument command: invalid choice: "),
+    ], ids=["bad-int", "unknown-flag", "unknown-command"])
+    def test_argv_error_is_one_config_error_line(self, capsys, argv, line):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith(line)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--iters" in capsys.readouterr().out
 
     def test_epilog_lists_registries(self):
         parser = cli.build_parser()
@@ -563,10 +620,73 @@ _JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
 
 
+# Argv tokens that no flag expects; none of them asks for help.
+_JUNK = (st.sampled_from(["--bogus", "-x", "abc", "--", "--iters=abc", "--lr=", "a\nb",
+                          "-1", "1e400", "\ud800"])
+         | st.text(max_size=4)).filter(
+    lambda s: not (s.startswith("-h") or len(s) > 2 and "--help".startswith(s)))
+# Properties that each verify in a few milliseconds.
+_CHEAP_PROPERTIES = ["quadratic_hvp_exact", "hutchinson_diagonal_exact",
+                     "ema_square_update", "one_step_quadratic"]
+# Builder arguments: beyond a desk-scale cap but refused before any draw (numpy
+# could not hold >= 10**10 entries), small, or any JSON value.
+_BUILDER_VALUES = (st.sampled_from([10**10, [10**10, 1]]) | st.integers(-1, 3)
+                   | st.sampled_from([[3, 4, 1], [4, 3]]) | st.deferred(lambda: _JSON_VALUES))
+_REGISTRIES = {"--problem": PROBLEM_BUILDERS, "--optimizer": optim.OPTIMIZERS,
+               "--schedule": optim._SCHEDULES}
+# flag -> (valid values, boundary values); None stands for any flag of that type.
+# No valid count runs for long, and every boundary one is refused.
+_VALUES = {
+    "--iters": (st.integers(1, 3), st.sampled_from([0, -1, 1_000_001])),
+    "--samples": (st.integers(1, 3), st.sampled_from([0, -1, 1_000_001])),
+    "--seeds": (st.lists(st.integers(0, 3).map(str), min_size=1, max_size=3,
+                         unique=True).map(",".join), st.sampled_from(["", "0,0", "-1", "x"])),
+    "--properties": (st.lists(st.sampled_from(_CHEAP_PROPERTIES), min_size=1,
+                              max_size=2).map(",".join), st.sampled_from(["", ",", "a\nb"])),
+    "--config": (st.just("config.json"), st.sampled_from(["missing.json", "."])),
+    "--grid": (st.tuples(st.sampled_from([f.name for f in fields(harness.RunConfig)]),
+                         st.lists(st.integers(0, 3).map(str) | st.sampled_from(["true", "x"]),
+                                  min_size=1, max_size=3).map(",".join)).map("=".join),
+               st.sampled_from(["lr=", "lr", "=1", "seed=1", "lr=nan,1e400"])),
+    int: (st.integers(0, 5), st.sampled_from([-1, 1_000_001, 2**64, 10**30])),
+    float: (st.floats(0.01, 0.99), st.sampled_from(["nan", "-inf", "1e400", "0", "-1"])),
+    None: (st.text("ab.-_", min_size=1, max_size=6),  # a file name
+           st.sampled_from(["", "a/b", "..", "a" * 300]) | st.text(max_size=4)),
+}
+
+
+def _params(builder) -> st.SearchStrategy:
+    """JSON objects over ``builder``'s real argument names."""
+    names = inspect.signature(builder).parameters
+    return st.fixed_dictionaries({}, optional={n: _BUILDER_VALUES for n in names}).map(json.dumps)
+
+
+def _mostly(value: st.SearchStrategy, rare: st.SearchStrategy, draw) -> st.SearchStrategy:
+    """``value``, or one time in eight ``rare``."""
+    return rare if draw(st.integers(0, 7)) == 3 else value
+
+
+def _flag_tokens(flag: str, action: argparse.Action, draw) -> list[str]:
+    """``flag`` and the value it takes: valid, at a boundary, or junk."""
+    if action.nargs == 0:
+        return [flag]
+    if flag in ("--problem-params", "--schedule-params"):  # after what they parametrize
+        kind = flag.replace("-params", "")
+        name = draw(st.sampled_from(sorted(_REGISTRIES[kind])))
+        return [kind, name, flag, draw(_mostly(_params(_REGISTRIES[kind][name]), _JUNK, draw))]
+    if flag in _REGISTRIES:
+        valid, boundary = st.sampled_from(sorted(_REGISTRIES[flag])), st.just("")
+    else:
+        valid, boundary = _VALUES.get(flag) or _VALUES[action.type if action.type in (int, float)
+                                                        else None]
+    return [flag, str(draw(_mostly(_mostly(valid, boundary, draw), _JUNK, draw)))]
+
+
 class TestFuzz:
     """Mutated copies of real config, trajectory, summary and CSV files, through
-    ``report`` and ``run --config``: every one ends in a documented exit code
-    with at most one line on stderr, and nothing escapes ``main``."""
+    ``report`` and ``run --config``, and argv drawn from the subcommands' real
+    flags: every one ends in a documented exit code with at most one line on
+    stderr, and nothing escapes ``main``."""
 
     @pytest.fixture(scope="class")
     def seeds(self, tmp_path_factory):
@@ -635,3 +755,38 @@ class TestFuzz:
                 code = main(argv)
             assert code in (0, 1, 2, 3), (argv, text)
             assert len(err.getvalue().splitlines()) <= 1, (argv, text, err.getvalue())
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_drawn_argv_ends_in_a_documented_exit(self, tmp_path_factory, data):
+        # Relative paths land in a fresh directory; every --out is a tmp path,
+        # and the ones appended last win over any drawn before them.
+        work = tmp_path_factory.mktemp("argv")
+        (work / "config.json").write_text(json.dumps({"iters": 2, "cost_ratio": False}))
+        (subparsers,) = [a.choices for a in cli.build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        command = data.draw(_mostly(st.sampled_from(sorted(subparsers)), _JUNK, data.draw))
+        argv = [command]
+        if command in subparsers:
+            flags = {flag: action for action in subparsers[command]._actions
+                     for flag in action.option_strings if flag not in ("-h", "--help", "--out")}
+            # the flags each command needs to do any work come last, so they win
+            last = {"run": ["--problem-params", "--iters"],
+                    "sweep": ["--problem-params", "--grid", "--iters"],
+                    "verify": ["--properties"]}.get(command, [])
+            drawn = st.lists(st.sampled_from(sorted(flags)), max_size=3) if flags else st.just([])
+            for flag in data.draw(drawn) + last:
+                argv += _flag_tokens(flag, flags[flag], data.draw)
+            if command == "report":
+                argv += [data.draw(_mostly(st.just("config.json"),
+                                           st.sampled_from(["x.jsonl", "."]) | _JUNK, data.draw))]
+            else:
+                argv += ["--out", str(work / "out")]
+        if data.draw(st.integers(0, 7)) == 3:
+            argv += [data.draw(_JUNK)]
+        err = io.StringIO()
+        with (contextlib.chdir(work), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

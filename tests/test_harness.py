@@ -328,6 +328,26 @@ class TestRun:
         header, lines = load_trajectory(result.trajectory_path)
         assert len(lines) == len(result.records)
 
+    def test_interrupted_run_leaves_earlier_files_whole(self, tmp_path, monkeypatch):
+        # Both files are written after the loop, so a run cut short at t = 3
+        # writes neither, and an earlier run's pair still agrees.
+        run(quick_config(tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        original = harness._iterate
+
+        def interrupted(problem, opt, schedule, probes, theta, batch, t):
+            if t == 3:
+                raise KeyboardInterrupt
+            return original(problem, opt, schedule, probes, theta, batch, t)
+
+        monkeypatch.setattr(harness, "_iterate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(quick_config(tmp_path, lr=0.5))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        with pytest.raises(KeyboardInterrupt):
+            run(quick_config(tmp_path / "fresh"))
+        assert list((tmp_path / "fresh").iterdir()) == []
+
     def test_invalid_config_raises_before_compute(self, tmp_path):
         with pytest.raises(ConfigError):
             run(quick_config(tmp_path, lr=-1.0))
@@ -562,8 +582,8 @@ class TestSweepSharing:
         assert passes == [(s, list(range(1, 31))) for s in SHARING_SEEDS]
 
     def test_sweep_derives_each_seed_keys_once(self, tmp_path, monkeypatch):
-        # One key pass per seed, over the union of its cells' estimate iterations;
-        # no run derives keys of its own or builds a probe generator.
+        # One key pass per seed over t = 1..30, whatever its cells' schedules; no
+        # run derives keys of its own or builds a probe generator.
         passes = []
         original = harness.probe_keys
 
@@ -579,22 +599,29 @@ class TestSweepSharing:
         monkeypatch.setattr(hutchinson, "rademacher", unused)
         axes = {"hessian_freq": [10, 4], "warmup": [0, 3]}
         sweep(sharing_base(tmp_path), axes, seeds=SHARING_SEEDS, out=tmp_path)
-        union = sorted({1, 11, 21}  # freq 10
-                       | set(range(1, 31, 4))  # freq 4
-                       | {1, 2, 3, 4, 14, 24}  # freq 10 after 3 warmup iterations
-                       | {1, 2, 3, 4, 8, 12, 16, 20, 24, 28})  # freq 4 after 3
-        assert passes == [(s, union) for s in SHARING_SEEDS]
-        run(sharing_base(tmp_path, hessian_freq=10), write_files=False)
-        assert passes[-1] == (0, [1, 11, 21])
+        assert passes == [(s, list(range(1, 31))) for s in SHARING_SEEDS]
+        # a longer cell extends the seed's keys: 1..12, then 13..20
+        passes.clear()
+        sweep(sharing_base(tmp_path), {"iters": [12, 20]}, seeds=[0], out=tmp_path)
+        assert passes == [(0, list(range(1, 13))), (0, list(range(13, 21)))]
 
-    def test_shared_keys_equal_probe_keys(self, tmp_path):
-        configs = [sharing_base(tmp_path, seed=4, hessian_freq=f, warmup=w)
-                   for f, w in [(10, 0), (7, 2)]] + [sharing_base(tmp_path, optimizer="sgd")]
-        shared = harness._SeedPass(4, {}, configs)
-        for its in ([1, 11, 21], [1, 2, 3, 10, 17, 24], [21, 3]):
-            np.testing.assert_array_equal(shared.probe_keys(its), probe_keys(4, its))
-        with pytest.raises(KeyError):
-            shared.probe_keys([5])
+    def test_shared_keys_equal_probe_keys(self, tmp_path, monkeypatch):
+        shared = harness._SeedPass(4, {})
+        keys = shared.probe_keys(21)
+        np.testing.assert_array_equal(keys, probe_keys(4, range(1, 22)))
+        with pytest.raises(ValueError):
+            keys[0, 0] = 0
+        longer = shared.probe_keys(30)
+        assert not longer.flags.writeable
+        np.testing.assert_array_equal(longer, probe_keys(4, range(1, 31)))
+        np.testing.assert_array_equal(shared.probe_keys(5), keys[:5])
+
+        def unused(*args):
+            raise AssertionError("a run without estimates derives no keys")
+
+        monkeypatch.setattr(harness, "probe_keys", unused)
+        result = run(sharing_base(tmp_path, optimizer="sgd"), write_files=False)
+        assert result.status == "ok"
 
     def test_shared_batches_equal_sample_batch_and_are_read_only(self, tmp_path):
         cfg = sharing_base(tmp_path, seed=4)

@@ -11,7 +11,6 @@ from hessopt.hutchinson import (
     DiagEstimate,
     HutchinsonConfig,
     estimate_diag,
-    estimate_iterations,
     probe_blocks,
     probe_keys,
     probe_rng,
@@ -275,13 +274,6 @@ class TestSchedule:
         cfg = HutchinsonConfig(frequency=5, warmup_steps=3)
         computed = [t for t in range(1, 31) if should_compute(t, cfg)]
         assert computed == [1, 2, 3, 4, 9, 14, 19, 24, 29]
-
-    @settings(max_examples=200, deadline=None)
-    @given(frequency=st.integers(1, 12), warmup=st.integers(0, 30), iters=st.integers(1, 60))
-    def test_estimate_iterations_are_the_scheduled_ones(self, frequency, warmup, iters):
-        cfg = HutchinsonConfig(frequency=frequency, warmup_steps=warmup)
-        assert estimate_iterations(cfg, iters) == [
-            t for t in range(1, iters + 1) if should_compute(t, cfg)]
 
     def test_iterations_start_at_one(self):
         cfg = HutchinsonConfig()

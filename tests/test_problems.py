@@ -395,6 +395,23 @@ class TestSharedInterface:
         assert p.dim == 4
         assert p.beta / p.alpha == pytest.approx(3.0, rel=1e-6)
 
+    @pytest.mark.parametrize("name,params,needle", [
+        ("logreg", {"n": 10_001}, "desk scale"),
+        ("logreg", {"p": 101}, "desk scale"),
+        ("tiny-mlp", {"n": 10_001}, "desk scale"),
+        ("tiny-mlp-relu", {"n": 10_001}, "desk scale"),
+        ("tiny-mlp", {"layers": [64, 1]}, "exceeds d = 64"),
+        ("tiny-mlp-relu", {"layers": [4, 8, 3]}, "exceeds d = 64"),
+        ("spd-quadratic", {"d": 65}, "limited to d <= 64"),
+    ])
+    def test_builders_check_the_caps_before_drawing(self, monkeypatch, name, params, needle):
+        def unused(*args):
+            raise AssertionError("a builder drew data before checking its caps")
+
+        monkeypatch.setattr(np.random, "default_rng", unused)
+        with pytest.raises(ValueError, match=needle):
+            pr.get_problem(name, **params)
+
 
 @pytest.mark.parametrize("name,params", [
     ("tiny-mlp", {"batch_size": None}), ("logreg", {}), ("tiny-mlp-relu", {}),
