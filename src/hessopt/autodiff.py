@@ -36,8 +36,14 @@ earlier one is merged into it (also across a probe program and the tape it
 extends). Each rewrite is exact; the docstring of ``_optimize`` says why.
 Some ops call cheaper kernels that compute the same bits: ``np.square`` and
 ``np.reciprocal`` for the powers 2 and -1, ``einsum`` for axis-0 sums of
-C-contiguous matrices (``_power_kernel``, ``_sum_rows``), and
-``np.add.reduce``, the call behind ``ndarray.sum``, for other sums. In a
+C-contiguous matrices (``_power_kernel``, ``_sum_rows``),
+``np.add.reduce``, the call behind ``ndarray.sum``, for other sums, and
+``ndarray.dot`` for products. ``dot`` makes the BLAS call ``np.matmul``
+makes without its gufunc dispatch, and for float64 the two agree bit for
+bit when every 2-D operand is C- or F-ordered; a 1-D operand may have any
+stride. (A unit stride on one axis is not enough: rows ``x[::2]`` can
+differ.) Every product a loss here takes has such operands: node outputs,
+their transposes, reshapes of parameter leaves and batch arrays. In a
 replay, a step that makes a 0-d node (a loss, a mean's sum and scale) calls
 its ufunc or ``np.add.reduce`` with that node's 0-d array as ``out=``,
 rather than wrapping numpy's scalar result in a new array
@@ -448,7 +454,7 @@ def matmul(a, b) -> Tensor:
         )
     else:
         raise ValueError(f"matmul supports 2Dx2D, 2Dx1D, 1Dx2D; got {an}D @ {bn}D")
-    return Tensor(np.matmul, a, b, vjps, "matmul")
+    return Tensor(np.ndarray.dot, a, b, vjps, "matmul")
 
 
 def narrow(a, start: int, length: int) -> Tensor:

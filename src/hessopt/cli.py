@@ -217,9 +217,32 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _FloatToken:
+    """Matches a token ``float`` reads, such as ``-1e-3`` or ``-inf``.
+
+    argparse takes a token starting with ``-`` for an option unless it matches
+    its negative-number pattern, ``-\\d+`` or ``-\\d*\\.\\d+``, so
+    ``--lr -1e-3`` would read as a flag missing its value.
+    """
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are config errors: exit 1 with one line,
-    not a usage block and exit 2. Its subcommand parsers are of this class too."""
+    not a usage block and exit 2. Its subcommand parsers are of this class too.
+    A token ``float`` reads is a value, however negative (:class:`_FloatToken`).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatToken
 
     def error(self, message):
         # argparse quotes most values with repr, but not unrecognized arguments

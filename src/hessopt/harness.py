@@ -166,7 +166,9 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         try:
             make_schedule(self.schedule, **self.schedule_params)
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:  # its str() is the repr of its message
+            raise ConfigError(f"invalid schedule: {exc.args[0]}") from None
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid schedule: {exc}") from None
         return self
 

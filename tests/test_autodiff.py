@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hessopt import autodiff as ad
-from hessopt.problems import DifferentiableProblem
+from hessopt.problems import DifferentiableProblem, get_problem, problem_names
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -139,6 +139,83 @@ def test_matmul_gradients(shapes):
 def test_matmul_rejects_unsupported_ranks():
     with pytest.raises(ValueError):
         ad.matmul(ad.constant(np.zeros(3)), ad.constant(np.zeros(3)))
+
+
+def _laid_out(rng, shape, layout):
+    """A float64 array of ``shape`` in ``layout``, with entries of either sign
+    and magnitude 1e-3 to 1e3."""
+    def draw(size):
+        return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+
+    if len(shape) == 1:  # "strided" takes every third entry
+        return draw(shape) if layout == "c" else draw(3 * shape[0])[::3]
+    m, n = shape
+    if layout == "c":
+        return draw(shape)
+    if layout == "transposed":
+        return draw((n, m)).T
+    if layout == "row-sliced":  # a row range: C-ordered inside a larger array
+        return draw((m + 3, n))[1 : 1 + m]
+    return draw((n + 3, m))[1 : 1 + n].T  # a row range, transposed: F-ordered
+
+
+def _documented_layout(x: np.ndarray) -> bool:
+    """What ``matmul``'s kernel is documented to take: any 1-D operand, and
+    2-D operands that are C- or F-ordered."""
+    return x.ndim == 1 or x.flags.c_contiguous or x.flags.f_contiguous
+
+
+_LAYOUTS_2D = st.sampled_from(["c", "transposed", "row-sliced", "row-sliced-transposed"])
+_SIDES = st.one_of(st.just(1), st.integers(1, 40))  # k = 1 is an outer product
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["2x2", "2x1", "1x2"]), m=_SIDES, k=_SIDES, n=_SIDES,
+       layouts=st.tuples(_LAYOUTS_2D, _LAYOUTS_2D, st.sampled_from(["c", "strided"])),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="2x2", m=256, k=1, n=8, layouts=("c", "c", "c"), seed=0)  # tiny-mlp's outer products
+@example(kind="2x2", m=8, k=1, n=256, layouts=("c", "c", "c"), seed=0)
+def test_dot_kernel_equals_matmul_bit_for_bit(kind, m, k, n, layouts, seed):
+    rng = np.random.default_rng(seed)
+    first, second, vector = layouts
+    if kind == "2x2":
+        a, b = _laid_out(rng, (m, k), first), _laid_out(rng, (k, n), second)
+    elif kind == "2x1":
+        a, b = _laid_out(rng, (m, k), first), _laid_out(rng, (k,), vector)
+    else:
+        a, b = _laid_out(rng, (k,), vector), _laid_out(rng, (k, n), second)
+    assert _documented_layout(a) and _documented_layout(b)
+    expected = np.matmul(a, b)
+    assert a.dot(b).tobytes() == expected.tobytes()
+    assert ad.matmul(ad.constant(a), ad.constant(b)).data.tobytes() == expected.tobytes()
+
+
+_PRODUCT_CASES = [(name, None) for name in problem_names()] + [
+    (name, 32) for name in ("logreg", "tiny-mlp", "tiny-mlp-relu")]
+
+
+@pytest.mark.parametrize("name,batch_size", _PRODUCT_CASES,
+                         ids=[f"{n}-{'full' if b is None else 'batch'}" for n, b in _PRODUCT_CASES])
+def test_recorded_products_call_dot_on_documented_layouts(name, batch_size):
+    """Every product a recorded gradient or probe program replays calls
+    ``ndarray.dot``, never ``np.matmul``, on operands of the layout under
+    which the two agree bit for bit."""
+    problem = get_problem(name) if batch_size is None else get_problem(name, batch_size=batch_size)
+    rng = np.random.default_rng(3)
+    for t in (1, 2):  # records, then replays at another point and batch
+        theta = problem.theta0 + 0.1 * rng.standard_normal(problem.dim)
+        problem.full_tape(theta, problem.sample_batch(t, 5))[2](rng.standard_normal(problem.dim))
+    (tape,) = problem._tapes.values()
+    steps = tape.program.steps + tape.probe[0].steps
+    assert all(fn is not np.matmul for _, fn, _, _ in steps)
+    # a repeated product is an alias step of the first
+    assert all(fn in (np.ndarray.dot, ad._same) for node, fn, _, _ in steps if node.op == "matmul")
+    products = [(node, a, b) for node, fn, a, b in steps if fn is np.ndarray.dot]
+    assert all(node.op == "matmul" for node, _, _ in products)
+    assert bool(products) == (name != "noisy-parabola")
+    for node, a, b in products:
+        assert _documented_layout(a.data) and _documented_layout(b.data), (
+            node, a.data.strides, b.data.strides)
 
 
 def test_narrow_embed_roundtrip_gradient():

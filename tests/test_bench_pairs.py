@@ -58,6 +58,16 @@ def test_higher_is_better_metrics_gain_from_a_rise():
     assert not rise["call_p50_s"]["all_change_runs_better"]
 
 
+@pytest.mark.parametrize("last_change_steps,equal", [(3, True), (4, False)],
+                         ids=["same-work", "one-run-differs"])
+def test_counters_equal_needs_the_same_work_in_every_run(last_change_steps, equal):
+    runs = [{"parent": result(p), "change": result(p - 0.1)} for p in PARENT]
+    runs[-1]["change"]["counters"] = {"optim.steps": last_change_steps}
+    summary = bench_pairs.summarize(runs, SPEC)
+    assert summary["counters_equal"] is equal
+    assert summary["counters"]["change"][-1] == {"optim.steps": last_change_steps}
+
+
 @pytest.mark.parametrize("seeds,keys", [
     (["--seed", "0", "--seed", "11"], ["a seed 0", "a seed 11", "b seed 0", "b seed 11"]),
     ([], ["a seed 0", "b seed 0"]),

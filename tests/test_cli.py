@@ -591,12 +591,34 @@ class TestParser:
          "config error: hessopt run: argument --iters: invalid int value: 'abc'"),
         (["run", "--bogus"], "config error: hessopt: unrecognized arguments: --bogus"),
         (["frobnicate"], "config error: hessopt: argument command: invalid choice: "),
-    ], ids=["bad-int", "unknown-flag", "unknown-command"])
+        (["run", "--lr", "-5e-135"], "config error: lr must be positive"),
+        (["run", "--lr", "-inf"], "config error: lr must be finite, got -inf"),
+        (["run", "--lr", "-1e-3x"],
+         "config error: hessopt run: argument --lr: expected one argument"),
+        (["run", "--schedule", "step"], "config error: invalid schedule: unknown schedule "
+                                        "'step'; available: constant, linear_warmup_then_decay, "
+                                        "step_decay"),
+    ], ids=["bad-int", "unknown-flag", "unknown-command", "negative-lr", "negative-infinite-lr",
+            "not-a-number", "unknown-schedule"])
     def test_argv_error_is_one_config_error_line(self, capsys, argv, line):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith(line)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("value", ["-1e-3", "-5e-135", "-inf", "-1E+2", "-.5", "-1_0"])
+    def test_negative_value_in_any_float_form_is_a_value(self, command, value):
+        # argparse alone takes only -\d+ and -\d*.\d+ for negative numbers
+        args = cli.build_parser().parse_args([command, "--loss-threshold", value])
+        assert args.loss_threshold == float(value)
+
+    def test_negative_loss_threshold_in_exponent_form_runs(self, tmp_path, capsys):
+        assert main(["run", "--problem", "fig1-quadratic", "--iters", "2", "--no-cost-ratio",
+                     "--loss-threshold", "-1e-3", "--out", str(tmp_path), "--run-name", "r"]) == 0
+        header, _ = harness.load_trajectory(tmp_path / "r.trajectory.jsonl")
+        assert header["config"]["loss_threshold"] == -1e-3
+        assert capsys.readouterr().err == ""
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -20,7 +20,9 @@ the change won at least 9 pairs in 10 and its median is better than the
 parent's by more than the parent's IQR), whether every run of the change is
 better than every run of the parent (``all_change_runs_better``), and every
 run's value; plus the failed
-and attempted calls of each side and the work counters of each run. The file
+and attempted calls of each side, the work counters of each run, and whether
+every run of both sides counted the same work (``counters_equal``: a change of
+kernel must do the same work in less time). The file
 is rewritten after every pair, so an interrupted session keeps the pairs it
 finished; entries of other workloads or seeds already in it are kept.
 """
@@ -96,6 +98,8 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
         "failed_calls": {side: sum(r[side]["failed"] for r in runs) for side in SIDES},
         "attempted_calls": {side: sum(r[side]["attempted"] for r in runs) for side in SIDES},
         "metrics": metrics,
+        "counters_equal": all(r[side]["counters"] == runs[0]["parent"]["counters"]
+                              for r in runs for side in SIDES),
         "counters": {side: [r[side]["counters"] for r in runs] for side in SIDES},
     }
 
@@ -130,8 +134,10 @@ def main(argv: list[str] | None = None) -> int:
                    "by the bound of BENCHMARK.json; gain_shown holds when the change won "
                    "at least 9 pairs in 10 and its median is better than the parent's by "
                    "more than the parent's IQR; all_change_runs_better holds when every "
-                   "change run is better than every parent run. Times are perfbench's values at "
-                   "reference machine speed. Written by tools/bench_pairs.py."),
+                   "change run is better than every parent run; counters_equal holds when "
+                   "every run of both sides reports the same work counters. Times are "
+                   "perfbench's values at reference machine speed. Written by "
+                   "tools/bench_pairs.py."),
     })
     bench.setdefault("end_to_end", {})
     for workload, seed in itertools.product(args.workload, args.seed or [0]):
