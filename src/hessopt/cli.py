@@ -20,12 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .autodiff import NumericError
 from .harness import (
     ConfigError,
     RunConfig,
+    field_types,
     json_object,
     load_trajectory,
     make_out_dir,
@@ -38,64 +40,39 @@ from .harness import (
 from .optim import optimizer_names
 from .problems import problem_names
 
-# (flag, config field, type, help)
-_RUN_FLAGS = [
-    ("--problem", "problem", str, "problem registry name"),
-    ("--optimizer", "optimizer", str, "optimizer registry name"),
-    ("--lr", "lr", float, "base learning rate"),
-    ("--beta1", "beta1", float, "first-moment decay"),
-    ("--beta2", "beta2", float, "second-moment / curvature decay"),
-    ("--k", "k", float, "Hessian power in [0, 1]"),
-    ("--eps", "eps", float, "denominator guard"),
-    ("--weight-decay", "weight_decay", float, "weight decay coefficient"),
-    ("--momentum", "momentum", float, "gradient-descent momentum"),
-    ("--block-size", "block_size", int, "spatial-averaging block size"),
-    ("--samples", "samples", int, "Hutchinson probes per estimate"),
-    ("--hessian-freq", "hessian_freq", int, "iterations between diagonal estimates"),
-    ("--warmup", "warmup", int, "iterations of every-step estimation at the start"),
-    ("--schedule", "schedule", str, "learning-rate schedule kind"),
-    ("--iters", "iters", int, "iterations to run"),
-    ("--seed", "seed", int, "run seed"),
-    ("--out", "out", str, "output directory"),
-    ("--run-name", "run_name", str, "basename for output files"),
-    ("--loss-threshold", "loss_threshold", float,
-     "loss level for the iterations-to-threshold statistic"),
-    ("--divergence-loss", "divergence_loss", float,
-     "final loss above this counts as diverged in sweeps"),
-]
+
+class _JSONObject(argparse.Action):
+    """Stores the JSON object a flag's value holds. A value that is not one is
+    a ConfigError naming the flag, which argparse passes on as it is."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, json_object(values, option_string))
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config``, then one flag per RunConfig field: ``--<name>`` (dashes for
+    underscores) read as the field's type, a JSON object for a dict, and
+    ``--no-<name>`` for a bool, which defaults to true. Each flag defaults to
+    None, so only the flags given override the config."""
     parser.add_argument("--config", type=str, default=None,
                         help="JSON config file; explicit flags override its values")
-    for flag, _, typ, help_text in _RUN_FLAGS:
-        parser.add_argument(flag, type=typ, default=None, help=help_text)
-    parser.add_argument("--problem-params", type=str, default=None,
-                        help="JSON object of problem builder arguments")
-    parser.add_argument("--schedule-params", type=str, default=None,
-                        help="JSON object of schedule parameters")
-    parser.add_argument("--no-hessian-ema", action="store_true",
-                        help="precondition with |current estimate| instead of its moving average")
-    parser.add_argument("--no-cost-ratio", action="store_true",
-                        help="skip the gradient-descent timing companion")
+    for f in fields(RunConfig):
+        tp = field_types(RunConfig)[f.name][0][0]  # X for X | None
+        flag = f.name.replace("_", "-")
+        if tp is bool:
+            flag, kind = f"no-{flag}", {"action": "store_false"}
+        elif tp is dict:
+            kind = {"action": _JSONObject}
+        else:
+            kind = {"type": tp}
+        parser.add_argument(f"--{flag}", dest=f.name, default=None, help=f.metadata["help"],
+                            **kind)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for _, name, _, _ in _RUN_FLAGS:
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    for name in ("problem_params", "schedule_params"):
-        raw = getattr(args, name)
-        if raw is not None:
-            overrides[name] = json_object(raw, f"--{name.replace('_', '-')}")
-    if args.no_hessian_ema:
-        overrides["hessian_ema"] = False
-    if args.no_cost_ratio:
-        overrides["cost_ratio"] = False
-    return config.with_overrides(overrides).validate()
+    return config.with_overrides({f.name: getattr(args, f.name) for f in fields(RunConfig)
+                                  if getattr(args, f.name) is not None}).validate()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -116,16 +93,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid_value(text: str):
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
+def _grid_value(axis: str, text: str):
+    """``text`` read as the flag of the RunConfig field ``axis`` reads it; a
+    bool is ``true`` or ``false`` in any case. An unknown axis keeps its text,
+    for ``sweep`` to refuse."""
+    if axis not in field_types(RunConfig):
+        return text
+    tp = field_types(RunConfig)[axis][0][0]
+    try:
+        if tp is bool:
+            return {"true": True, "false": False}[text.lower()]
+        return json_object(text, axis) if tp is dict else tp(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{axis} must be {tp.__name__}, got {text!r}") from None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -139,7 +119,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if axis in axes:
             raise ConfigError(f"sweep axis {axis!r} is given more than once; "
                               f"list all its values in one --grid")
-        axes[axis] = [_parse_grid_value(v) for v in values.split(",") if v]
+        axes[axis] = [_grid_value(axis, v) for v in values.split(",") if v]
     if not axes:
         raise ConfigError("sweep needs at least one --grid axis")
     try:

@@ -78,6 +78,7 @@ __all__ = [
     "summarize_trajectory",
     "read_text",
     "json_object",
+    "field_types",
     "write_atomic",
 ]
 
@@ -94,7 +95,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Flat description of a single run; fields mirror the CLI flags.
+    """Flat description of a single run. Its fields are the run settings: the
+    CLI builds one ``run``/``sweep`` flag per field, read as the field's type,
+    with its ``metadata["help"]`` as the flag's help.
 
     ``problem_params`` and ``schedule_params`` pass through to the problem
     builder and schedule factory. ``loss_threshold`` feeds the
@@ -102,34 +105,41 @@ class RunConfig:
     finished run as diverged in sweeps when the final loss exceeds it.
     """
 
-    problem: str = "fig1-quadratic"
-    problem_params: dict = field(default_factory=dict)
-    optimizer: str = "adahessian"
-    lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    k: float = 1.0
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    momentum: float = 0.9
-    block_size: int = 1
-    hessian_ema: bool = True
-    samples: int = 1
-    hessian_freq: int = 1
-    warmup: int = 0
-    schedule: str = "constant"
-    schedule_params: dict = field(default_factory=dict)
-    iters: int = 100
-    seed: int = 0
-    out: str | None = None
-    run_name: str | None = None
-    loss_threshold: float | None = None
-    divergence_loss: float | None = None
-    cost_ratio: bool = True
+    problem: str = field(default="fig1-quadratic", metadata={"help": "problem registry name"})
+    problem_params: dict = field(default_factory=dict, metadata={
+        "help": "JSON object of problem builder arguments"})
+    optimizer: str = field(default="adahessian", metadata={"help": "optimizer registry name"})
+    lr: float = field(default=0.1, metadata={"help": "base learning rate"})
+    beta1: float = field(default=0.9, metadata={"help": "first-moment decay"})
+    beta2: float = field(default=0.999, metadata={"help": "second-moment / curvature decay"})
+    k: float = field(default=1.0, metadata={"help": "Hessian power in [0, 1]"})
+    eps: float = field(default=1e-8, metadata={"help": "denominator guard"})
+    weight_decay: float = field(default=0.0, metadata={"help": "weight decay coefficient"})
+    momentum: float = field(default=0.9, metadata={"help": "gradient-descent momentum"})
+    block_size: int = field(default=1, metadata={"help": "spatial-averaging block size"})
+    hessian_ema: bool = field(default=True, metadata={
+        "help": "precondition with |current estimate| instead of its moving average"})
+    samples: int = field(default=1, metadata={"help": "Hutchinson probes per estimate"})
+    hessian_freq: int = field(default=1, metadata={"help": "iterations between diagonal estimates"})
+    warmup: int = field(default=0, metadata={
+        "help": "iterations of every-step estimation at the start"})
+    schedule: str = field(default="constant", metadata={"help": "learning-rate schedule kind"})
+    schedule_params: dict = field(default_factory=dict, metadata={
+        "help": "JSON object of schedule parameters"})
+    iters: int = field(default=100, metadata={"help": "iterations to run"})
+    seed: int = field(default=0, metadata={"help": "run seed"})
+    out: str | None = field(default=None, metadata={"help": "output directory"})
+    run_name: str | None = field(default=None, metadata={"help": "basename for output files"})
+    loss_threshold: float | None = field(default=None, metadata={
+        "help": "loss level for the iterations-to-threshold statistic"})
+    divergence_loss: float | None = field(default=None, metadata={
+        "help": "final loss above this counts as diverged in sweeps"})
+    cost_ratio: bool = field(default=True, metadata={
+        "help": "skip the gradient-descent timing companion"})
 
     def validate(self) -> "RunConfig":
         _check_fields(RunConfig, vars(self))
-        for name, (allowed, _) in _field_types(RunConfig).items():
+        for name, (allowed, _) in field_types(RunConfig).items():
             value = getattr(self, name)
             if float in allowed and value is not None and not _is_finite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -187,12 +197,12 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         return replace(self, **overrides)
 
-    def to_dict(self, include_out: bool = True) -> dict:
+    def to_dict(self) -> dict:
+        """The config as a trajectory header keeps it: without where it writes."""
         data = {"schema": CONFIG_SCHEMA}
         for f in fields(self):
-            if not include_out and f.name in ("out", "run_name"):
-                continue
-            data[f.name] = getattr(self, f.name)
+            if f.name not in ("out", "run_name"):
+                data[f.name] = getattr(self, f.name)
         return data
 
     def default_run_name(self) -> str:
@@ -225,7 +235,7 @@ def json_object(text: str, what: str) -> dict:
 
 
 @functools.cache
-def _field_types(cls) -> dict[str, tuple[tuple, bool]]:
+def field_types(cls) -> dict[str, tuple[tuple, bool]]:
     """Field name -> the types its annotation allows (``X | None`` allows both),
     and whether the dataclass ``cls`` requires it (it has no default).
 
@@ -242,7 +252,7 @@ def _check_fields(cls, data: dict, where: str = "") -> None:
     """Check ``data``'s fields against the dataclass ``cls``: each one without a
     default is there, and each has a type its annotation allows, or a
     ConfigError prefixed by ``where`` names it. Other keys are left alone."""
-    for name, (allowed, required) in _field_types(cls).items():
+    for name, (allowed, required) in field_types(cls).items():
         if name not in data:
             if required:
                 raise ConfigError(f"{where}{name} is missing")
@@ -535,7 +545,7 @@ def run(config: RunConfig, write_files: bool = True, *,
     if config.optimizer == "adahessian":
         probes = (HutchinsonConfig(samples_per_estimate=config.samples,
                                    frequency=config.hessian_freq,
-                                   warmup_steps=config.warmup, seed=config.seed),
+                                   warmup_steps=config.warmup),
                   _shared.probe_keys(config.iters))
     companion_key = (key, config.iters)
     sgd_time = _shared.companions.get(companion_key)
@@ -613,7 +623,7 @@ def run(config: RunConfig, write_files: bool = True, *,
             summary["cost_ratio_vs_sgd"] = summary["amortized_iter_seconds"] / sgd_time
 
     if write_files:
-        header = {"schema": TRAJECTORY_SCHEMA, "config": config.to_dict(include_out=False)}
+        header = {"schema": TRAJECTORY_SCHEMA, "config": config.to_dict()}
         write_atomic(traj_path, "".join(_dump_json_line(line) + "\n" for line in
                                         [header, *(r.to_line_dict() for r in records)]))
         write_atomic(summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")

@@ -77,7 +77,8 @@ class HutchinsonConfig:
         samples_per_estimate: probes averaged per estimate (>= 1).
         frequency: compute a fresh estimate every n-th iteration after warmup.
         warmup_steps: compute every iteration while t <= warmup_steps.
-        seed: base seed for the probe generator.
+        seed: unused; ``estimate_diag`` draws from the Generator or probe key it
+            is passed, and a run keys its probes by ``RunConfig.seed`` and t.
     """
 
     samples_per_estimate: int = 1

@@ -6,9 +6,10 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,27 @@ def write_input(path: Path, content) -> Path:
     else:
         path.write_text(content)
     return path
+
+
+def sweep_axes(monkeypatch, argv: list[str]) -> dict:
+    """The axes ``sweep`` with ``argv`` hands to ``harness.sweep``, which is
+    not run."""
+    axes = {}
+
+    def fake_sweep(base, given, seeds, out=None, csv_name="sweep.csv"):
+        axes.update(given)
+        return [], Path(csv_name)
+
+    monkeypatch.setattr(cli, "sweep", fake_sweep)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", *argv]) == 0
+    return axes
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    (subparsers,) = [a.choices for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    return subparsers[command]
 
 
 class TestRunCommand:
@@ -161,12 +183,34 @@ class TestSweepCommand:
         assert "final_loss_mean" in out
         assert (tmp_path / "sweep.csv").exists()
 
-    def test_grid_values_are_typed(self):
-        assert cli._parse_grid_value("0.5") == 0.5
-        assert cli._parse_grid_value("3") == 3
-        assert isinstance(cli._parse_grid_value("3"), int)
-        assert cli._parse_grid_value("true") is True
-        assert cli._parse_grid_value("step_decay") == "step_decay"
+    @pytest.mark.parametrize("item,values", [
+        ("lr=1,0.5", [1.0, 0.5]),
+        ("hessian_ema=false,TRUE", [False, True]),
+        ("bogus=1", ["1"]),  # an unknown axis keeps its text for sweep to refuse
+    ])
+    def test_grid_values_are_read_as_their_fields_flags_read_them(self, monkeypatch, item,
+                                                                  values):
+        axes = sweep_axes(monkeypatch, ["--grid", item])
+        assert [(v, type(v)) for v in axes[item.partition("=")[0]]] == [
+            (v, type(v)) for v in values]
+
+    def test_string_axis_takes_a_numeric_value(self, tmp_path, capsys):
+        code = main(["sweep", "--problem", "fig1-quadratic", "--iters", "2", "--no-cost-ratio",
+                     "--grid", "out=2", "--grid", "run_name=3", "--out", str(tmp_path)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+    @pytest.mark.parametrize("item,needle", [
+        ("iters=1.5", "iters must be int, got '1.5'"),
+        ("lr=fast", "lr must be float, got 'fast'"),
+        ("cost_ratio=1", "cost_ratio must be bool, got '1'"),
+        ("problem_params=[1]", "problem_params must be dict, got '[1]'"),
+    ])
+    def test_grid_value_its_field_cannot_read_exits_one(self, tmp_path, capsys, item, needle):
+        code = main(["sweep", "--grid", item, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert (code, err) == (1, f"config error: {needle}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_grid_exits_one(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path)]) == 1
@@ -580,6 +624,45 @@ class TestReportCommand:
         assert err.startswith(f"config error: cannot report on {name!r}") and needle in err
 
 
+class TestRunFlags:
+    """RunConfig's fields are the one table of run settings: each is one flag of
+    ``run`` and ``sweep`` and a ``--grid`` axis read as that flag reads it."""
+
+    # a token each non-bool flag reads, and the value it gives
+    TOKENS = {int: ("7", 7), float: ("1", 1.0), str: ("2", "2"),
+              dict: ('{"a": 1}', {"a": 1})}
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("field", fields(harness.RunConfig), ids=lambda f: f.name)
+    def test_each_field_has_one_flag_that_reaches_it(self, monkeypatch, command, field):
+        (action,) = [a for a in subparser(command)._actions if a.dest == field.name]
+        (flag,) = action.option_strings
+        tp = harness.field_types(harness.RunConfig)[field.name][0][0]
+        if tp is bool:
+            expected = not field.default
+            argv, token = [flag], str(expected)
+        else:
+            token, expected = self.TOKENS[tp]
+            argv = [flag, token]
+        monkeypatch.setattr(harness.RunConfig, "validate", lambda self: self)
+        config = cli._config_from_args(cli.build_parser().parse_args([command, *argv]))
+        assert config == replace(harness.RunConfig(), **{field.name: expected})
+        assert type(getattr(config, field.name)) is type(expected)
+        if command == "sweep":
+            (value,) = sweep_axes(monkeypatch, ["--grid", f"{field.name}={token}"])[field.name]
+            assert (value, type(value)) == (expected, type(expected))
+
+    def test_readme_lists_exactly_the_run_flags(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Run one experiment")[1].split("\n### ")[0]
+        listed = re.search(r"one flag per field,(.*?)\.", section, re.DOTALL).group(1)
+        flags = {command: {flag for action in subparser(command)._actions
+                           for flag in action.option_strings} - {"-h", "--help", "--config"}
+                 for command in ("run", "sweep")}
+        assert set(re.findall(r"`(--[\w-]+)`", listed)) == flags["run"]
+        assert flags["sweep"] == flags["run"] | {"--grid", "--seeds", "--csv-name"}
+
+
 class TestParser:
     def test_subcommand_is_required(self, capsys):
         assert main([]) == 1
@@ -719,7 +802,7 @@ class TestFuzz:
             main(["sweep", "--problem", "fig1-quadratic", "--optimizer", "sgd",
                   "--iters", "2", "--grid", "lr=0.01,0.1", "--out", str(out),
                   "--no-cost-ratio"])
-        config = harness.RunConfig(iters=3, cost_ratio=False).to_dict(include_out=False)
+        config = harness.RunConfig(iters=3, cost_ratio=False).to_dict()
         (out / "config.json").write_text(json.dumps(config, indent=1))
         return out
 

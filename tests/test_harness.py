@@ -184,7 +184,7 @@ class TestRunConfig:
 
     def test_header_dict_excludes_output_fields(self):
         cfg = RunConfig(out="/tmp/x", run_name="n")
-        header = cfg.to_dict(include_out=False)
+        header = cfg.to_dict()
         assert "out" not in header and "run_name" not in header
         assert header["schema"] == "hessopt-run-1"
 
