@@ -18,6 +18,7 @@ bad one is a config error. The default output directory is taken from
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -108,6 +109,27 @@ def _grid_value(axis: str, text: str):
         raise ConfigError(f"{axis} must be {tp.__name__}, got {text!r}") from None
 
 
+def _split_values(text: str) -> list[str]:
+    """``text`` split on its commas outside brackets, braces and double-quoted
+    strings, so that a JSON value of a ``dict`` axis stays whole."""
+    parts, start, depth, quoted, escaped = [], 0, 0, False, False
+    for i, ch in enumerate(text):
+        if escaped:
+            escaped = False
+        elif quoted:
+            escaped, quoted = ch == "\\", ch != '"'
+        elif ch == '"':
+            quoted = True
+        elif ch in "[{":
+            depth += 1
+        elif ch in "]}":
+            depth = max(depth - 1, 0)
+        elif ch == "," and not depth:
+            parts.append(text[start:i])
+            start = i + 1
+    return [*parts, text[start:]]
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
     axes = {}
@@ -119,7 +141,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if axis in axes:
             raise ConfigError(f"sweep axis {axis!r} is given more than once; "
                               f"list all its values in one --grid")
-        axes[axis] = [_grid_value(axis, v) for v in values.split(",") if v]
+        axes[axis] = [_grid_value(axis, v) for v in _split_values(values) if v]
     if not axes:
         raise ConfigError("sweep needs at least one --grid axis")
     try:
@@ -229,7 +251,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {' '.join(message.splitlines())}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``hessopt`` parser, built once per process: parsing leaves it as it
+    was, and each ``parse_args`` returns a new Namespace."""
     parser = _Parser(
         prog="hessopt",
         description="Second-order optimization toolkit: runs, sweeps, and verification.",

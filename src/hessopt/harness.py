@@ -32,6 +32,13 @@ first cell of that key that has the cost ratio on and finishes without a
 numeric failure; the later cells of the key divide by its time. Nothing
 outlives the call, so a later sweep times its own companions.
 
+An AdaHessian run decides before its loop which iterations estimate
+(``should_compute``) and makes one keyed probe pass over those iterations'
+keys (``hutchinson.probe_pass``): their probes are drawn in chunks of at most
+``hutchinson._BLOCK_ENTRIES`` entries, each as the loop reaches it, into one
+buffer, and each estimate takes its iteration's rows. So no run holds more
+than one chunk of probes, and no estimate draws probes of its own.
+
 Every output (the trajectory, the summary, the sweep CSV and the verify
 report) is written once, atomically: to a temporary file in the target
 directory, then renamed over the target. A run that is interrupted leaves
@@ -60,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import NumericError
-from .hutchinson import HutchinsonConfig, estimate_diag, probe_keys, should_compute
+from .hutchinson import HutchinsonConfig, estimate_diag, probe_keys, probe_pass, should_compute
 from .optim import OPTIMIZERS, _is_finite, make_optimizer, make_schedule, optimizer_names
 from .problems import PROBLEM_BUILDERS, get_problem, problem_names
 
@@ -405,9 +412,8 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _dump_json_line(data: dict) -> str:
-    # Fixed separators and sorted keys keep serialization byte-stable.
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+# Fixed separators and sorted keys keep serialization byte-stable.
+_dump_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _iter_seconds(records: list[TrajectoryRecord]) -> dict:
@@ -496,19 +502,20 @@ def _build_problem(config: RunConfig):
 
 def _iterate(problem, opt, schedule, probes, theta, batch, t: int) -> tuple:
     """One timed iteration: the tape, with a Hutchinson estimate if ``probes``
-    is due at ``t``, then the step. ``probes`` is None, or a Hutchinson config
-    and the run's probe keys, iteration t's at row t - 1. Returns the new
-    theta, the loss and gradient at the old one, the schedule's factor,
-    whether it estimated, and its seconds."""
+    is due at ``t``, then the step. ``probes`` is None, or a Hutchinson config,
+    whether each iteration estimates (at index t - 1), and the run's
+    ``probe_pass`` over the iterations that do. Returns the new theta, the
+    loss and gradient at the old one, the schedule's factor, whether it
+    estimated, and its seconds."""
     start = time.perf_counter()
     lr_factor = schedule(t)
     # Only an iteration with a fresh estimate probes the Hessian; the rest
     # take the gradient alone, and AdaHessian reuses its last estimate.
-    computed = probes is not None and should_compute(t, probes[0])
+    computed = probes is not None and probes[1][t - 1]
     if computed:
-        hcfg, keys = probes
+        hcfg, _, drawn = probes
         loss, g, hvp_fn = problem.full_tape(theta, batch)
-        est = estimate_diag(problem, theta, batch, hcfg, keys[t - 1], iteration=t, hvp=hvp_fn)
+        est = estimate_diag(problem, theta, batch, hcfg, next(drawn), iteration=t, hvp=hvp_fn)
         theta = opt.step(theta, g, Ds=opt.average_diagonal(est.values), lr_factor=lr_factor)
     else:
         loss, g = problem.value_and_gradient(theta, batch)
@@ -530,7 +537,9 @@ def run(config: RunConfig, write_files: bool = True, *,
     the gradient-descent companion (SGD with lr 1e-9, momentum 0.9, constant
     schedule, no weight decay) runs one ``_iterate`` before each of the run's.
     It reads its problem, batches, probe keys and companion time (once stored)
-    from a seed pass: ``_shared``, internal to ``sweep``, or one of its own.
+    from a seed pass: ``_shared``, internal to ``sweep``, or one of its own;
+    the probes of the iterations that estimate come from one ``probe_pass``
+    over their keys.
     """
     config.validate()
     key = _SeedPass._key(config)
@@ -543,10 +552,11 @@ def run(config: RunConfig, write_files: bool = True, *,
     schedule = make_schedule(config.schedule, **config.schedule_params)
     probes = None
     if config.optimizer == "adahessian":
-        probes = (HutchinsonConfig(samples_per_estimate=config.samples,
-                                   frequency=config.hessian_freq,
-                                   warmup_steps=config.warmup),
-                  _shared.probe_keys(config.iters))
+        hcfg = HutchinsonConfig(samples_per_estimate=config.samples,
+                                frequency=config.hessian_freq, warmup_steps=config.warmup)
+        due = [should_compute(t, hcfg) for t in range(1, config.iters + 1)]
+        probes = (hcfg, due, probe_pass(_shared.probe_keys(config.iters)[np.array(due)],
+                                        config.samples, problem.dim))
     companion_key = (key, config.iters)
     sgd_time = _shared.companions.get(companion_key)
     sgd = None

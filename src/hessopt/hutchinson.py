@@ -18,15 +18,19 @@ one-probe calls would have drawn, in order.
 
 A run derives the keys of its iterations once, before its loop, indexed by
 t: :func:`probe_keys` hashes every (seed, t) in one vectorized pass, to the
-keys that :func:`probe_rng` would give its generators. Each estimate then
-draws its probes from raw Philox words under its iteration's key
-(:func:`probe_blocks`), the same probes that ``rademacher`` draws from
-``probe_rng(seed, t)``; :func:`should_compute` alone decides which
-iterations estimate. So an iteration's time includes no key derivation. The
-hash is numpy's SeedSequence, and :func:`seed_words` is its one copy: the
-minibatch pass (``DifferentiableProblem.sample_batches``) seeds its PCG64
-lanes with it too. ``probe_rng`` and ``rademacher`` stay the numpy reference
-that the oracle and the tests call.
+keys that :func:`probe_rng` would give its generators. The probes of the
+iterations that :func:`should_compute` selects then come from one keyed pass
+(:func:`probe_pass`): it draws the probes of as many of those keys as fit in
+``_BLOCK_ENTRIES`` entries at once, from raw Philox words, into one buffer
+that it refills chunk by chunk as the loop asks for them. Each estimate takes
+its iteration's ``(n, d)`` rows, the same probes that ``rademacher`` draws
+from ``probe_rng(seed, t)``. So no iteration's time includes deriving a
+key, only the first iteration of a chunk includes a draw, and a run never
+holds more than one chunk of probes. :func:`probe_blocks` draws one key's probes through the same keyed
+draw. The hash is numpy's SeedSequence, and :func:`seed_words` is its one
+copy: the minibatch pass (``DifferentiableProblem.sample_batches``) seeds its
+PCG64 lanes with it too. ``probe_rng`` and ``rademacher`` stay the numpy
+reference that the oracle and the tests call.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "seed_words",
     "rademacher",
     "probe_blocks",
+    "probe_pass",
     "estimate_diag",
     "should_compute",
 ]
@@ -60,12 +65,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 
-# Probe entries an estimate holds at once; a block has a multiple of 8 rows.
+# Probe entries that one keyed draw holds: a block of one estimate's probes, a
+# multiple of 8 rows, or a run's chunk of several estimates' probes.
 _BLOCK_ENTRIES = 1 << 16
-# Every keyed block sets this generator's whole state before it draws, so no
+# Every keyed draw sets this generator's whole state before it draws, so no
 # draw depends on an earlier one (within one thread: nothing here locks it).
 _PHILOX = np.random.Philox(0)
-_TO_TOP = np.array([32, 0], dtype=np.uint64)  # moves bit 31, then bit 63, to bit 63
 _SIGNS = np.array([-1.0, 1.0])
 
 
@@ -218,18 +223,43 @@ def _seed_sequence_state(entropy: np.ndarray, words: int) -> np.ndarray:
     return (state[0::2] | state[1::2] << np.uint64(32)).T  # little-endian word pairs
 
 
+def _keyed_probes(keys: np.ndarray, n: int, d: int, start: int = 0,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Rows start .. start + n - 1 of the probes of each key of ``keys`` (a
+    ``(k, 2)`` array from :func:`probe_keys`), as a ``(k, n, d)`` array, written
+    into ``out`` if given. Key j's probes are the rows of ``rademacher((rows,
+    d), Generator(Philox(key=keys[j])))``: ``integers(0, 2)`` on a fresh
+    generator takes a 32-bit Lemire draw whose rejection threshold (2**32 - 2)
+    mod 2 is 0, so entry i is the top bit of the i-th 32-bit half of the raw
+    64-bit words, low half first. ``start * d`` is a multiple of 8, so the draw
+    starts on a Philox counter block of 4 words: each key's generator is set to
+    it, then the signs of every key are read in one pass.
+    """
+    count = (n * d + 1) // 2
+    words = np.empty((len(keys), count), dtype="<u8")
+    inner = {"counter": (start * d // 8, 0, 0, 0), "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for row, key in zip(words, keys):
+        inner["key"] = key
+        _PHILOX.state = state
+        row[:] = _PHILOX.random_raw(count)
+    tops = words.view("<u4")[:, :n * d] >> 31
+    if out is None:
+        return _SIGNS.take(tops).reshape(len(keys), n, d)
+    _SIGNS.take(tops, out=out.reshape(len(keys), n * d), mode="clip")
+    return out
+
+
 def probe_blocks(n: int, d: int, source):
     """Yield n Rademacher probes of length d as successive ``(rows, d)`` blocks.
 
     ``source`` is a Generator, drawn through :func:`rademacher`, or a key from
-    :func:`probe_keys`. A key's probes are the rows of ``rademacher((n, d),
-    Generator(Philox(key=key)))``: ``integers(0, 2)`` on a fresh generator
-    takes a 32-bit Lemire draw whose rejection threshold (2**32 - 2) mod 2 is
-    0, so entry j is the top bit of the j-th 32-bit half of the raw 64-bit
-    words, low half first. A block has a multiple of 8 rows (the last block
-    may have fewer) and about ``_BLOCK_ENTRIES`` entries, so each keyed block
-    starts on a Philox counter block of 4 words and re-keys the generator to
-    it; the blocks are the one-shot draw's rows whatever their size.
+    :func:`probe_keys`, drawn by the keyed draw that :func:`probe_pass` makes;
+    a key's probes are the rows of ``rademacher((n, d), Generator(Philox(key=key)))``.
+    A block has a multiple of 8 rows (the last block may have fewer) and about
+    ``_BLOCK_ENTRIES`` entries; the blocks are the one-shot draw's rows
+    whatever their size.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -238,40 +268,63 @@ def probe_blocks(n: int, d: int, source):
         size = min(rows, n - start)
         if isinstance(source, np.random.Generator):
             yield rademacher((size, d), source)
-            continue
-        _PHILOX.state = {"bit_generator": "Philox",
-                         "state": {"counter": (start * d // 8, 0, 0, 0), "key": source},
-                         "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                         "has_uint32": 0, "uinteger": 0}
-        words = _PHILOX.random_raw((size * d + 1) // 2)
-        bits = np.left_shift(words[:, None], _TO_TOP)
-        bits >>= np.uint64(63)
-        yield _SIGNS.take(bits.reshape(-1)[:size * d]).reshape(size, d)
+        else:
+            yield _keyed_probes(np.reshape(source, (1, 2)), size, d, start)[0]
 
 
-def estimate_diag(problem, theta, batch, cfg: HutchinsonConfig,
-                  rng: np.random.Generator | np.ndarray, iteration: int = 0,
-                  hvp=None) -> DiagEstimate:
+def probe_pass(keys: np.ndarray, n: int, d: int):
+    """Yield, for each key of ``keys`` in turn, what :func:`estimate_diag` takes
+    for that key's n probes of length d: its ``(n, d)`` probes, or the key
+    itself if they exceed ``_BLOCK_ENTRIES`` entries (``estimate_diag`` then
+    draws them block by block).
+
+    The probes of as many keys as fit in ``_BLOCK_ENTRIES`` entries are drawn
+    at once, each chunk when the first of its keys is asked for, into one
+    buffer that the next chunk overwrites: a key's probes are valid until the
+    probes of the next chunk are asked for.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if n * d > _BLOCK_ENTRIES:
+        yield from keys
+        return
+    step = max(1, min(len(keys), _BLOCK_ENTRIES // (n * d)))
+    buffer = np.empty((step, n, d))
+    for first in range(0, len(keys), step):
+        chunk = keys[first:first + step]
+        yield from _keyed_probes(chunk, n, d, out=buffer[:len(chunk)])
+
+
+def estimate_diag(problem, theta, batch, cfg: HutchinsonConfig, source,
+                  iteration: int = 0, hvp=None) -> DiagEstimate:
     """Mean of z * (Hz) over ``cfg.samples_per_estimate`` Rademacher probes.
 
-    ``rng`` is a Generator or a probe key (see :func:`probe_blocks`); the
-    probes are drawn in blocks of bounded size. ``hvp`` may be a prebuilt
-    ``z -> Hz`` callable (for example the harness's per-iteration tape);
-    otherwise one is built from the problem at ``theta`` over ``batch``. All
-    probes share the same tape and batch. Raises NumericError (phase ``hvp``)
-    if the probes' sum overflows.
+    ``source`` is the ``(samples_per_estimate, d)`` probes themselves (as
+    :func:`probe_pass` yields them), or a Generator or probe key that they
+    are drawn from in blocks of bounded size (see :func:`probe_blocks`).
+    ``hvp`` may be a prebuilt ``z -> Hz`` callable (for example the harness's
+    per-iteration tape); otherwise one is built from the problem at ``theta``
+    over ``batch``. All probes share the same tape and batch. Raises
+    NumericError (phase ``hvp``) if the probes' sum overflows.
     """
     if hvp is None:
         hvp = problem.hvp_operator(theta, batch)
     d = as_float64(theta).shape[0]
+    n = cfg.samples_per_estimate
+    if isinstance(source, np.ndarray) and source.ndim == 2:
+        if source.shape != (n, d):
+            raise ValueError(f"expected {n} probes of length {d}, got shape {source.shape}")
+        blocks = (source,)
+    else:
+        blocks = probe_blocks(n, d, source)
     acc = np.zeros(d)
-    for block in probe_blocks(cfg.samples_per_estimate, d, rng):
+    for block in blocks:
         for z in block:
             acc += z * hvp(z)
     if not all_finite(acc):
         raise NumericError(f"non-finite value in {problem.name} Hutchinson sum of "
-                           f"{cfg.samples_per_estimate} probes", phase="hvp")
-    return DiagEstimate(acc / cfg.samples_per_estimate, iteration)
+                           f"{n} probes", phase="hvp")
+    return DiagEstimate(acc / n, iteration)
 
 
 def should_compute(t: int, cfg: HutchinsonConfig) -> bool:

@@ -71,8 +71,8 @@ class BlockSpec:
             starts.extend(range(offset, offset + size, self.block_size))
             offset += size
         self._starts = np.asarray(starts, dtype=np.intp)
-        bounds = np.append(self._starts, self.dim)
-        self._lengths = np.diff(bounds).astype(np.float64)
+        self._counts = np.diff(np.append(self._starts, self.dim))
+        self._lengths = self._counts.astype(np.float64)
 
     def __repr__(self) -> str:
         return f"BlockSpec(block_size={self.block_size}, group_sizes={self.group_sizes})"
@@ -87,7 +87,7 @@ def spatial_average(D: np.ndarray, blocks: BlockSpec) -> np.ndarray:
         return D.copy()
     sums = np.add.reduceat(D, blocks._starts)
     means = sums / blocks._lengths
-    return np.repeat(means, blocks._lengths.astype(np.intp))
+    return np.repeat(means, blocks._counts)
 
 
 def ema_square_update(prev: np.ndarray, value: np.ndarray, beta2: float) -> np.ndarray:

@@ -101,15 +101,16 @@ class _Tape:
 
     ``params`` holds one leaf per parameter tensor, written with theta's
     ``slices``, and ``inputs`` one per batch array; ``grads`` holds the
-    gradient's part of each parameter leaf. ``generation`` counts the tape's
-    replays, so an hvp callable can tell that the nodes it would read now
-    hold another point's data. ``probe`` holds the recorded probe program
-    over this tape, its leaves and its outputs (the HVP's parts), once a
-    first probe has succeeded.
+    gradient's part of each parameter leaf, and ``grad_pad`` whether joining
+    them needs ``+= 0.0`` (see :func:`_needs_pad`). ``generation`` counts the
+    tape's replays, so an hvp callable can tell that the nodes it would read
+    now hold another point's data. ``probe`` holds the recorded probe program
+    over this tape, its leaves, its outputs (the HVP's parts) and their
+    ``_needs_pad``, once a first probe has succeeded.
     """
 
-    __slots__ = ("params", "inputs", "slices", "loss", "grads", "program", "generation",
-                 "probe")
+    __slots__ = ("params", "inputs", "slices", "loss", "grads", "grad_pad", "program",
+                 "generation", "probe")
 
     def __init__(self, problem: "DifferentiableProblem", theta: np.ndarray, inputs):
         self.slices = _group_slices(problem.group_sizes)
@@ -119,8 +120,9 @@ class _Tape:
         with self.program.recording():
             self.loss = problem.loss(self.params, *self.inputs)
             self.grads = ad.backward(self.loss, self.params)
+        self.grad_pad = _needs_pad(self.grads)
         self.generation = 0
-        self.probe: tuple[ad.Program, list, list] | None = None
+        self.probe: tuple[ad.Program, list, list, bool] | None = None
 
     def replay(self, theta: np.ndarray, inputs) -> None:
         """Rerun the recorded tape at new leaf data."""
@@ -130,6 +132,15 @@ class _Tape:
         for leaf, x in zip(self.inputs, inputs):
             leaf.data = ad.as_float64(x)
         self.program.replay()
+
+
+def _needs_pad(parts: list[ad.Tensor]) -> bool:
+    """Whether joining ``parts`` needs ``+= 0.0``: a flat theta read through
+    slices gets its cotangent by adding one zero-padded vector per slice that
+    backward reaches (a part it does not reach is its zero constant), which
+    makes -0.0 +0.0 once there are two. A replay keeps each part's op, so a
+    recording decides this once for all its replays."""
+    return sum(part.op != "constant" for part in parts) > 1
 
 
 # ``default_rng`` is numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with
@@ -377,7 +388,7 @@ class DifferentiableProblem:
         # constants and merged ones get alias steps.
         if not math.isfinite(tape.loss.data):
             self._check(tape.loss, "loss")
-        grad = self._joined(tape.grads, "gradient")
+        grad = self._joined(tape.grads, tape.grad_pad, "gradient")
         self._tapes[key] = tape
         return tape, grad
 
@@ -391,26 +402,25 @@ class DifferentiableProblem:
             program = ad.Program(extends=tape.program)
             with program.recording():
                 hz = ad.backward(tape.grads, tape.params, leaves)
-                hvp = self._joined(hz, "hvp")  # so that a probe that raised is not kept
-            tape.probe = (program, leaves, hz)
+                pad = _needs_pad(hz)
+                hvp = self._joined(hz, pad, "hvp")  # so that a probe that raised is not kept
+            tape.probe = (program, leaves, hz, pad)
             return hvp
-        program, leaves, hz = tape.probe
+        program, leaves, hz, pad = tape.probe
         for leaf, part in zip(leaves, _split(z, tape.slices)):
             leaf.data = part
         program.replay()
-        return self._joined(hz, "hvp")
+        return self._joined(hz, pad, "hvp")
 
-    def _joined(self, parts: list[ad.Tensor], what: str) -> np.ndarray:
-        """A new flat vector of the parts' data; raises the NumericError naming
-        the op if it is not finite. A flat theta read through slices gets its
-        cotangent by adding one zero-padded vector per slice that backward
-        reaches (a part it does not reach is its zero constant), which makes
-        -0.0 +0.0 once there are two: so then does ``+= 0.0``."""
+    def _joined(self, parts: list[ad.Tensor], pad: bool, what: str) -> np.ndarray:
+        """A new flat vector of the parts' data, then ``+= 0.0`` if ``pad``
+        (the parts' :func:`_needs_pad`); raises the NumericError naming the op
+        if it is not finite."""
         if len(parts) == 1:
             out = parts[0].data.copy()
         else:
             out = np.concatenate([part.data for part in parts])
-            if sum(part.op != "constant" for part in parts) > 1:
+            if pad:
                 out += 0.0
         if not ad.all_finite(out):
             self._check(parts, what)

@@ -2,6 +2,8 @@
 
 import argparse
 import contextlib
+import csv
+import importlib.util
 import inspect
 import io
 import json
@@ -199,6 +201,26 @@ class TestSweepCommand:
                      "--grid", "out=2", "--grid", "run_name=3", "--out", str(tmp_path)])
         assert (code, capsys.readouterr().err) == (0, "")
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+    def test_dict_axis_takes_objects_of_several_keys(self, tmp_path, capsys):
+        # a value list is split on the commas outside braces, so each object stays whole
+        code = main(["sweep", "--problem", "spd-quadratic", "--iters", "2", "--no-cost-ratio",
+                     "--grid", 'problem_params={"d": 2, "condition_number": 3.0},'
+                               '{"d": 3, "condition_number": 5.0, "seed": 1}',
+                     "--out", str(tmp_path)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").open(newline="")))
+        assert [json.loads(r["problem_params"].replace("'", '"')) for r in rows] == [
+            {"d": 2, "condition_number": 3.0}, {"d": 3, "condition_number": 5.0, "seed": 1}]
+
+    @pytest.mark.parametrize("values,split", [
+        ("0.1,0.2,,0.3", ["0.1", "0.2", "", "0.3"]),
+        ('{"a": [1, 2], "b": {"c": 3}},{}', ['{"a": [1, 2], "b": {"c": 3}}', "{}"]),
+        ('{"a": "x,}\\",y"},2', ['{"a": "x,}\\",y"}', "2"]),
+        ("a]b,c", ["a]b", "c"]),
+    ])
+    def test_grid_values_split_on_commas_outside_brackets_and_strings(self, values, split):
+        assert cli._split_values(values) == split
 
     @pytest.mark.parametrize("item,needle", [
         ("iters=1.5", "iters must be int, got '1.5'"),
@@ -713,6 +735,72 @@ class TestParser:
         parser = cli.build_parser()
         assert "adahessian" in parser.epilog
         assert "noisy-parabola" in parser.epilog
+
+    def test_cached_parser_parses_as_a_fresh_one(self):
+        # One parser per process; each argv, a failing one included, reads
+        # the same through it as through a parser built for that argv alone.
+        argvs = [
+            ["run", "--problem", "logreg", "--problem-params", '{"batch_size": 32}',
+             "--no-hessian-ema", "--lr", "0.05"],
+            ["sweep", "--grid", "lr=0.1,0.2", "--schedule-params", '{"warmup_steps": 3}',
+             "--no-cost-ratio", "--seeds", "0,1"],
+            ["run", "--iters", "abc"],
+            ["run", "--problem-params", "[1]"],
+            ["verify", "--seed", "3", "--properties", "hvp_linearity"],
+            ["report", "x.trajectory.jsonl"],
+            ["run"],
+            ["sweep", "--grid", "iters=2", "--csv-name", "a.csv"],
+        ]
+
+        def parse(parser, argv):
+            try:
+                return parser.parse_args(argv)
+            except harness.ConfigError as exc:
+                return f"ConfigError: {exc}"
+
+        assert cli.build_parser() is cli.build_parser()
+        results = [parse(cli.build_parser(), argv) for argv in argvs]
+        assert results == [parse(cli.build_parser.__wrapped__(), argv) for argv in argvs]
+        assert [type(r) for r in results].count(str) == 2
+
+
+def _bench_module(name: str, monkeypatch):
+    """``perfbench/<name>.py``, loaded from its file; nothing in it is changed."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports speed.py beside it
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRepeatedCalls:
+    """Calls in one process do the same work: no per-process cache may let a
+    later call skip a function the benchmark's spans wrap (its traced runs
+    compare every call's span counts with the first call's)."""
+
+    @pytest.mark.parametrize("workload", ["train-dense", "sweep-sparse"])
+    def test_every_call_counts_the_same_spans(self, tmp_path, monkeypatch, workload):
+        spans = _bench_module("spans", monkeypatch)
+        argv = _bench_module("run", monkeypatch).WORKLOADS[workload]["argv"](0)
+        monkeypatch.setenv("HESSOPT_OUT", str(tmp_path))
+        cli.build_parser.cache_clear()  # the first call builds it, the later ones reuse it
+        tracer = spans.Tracer()
+        traced_main = tracer.root(cli.main)
+        counts = []
+        for call in range(3):
+            tracer.call_id = call
+            tracer.install()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert traced_main(argv) == 0
+            finally:
+                tracer.uninstall()
+            counts.append(tracer.call_profile(call)["counts"])
+        assert counts[1] == counts[0] and counts[2] == counts[0]
+        assert counts[0]["cli.build_parser"] == 1
+        assert counts[0]["problems.get_problem"] == 1
+        assert counts[0]["autodiff.backward"] >= 1  # every call records its own tapes
 
 
 # Leaves of the values a fuzzed file's JSON value is swapped for: every JSON

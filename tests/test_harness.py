@@ -22,7 +22,7 @@ from hessopt.harness import (
     summarize_trajectory,
     sweep,
 )
-from hessopt.hutchinson import probe_keys
+from hessopt.hutchinson import HutchinsonConfig, probe_keys, should_compute
 from hessopt.optim import OPTIMIZERS, SGD, AdaHessian, Schedule
 from hessopt.problems import LogisticRegression, get_problem
 
@@ -622,6 +622,61 @@ class TestSweepSharing:
         monkeypatch.setattr(harness, "probe_keys", unused)
         result = run(sharing_base(tmp_path, optimizer="sgd"), write_files=False)
         assert result.status == "ok"
+
+    @staticmethod
+    def lines(result) -> list[dict]:
+        return [r.to_line_dict() for r in result.records]
+
+    @staticmethod
+    def count_draws(monkeypatch, block_entries: int) -> list:
+        """Sets ``_BLOCK_ENTRIES`` and records each keyed draw's keys, entries
+        and the buffer it writes into (None for a new array)."""
+        draws = []
+        original = hutchinson._keyed_probes
+
+        def counting(keys, n, d, start=0, out=None):
+            draws.append((keys.copy(), len(keys) * n * d, None if out is None else out.base))
+            return original(keys, n, d, start, out)
+
+        monkeypatch.setattr(hutchinson, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(hutchinson, "_keyed_probes", counting)
+        return draws
+
+    def test_run_draws_its_scheduled_probes_chunk_by_chunk(self, tmp_path, monkeypatch):
+        # Three estimates to a chunk: only the iterations the schedule selects
+        # are drawn, chunk by chunk into one buffer, and the run is unchanged.
+        cfg = quick_config(tmp_path, problem="logreg", problem_params={"batch_size": 32},
+                           iters=30, samples=3, hessian_freq=4, warmup=3)
+        expected = run(cfg, write_files=False)
+        hcfg = HutchinsonConfig(samples_per_estimate=3, frequency=4, warmup_steps=3)
+        ts = [t for t in range(1, cfg.iters + 1) if should_compute(t, hcfg)]
+        assert ts == [1, 2, 3, 4, 8, 12, 16, 20, 24, 28]
+        chunk = 3 * 3 * expected.theta_final.size
+        draws = self.count_draws(monkeypatch, chunk + 1)
+        result = run(cfg, write_files=False)
+        assert self.lines(result) == self.lines(expected)
+        np.testing.assert_array_equal(result.theta_final, expected.theta_final)
+        assert [len(keys) for keys, _, _ in draws] == [3, 3, 3, 1]
+        np.testing.assert_array_equal(np.concatenate([keys for keys, _, _ in draws]),
+                                      probe_keys(cfg.seed, ts))
+        (buffer,) = {id(base): base for _, _, base in draws}.values()
+        assert buffer is not None and buffer.size == chunk
+        assert max(entries for _, entries, _ in draws) <= chunk
+
+    def test_run_draws_an_estimate_past_one_chunk_block_by_block(self, tmp_path, monkeypatch):
+        # 40 probes against blocks of 16: each estimate draws 16, 16 and 8 rows.
+        cfg = quick_config(tmp_path, problem="logreg", problem_params={"batch_size": 32},
+                           iters=30, samples=40, hessian_freq=10)
+        expected = run(cfg, write_files=False)
+        d = expected.theta_final.size
+        draws = self.count_draws(monkeypatch, 16 * d)
+        result = run(cfg, write_files=False)
+        assert self.lines(result) == self.lines(expected)
+        np.testing.assert_array_equal(result.theta_final, expected.theta_final)
+        assert [(len(keys), entries, base) for keys, entries, base in draws] == [
+            (1, rows * d, None) for _ in (1, 11, 21) for rows in (16, 16, 8)]
+        np.testing.assert_array_equal(np.concatenate([keys for keys, _, _ in draws]),
+                                      np.repeat(probe_keys(cfg.seed, [1, 11, 21]), 3, axis=0))
 
     def test_shared_batches_equal_sample_batch_and_are_read_only(self, tmp_path):
         cfg = sharing_base(tmp_path, seed=4)

@@ -13,6 +13,7 @@ from hessopt.hutchinson import (
     estimate_diag,
     probe_blocks,
     probe_keys,
+    probe_pass,
     probe_rng,
     rademacher,
     should_compute,
@@ -176,7 +177,69 @@ class TestKeyedDraw:
             next(probe_blocks(1, 0, probe_keys(0, [1])[0]))
 
 
+class TestProbePass:
+    """The run's keyed pass: the probes of the iterations a schedule selects, in
+    chunks of at most ``_BLOCK_ENTRIES`` entries."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 64), n=st.integers(1, 40), max_entries=st.integers(1, 600),
+           seed=st.integers(0, 2**40), frequency=st.integers(1, 7),
+           warmup=st.integers(0, 5), iters=st.integers(1, 40))
+    @example(d=57, n=1, max_entries=1 << 16, seed=0, frequency=1, warmup=0, iters=40)
+    @example(d=7, n=3, max_entries=21, seed=11, frequency=4, warmup=3, iters=30)
+    @example(d=64, n=40, max_entries=8, seed=5, frequency=3, warmup=0, iters=9)
+    def test_rows_equal_rademacher_on_probe_rng(self, d, n, max_entries, seed, frequency,
+                                                warmup, iters):
+        cfg = HutchinsonConfig(samples_per_estimate=n, frequency=frequency,
+                               warmup_steps=warmup)
+        ts = [t for t in range(1, iters + 1) if should_compute(t, cfg)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hutchinson, "_BLOCK_ENTRIES", max_entries)
+            taken = 0
+            # each row is checked before the next is asked for: a later chunk
+            # overwrites the buffer an earlier one was drawn into
+            for t, source in zip(ts, probe_pass(probe_keys(seed, ts), n, d), strict=True):
+                if n * d > max_entries:  # a key, drawn block by block
+                    z = np.concatenate(list(probe_blocks(n, d, source)))
+                else:
+                    z = source
+                assert z.shape == (n, d) and z.dtype == np.float64
+                np.testing.assert_array_equal(z, rademacher((n, d), probe_rng(seed, t)))
+                taken += 1
+        assert taken == len(ts)
+
+    def test_probes_past_one_block_are_drawn_by_their_key(self):
+        (key,) = keys = probe_keys(3, [4])
+        (source,) = probe_pass(keys, 2, (1 << 15) + 1)
+        np.testing.assert_array_equal(source, key)
+        (z,) = probe_pass(keys, 2, 1 << 15)
+        np.testing.assert_array_equal(z, rademacher((2, 1 << 15), probe_rng(3, 4)))
+
+    def test_rejects_an_empty_probe(self):
+        with pytest.raises(ValueError):
+            next(probe_pass(probe_keys(0, [1]), 1, 0))
+
+
 class TestEstimateDiag:
+    def test_probes_key_and_generator_give_the_same_estimate(self):
+        A = np.array([[2.0, 1.0], [1.0, 3.0]])
+        p = pr.QuadraticProblem(A, np.zeros(2), name="q")
+        cfg = HutchinsonConfig(samples_per_estimate=5)
+        (key,) = probe_keys(3, [9])
+        probes = rademacher((5, 2), probe_rng(3, 9))
+        given = estimate_diag(p, np.zeros(2), None, cfg, probes, hvp=A.__matmul__)
+        keyed = estimate_diag(p, np.zeros(2), None, cfg, key, hvp=A.__matmul__)
+        numpy = estimate_diag(p, np.zeros(2), None, cfg, probe_rng(3, 9), hvp=A.__matmul__)
+        np.testing.assert_array_equal(given.values, keyed.values)
+        np.testing.assert_array_equal(given.values, numpy.values)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (5, 3), (10, 1)])
+    def test_rejects_probes_of_another_shape(self, shape):
+        p = pr.make_fig1_quadratic()
+        with pytest.raises(ValueError, match="expected 5 probes of length 2"):
+            estimate_diag(p, p.theta0, None, HutchinsonConfig(samples_per_estimate=5),
+                          np.ones(shape))
+
     def test_key_and_generator_give_the_same_estimate(self):
         # 32,770 probes of length 2 span two blocks of 32,768 rows.
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
