@@ -205,7 +205,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             lines += [f"{key}: {value}" for key, value in summarize_trajectory(records).items()]
             lines += [f"  t={r['t']:<5d} loss={r['loss']:.6e} |g|={r['grad_norm']:.3e}"
                       f" lr={r['lr']:.4g} hess={'Y' if r['hessian_computed'] else 'n'}"
-                      for r in records[:3] + ([] if len(records) <= 6 else records[-3:])]
+                      for r in (records if len(records) <= 6 else records[:3] + records[-3:])]
         elif path.suffix == ".csv":
             lines = [read_text(path, "file").rstrip()]
         elif path.suffix == ".json":

@@ -33,11 +33,12 @@ numeric failure; the later cells of the key divide by its time. Nothing
 outlives the call, so a later sweep times its own companions.
 
 An AdaHessian run decides before its loop which iterations estimate
-(``should_compute``) and makes one keyed probe pass over those iterations'
-keys (``hutchinson.probe_pass``): their probes are drawn in chunks of at most
-``hutchinson._BLOCK_ENTRIES`` entries, each as the loop reaches it, into one
-buffer, and each estimate takes its iteration's rows. So no run holds more
-than one chunk of probes, and no estimate draws probes of its own.
+(``should_compute``) and makes one probe pass over those iterations' keys
+(``hutchinson.probe_pass``). An estimate of at most 65,536 entries takes its
+iteration's rows of a chunk of estimates drawn at once into one buffer, each
+chunk as the loop reaches it; a larger one reads its iteration's Generator
+in blocks of at most that many entries. So no run holds more than one chunk
+or one block of probes.
 
 Every output (the trajectory, the summary, the sweep CSV and the verify
 report) is written once, atomically: to a temporary file in the target

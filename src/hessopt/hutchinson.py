@@ -16,21 +16,22 @@ given (seed, stream) pair. :func:`rademacher` draws one probe or a whole
 ``(n, d)`` batch of them in one call; the batch's rows are the probes that n
 one-probe calls would have drawn, in order.
 
-A run derives the keys of its iterations once, before its loop, indexed by
-t: :func:`probe_keys` hashes every (seed, t) in one vectorized pass, to the
-keys that :func:`probe_rng` would give its generators. The probes of the
-iterations that :func:`should_compute` selects then come from one keyed pass
-(:func:`probe_pass`): it draws the probes of as many of those keys as fit in
-``_BLOCK_ENTRIES`` entries at once, from raw Philox words, into one buffer
-that it refills chunk by chunk as the loop asks for them. Each estimate takes
-its iteration's ``(n, d)`` rows, the same probes that ``rademacher`` draws
-from ``probe_rng(seed, t)``. So no iteration's time includes deriving a
-key, only the first iteration of a chunk includes a draw, and a run never
-holds more than one chunk of probes. :func:`probe_blocks` draws one key's probes through the same keyed
-draw. The hash is numpy's SeedSequence, and :func:`seed_words` is its one
-copy: the minibatch pass (``DifferentiableProblem.sample_batches``) seeds its
-PCG64 lanes with it too. ``probe_rng`` and ``rademacher`` stay the numpy
-reference that the oracle and the tests call.
+Each estimate takes its probes from one of two sources: the ``(n, d)``
+probes themselves, or a Generator that :func:`estimate_diag` reads through
+``rademacher`` in blocks of at most ``_BLOCK_ENTRIES`` (65,536) entries.
+A run derives the keys of its iterations once, before its loop:
+:func:`probe_keys` hashes every (seed, t) in one vectorized pass, to the keys
+of :func:`probe_rng`'s generators. :func:`probe_pass` then yields a source
+for each iteration that :func:`should_compute` selects: for an estimate of at
+most ``_BLOCK_ENTRIES`` entries, its ``(n, d)`` rows of a chunk of estimates
+drawn at once from raw Philox words into one buffer; for a larger one, the
+Generator of ``probe_rng(seed, t)``. Either way they are the probes that
+``rademacher`` draws from ``probe_rng(seed, t)``, and a run holds one chunk
+or one block at a time. The hash is numpy's SeedSequence, and
+:func:`seed_words` is its one copy: the minibatch pass
+(``DifferentiableProblem.sample_batches``) seeds its PCG64 lanes with it too.
+``probe_rng`` and ``rademacher`` stay the numpy reference that the oracle and
+the tests call.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "probe_keys",
     "seed_words",
     "rademacher",
-    "probe_blocks",
     "probe_pass",
     "estimate_diag",
     "should_compute",
@@ -65,8 +65,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 
-# Probe entries that one keyed draw holds: a block of one estimate's probes, a
-# multiple of 8 rows, or a run's chunk of several estimates' probes.
+# Probe entries that one draw holds: a run's chunk of several estimates' probes,
+# or a block of one estimate's probes read from a Generator.
 _BLOCK_ENTRIES = 1 << 16
 # Every keyed draw sets this generator's whole state before it draws, so no
 # draw depends on an earlier one (within one thread: nothing here locks it).
@@ -82,7 +82,7 @@ class HutchinsonConfig:
         samples_per_estimate: probes averaged per estimate (>= 1).
         frequency: compute a fresh estimate every n-th iteration after warmup.
         warmup_steps: compute every iteration while t <= warmup_steps.
-        seed: unused; ``estimate_diag`` draws from the Generator or probe key it
+        seed: unused; ``estimate_diag`` takes the probes or the Generator it
             is passed, and a run keys its probes by ``RunConfig.seed`` and t.
     """
 
@@ -223,21 +223,19 @@ def _seed_sequence_state(entropy: np.ndarray, words: int) -> np.ndarray:
     return (state[0::2] | state[1::2] << np.uint64(32)).T  # little-endian word pairs
 
 
-def _keyed_probes(keys: np.ndarray, n: int, d: int, start: int = 0,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Rows start .. start + n - 1 of the probes of each key of ``keys`` (a
-    ``(k, 2)`` array from :func:`probe_keys`), as a ``(k, n, d)`` array, written
-    into ``out`` if given. Key j's probes are the rows of ``rademacher((rows,
-    d), Generator(Philox(key=keys[j])))``: ``integers(0, 2)`` on a fresh
-    generator takes a 32-bit Lemire draw whose rejection threshold (2**32 - 2)
-    mod 2 is 0, so entry i is the top bit of the i-th 32-bit half of the raw
-    64-bit words, low half first. ``start * d`` is a multiple of 8, so the draw
-    starts on a Philox counter block of 4 words: each key's generator is set to
-    it, then the signs of every key are read in one pass.
+def _keyed_probes(keys: np.ndarray, n: int, d: int, out: np.ndarray) -> np.ndarray:
+    """The n probes of length d of each key of ``keys`` (a ``(k, 2)`` array from
+    :func:`probe_keys`), written into ``out``, a ``(k, n, d)`` array. Key j's
+    probes are ``rademacher((n, d), Generator(Philox(key=keys[j])))``:
+    ``integers(0, 2)`` on a fresh generator takes a 32-bit Lemire draw whose
+    rejection threshold (2**32 - 2) mod 2 is 0, so entry i is the top bit of
+    the i-th 32-bit half of the raw 64-bit words, low half first. Each key's
+    generator is set to counter 0 in turn, then the signs of every key are
+    read in one pass.
     """
     count = (n * d + 1) // 2
     words = np.empty((len(keys), count), dtype="<u8")
-    inner = {"counter": (start * d // 8, 0, 0, 0), "key": None}
+    inner = {"counter": (0, 0, 0, 0), "key": None}
     state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for row, key in zip(words, keys):
@@ -245,38 +243,16 @@ def _keyed_probes(keys: np.ndarray, n: int, d: int, start: int = 0,
         _PHILOX.state = state
         row[:] = _PHILOX.random_raw(count)
     tops = words.view("<u4")[:, :n * d] >> 31
-    if out is None:
-        return _SIGNS.take(tops).reshape(len(keys), n, d)
     _SIGNS.take(tops, out=out.reshape(len(keys), n * d), mode="clip")
     return out
 
 
-def probe_blocks(n: int, d: int, source):
-    """Yield n Rademacher probes of length d as successive ``(rows, d)`` blocks.
-
-    ``source`` is a Generator, drawn through :func:`rademacher`, or a key from
-    :func:`probe_keys`, drawn by the keyed draw that :func:`probe_pass` makes;
-    a key's probes are the rows of ``rademacher((n, d), Generator(Philox(key=key)))``.
-    A block has a multiple of 8 rows (the last block may have fewer) and about
-    ``_BLOCK_ENTRIES`` entries; the blocks are the one-shot draw's rows
-    whatever their size.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    rows = max(8, _BLOCK_ENTRIES // d // 8 * 8)
-    for start in range(0, n, rows):
-        size = min(rows, n - start)
-        if isinstance(source, np.random.Generator):
-            yield rademacher((size, d), source)
-        else:
-            yield _keyed_probes(np.reshape(source, (1, 2)), size, d, start)[0]
-
-
 def probe_pass(keys: np.ndarray, n: int, d: int):
-    """Yield, for each key of ``keys`` in turn, what :func:`estimate_diag` takes
-    for that key's n probes of length d: its ``(n, d)`` probes, or the key
-    itself if they exceed ``_BLOCK_ENTRIES`` entries (``estimate_diag`` then
-    draws them block by block).
+    """Yield, for each key of ``keys`` in turn, the source that
+    :func:`estimate_diag` takes for that key's n probes of length d: the
+    ``(n, d)`` probes, or, if they exceed ``_BLOCK_ENTRIES`` entries, the
+    key's Generator, ``Generator(Philox(key=key))``, which is the one
+    :func:`probe_rng` builds for that key.
 
     The probes of as many keys as fit in ``_BLOCK_ENTRIES`` entries are drawn
     at once, each chunk when the first of its keys is asked for, into one
@@ -286,13 +262,14 @@ def probe_pass(keys: np.ndarray, n: int, d: int):
     if d < 1:
         raise ValueError("d must be >= 1")
     if n * d > _BLOCK_ENTRIES:
-        yield from keys
+        for key in keys:
+            yield np.random.Generator(np.random.Philox(key=key))
         return
     step = max(1, min(len(keys), _BLOCK_ENTRIES // (n * d)))
     buffer = np.empty((step, n, d))
     for first in range(0, len(keys), step):
         chunk = keys[first:first + step]
-        yield from _keyed_probes(chunk, n, d, out=buffer[:len(chunk)])
+        yield from _keyed_probes(chunk, n, d, buffer[:len(chunk)])
 
 
 def estimate_diag(problem, theta, batch, cfg: HutchinsonConfig, source,
@@ -300,23 +277,25 @@ def estimate_diag(problem, theta, batch, cfg: HutchinsonConfig, source,
     """Mean of z * (Hz) over ``cfg.samples_per_estimate`` Rademacher probes.
 
     ``source`` is the ``(samples_per_estimate, d)`` probes themselves (as
-    :func:`probe_pass` yields them), or a Generator or probe key that they
-    are drawn from in blocks of bounded size (see :func:`probe_blocks`).
-    ``hvp`` may be a prebuilt ``z -> Hz`` callable (for example the harness's
-    per-iteration tape); otherwise one is built from the problem at ``theta``
-    over ``batch``. All probes share the same tape and batch. Raises
-    NumericError (phase ``hvp``) if the probes' sum overflows.
+    :func:`probe_pass` yields them), or a Generator that they are drawn from
+    through :func:`rademacher` in blocks of at most ``_BLOCK_ENTRIES``
+    entries; any other source is a ValueError. ``hvp`` may be a prebuilt
+    ``z -> Hz`` callable (for example the harness's per-iteration tape);
+    otherwise one is built from the problem at ``theta`` over ``batch``. All
+    probes share the same tape and batch. Raises NumericError (phase ``hvp``)
+    if the probes' sum overflows.
     """
-    if hvp is None:
-        hvp = problem.hvp_operator(theta, batch)
     d = as_float64(theta).shape[0]
     n = cfg.samples_per_estimate
-    if isinstance(source, np.ndarray) and source.ndim == 2:
-        if source.shape != (n, d):
-            raise ValueError(f"expected {n} probes of length {d}, got shape {source.shape}")
+    if isinstance(source, np.random.Generator):
+        rows = max(1, _BLOCK_ENTRIES // d)
+        blocks = (rademacher((min(rows, n - start), d), source) for start in range(0, n, rows))
+    elif isinstance(source, np.ndarray) and source.shape == (n, d):
         blocks = (source,)
     else:
-        blocks = probe_blocks(n, d, source)
+        raise ValueError(f"expected {n} probes of length {d}, got shape {np.shape(source)}")
+    if hvp is None:
+        hvp = problem.hvp_operator(theta, batch)
     acc = np.zeros(d)
     for block in blocks:
         for z in block:

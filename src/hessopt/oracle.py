@@ -13,11 +13,8 @@ once for all of its (k, preconditioner) pairs. The two Monte-Carlo checks
 (``hutchinson_variance``, ``rademacher_mean``) draw and reduce their samples
 in fixed blocks of ``_BLOCK_ROWS`` probes, never holding the whole sample;
 their statistics equal the whole-array ones bit for bit. They draw on a
-Generator, the numpy reference, not from a probe key as runs do: the bits are
-the same, and a keyed ``probe_blocks`` draw gains nothing at these sizes. Its
-draw alone takes about as long (28 against 34 ms for the 400,000 x 8 probes,
-4.5 against 3.9 ms for the 100,000 x 6, on a 2-vCPU Xeon virtual machine), and
-the variance check would re-draw its probes rather than keep their signs.
+Generator, the numpy reference, as a run's estimates of more than 65,536
+entries do.
 
 ``run_verification_suite`` bundles all properties into a JSON-serializable
 report; the CLI ``verify`` subcommand is a thin wrapper over it.

@@ -446,11 +446,13 @@ class QuadraticProblem(DifferentiableProblem):
             raise ValueError("A must be square")
         if A.shape[0] > _MAX_DIM:
             raise ValueError(f"quadratic problems are limited to d <= {_MAX_DIM}")
+        self.c = np.zeros(A.shape[0]) if c is None else np.asarray(c, dtype=np.float64)
+        if not (ad.all_finite(A) and ad.all_finite(self.c)):  # NaN passes the symmetry check
+            raise ValueError("A and c must be finite")
         if np.abs(A - A.T).max() > 1e-12:
             raise ValueError("A must be symmetric to 1e-12")
         self.A = 0.5 * (A + A.T)
         self.dim = A.shape[0]
-        self.c = np.zeros(self.dim) if c is None else np.asarray(c, dtype=np.float64)
         self.name = name
         eigs = np.linalg.eigvalsh(self.A)
         self.alpha = float(eigs[0])
@@ -766,6 +768,8 @@ def make_random_spd_quadratic(d: int, condition_number: float, seed: int) -> Qua
     """
     if d < 2:
         raise ValueError("d must be at least 2")
+    if not math.isfinite(condition_number):  # NaN passes the check below
+        raise ValueError(f"condition_number must be finite, got {condition_number}")
     if condition_number < 1:
         raise ValueError("condition_number must be at least 1")
     if d > _MAX_DIM:  # before the d x d draw and its QR

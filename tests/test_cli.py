@@ -295,6 +295,13 @@ class TestBadInput:
         ("logreg", '{"batch_size": 500}', "batch_size must lie in [1, 200]"),
         ("logreg", '{"batch_size": 0}', "batch_size must lie in [1, 200]"),
         ("spd-quadratic", '{"condition_number": -1}', "condition_number must be at least 1"),
+        # refused before the draw: no RuntimeWarning, no failed eigensolve, no run
+        ("spd-quadratic", '{"condition_number": Infinity}', "condition_number must be finite"),
+        ("spd-quadratic", '{"condition_number": 1e400}', "condition_number must be finite"),
+        ("spd-quadratic", '{"d": 2, "condition_number": Infinity}',
+         "condition_number must be finite, got inf"),
+        ("spd-quadratic", '{"d": 2, "condition_number": NaN}',
+         "condition_number must be finite, got nan"),
         ("tiny-mlp", '{"layers": []}', "layers needs an input and an output width"),
         ("tiny-mlp", '{"layers": [5]}', "layers needs an input and an output width"),
         ("tiny-mlp", '{"layers": [5, 0, 1]}', "layer widths must be at least 1"),
@@ -308,7 +315,9 @@ class TestBadInput:
         ("tiny-mlp", '{"layers": [10000000000, 1]}', "tiny MLP exceeds d = 64"),
         ("spd-quadratic", '{"d": 100000}', "quadratic problems are limited to d <= 64"),
     ], ids=["string-batch-size", "batch-size-above-n", "zero-batch-size",
-            "negative-condition-number", "no-layers", "one-layer", "zero-width-layer",
+            "negative-condition-number", "infinite-condition-number",
+            "overflowing-condition-number", "infinite-condition-number-d2",
+            "nan-condition-number-d2", "no-layers", "one-layer", "zero-width-layer",
             "zero-samples", "zero-features", "logreg-samples", "logreg-features",
             "mlp-samples", "mlp-relu-samples", "mlp-input-width", "spd-dimension"])
     def test_problem_param_value_rejected_by_builder(self, tmp_path, capsys, problem,
@@ -563,6 +572,17 @@ class TestReportCommand:
         assert "iterations_run: 8" in out
         assert "t=1" in out
 
+    @pytest.mark.parametrize("iters,shown", [(5, [1, 2, 3, 4, 5]), (6, [1, 2, 3, 4, 5, 6]),
+                                             (8, [1, 2, 3, 6, 7, 8])])
+    def test_trajectory_digest_shows_every_record_up_to_six(self, tmp_path, capsys, iters,
+                                                            shown):
+        main(["run", "--problem", "fig1-quadratic", "--iters", str(iters), "--out",
+              str(tmp_path), "--run-name", "demo", "--no-cost-ratio"])
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "demo.trajectory.jsonl")]) == 0
+        out = capsys.readouterr().out
+        assert [int(t) for t in re.findall(r"^  t=(\d+) ", out, re.MULTILINE)] == shown
+
     def test_summary_report(self, finished_run, capsys):
         capsys.readouterr()
         code = main(["report", str(finished_run / "demo.summary.json")])
@@ -683,6 +703,23 @@ class TestRunFlags:
                  for command in ("run", "sweep")}
         assert set(re.findall(r"`(--[\w-]+)`", listed)) == flags["run"]
         assert flags["sweep"] == flags["run"] | {"--grid", "--seeds", "--csv-name"}
+
+
+def test_readme_module_names_resolve():
+    # Every backticked `module.name` (a call such as `autodiff.backward(output,
+    # wrt)` names `backward`) must still exist in hessopt.<module>.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    named = re.findall(r"`(?:hessopt\.)?(autodiff|problems|hutchinson|optim|oracle|harness|cli)"
+                       r"\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", readme)
+    assert ("hutchinson", "probe_pass") in named
+    unresolved = []
+    for module, path in named:
+        obj = importlib.import_module(f"hessopt.{module}")
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            unresolved.append(f"{module}.{path}")
+    assert unresolved == []
 
 
 class TestParser:

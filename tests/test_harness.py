@@ -22,7 +22,7 @@ from hessopt.harness import (
     summarize_trajectory,
     sweep,
 )
-from hessopt.hutchinson import HutchinsonConfig, probe_keys, should_compute
+from hessopt.hutchinson import HutchinsonConfig, probe_keys, rademacher, should_compute
 from hessopt.optim import OPTIMIZERS, SGD, AdaHessian, Schedule
 from hessopt.problems import LogisticRegression, get_problem
 
@@ -630,13 +630,13 @@ class TestSweepSharing:
     @staticmethod
     def count_draws(monkeypatch, block_entries: int) -> list:
         """Sets ``_BLOCK_ENTRIES`` and records each keyed draw's keys, entries
-        and the buffer it writes into (None for a new array)."""
+        and the buffer it writes into."""
         draws = []
         original = hutchinson._keyed_probes
 
-        def counting(keys, n, d, start=0, out=None):
-            draws.append((keys.copy(), len(keys) * n * d, None if out is None else out.base))
-            return original(keys, n, d, start, out)
+        def counting(keys, n, d, out):
+            draws.append((keys.copy(), len(keys) * n * d, out.base))
+            return original(keys, n, d, out)
 
         monkeypatch.setattr(hutchinson, "_BLOCK_ENTRIES", block_entries)
         monkeypatch.setattr(hutchinson, "_keyed_probes", counting)
@@ -664,19 +664,25 @@ class TestSweepSharing:
         assert max(entries for _, entries, _ in draws) <= chunk
 
     def test_run_draws_an_estimate_past_one_chunk_block_by_block(self, tmp_path, monkeypatch):
-        # 40 probes against blocks of 16: each estimate draws 16, 16 and 8 rows.
+        # 40 probes against blocks of 16: each estimate reads its Generator in
+        # 16, 16 and 8 rows, and no keyed draw is made.
         cfg = quick_config(tmp_path, problem="logreg", problem_params={"batch_size": 32},
                            iters=30, samples=40, hessian_freq=10)
         expected = run(cfg, write_files=False)
         d = expected.theta_final.size
         draws = self.count_draws(monkeypatch, 16 * d)
+        shapes = []
+
+        def recording(shape, rng):
+            shapes.append(shape)
+            return rademacher(shape, rng)
+
+        monkeypatch.setattr(hutchinson, "rademacher", recording)
         result = run(cfg, write_files=False)
         assert self.lines(result) == self.lines(expected)
         np.testing.assert_array_equal(result.theta_final, expected.theta_final)
-        assert [(len(keys), entries, base) for keys, entries, base in draws] == [
-            (1, rows * d, None) for _ in (1, 11, 21) for rows in (16, 16, 8)]
-        np.testing.assert_array_equal(np.concatenate([keys for keys, _, _ in draws]),
-                                      np.repeat(probe_keys(cfg.seed, [1, 11, 21]), 3, axis=0))
+        assert draws == []
+        assert shapes == [(rows, d) for _ in (1, 11, 21) for rows in (16, 16, 8)]
 
     def test_shared_batches_equal_sample_batch_and_are_read_only(self, tmp_path):
         cfg = sharing_base(tmp_path, seed=4)

@@ -11,7 +11,6 @@ from hessopt.hutchinson import (
     DiagEstimate,
     HutchinsonConfig,
     estimate_diag,
-    probe_blocks,
     probe_keys,
     probe_pass,
     probe_rng,
@@ -110,7 +109,7 @@ def numpy_key(seed, stream):
 
 
 def keyed_draw(n, d, key):
-    return np.concatenate(list(probe_blocks(n, d, key)))
+    return hutchinson._keyed_probes(np.reshape(key, (1, 2)), n, d, np.empty((1, n, d)))[0]
 
 
 class TestProbeKeys:
@@ -155,26 +154,17 @@ class TestKeyedDraw:
         assert z.shape == (n, d) and z.dtype == np.float64
         np.testing.assert_array_equal(z, rademacher((n, d), probe_rng(seed, stream)))
 
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 100), d=st.integers(1, 64), max_entries=st.integers(1, 300),
-           stream=st.integers(1, 2**33))
-    @example(n=17, d=7, max_entries=1, stream=1)
-    @example(n=100, d=57, max_entries=456, stream=3)
-    def test_blocks_equal_the_one_shot_draw(self, n, d, max_entries, stream):
-        (key,) = probe_keys(7, [stream])
-        whole = keyed_draw(n, d, key)  # one block: n * d <= 6,400 entries
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hutchinson, "_BLOCK_ENTRIES", max_entries)
-            blocks = list(probe_blocks(n, d, key))
-            gen_blocks = list(probe_blocks(n, d, probe_rng(7, stream)))
-        assert all(len(b) % 8 == 0 for b in blocks[:-1])
-        assert sum(map(len, blocks)) == n
-        np.testing.assert_array_equal(np.concatenate(blocks), whole)
-        np.testing.assert_array_equal(np.concatenate(gen_blocks), whole)
-
-    def test_rejects_an_empty_probe(self):
-        with pytest.raises(ValueError):
-            next(probe_blocks(1, 0, probe_keys(0, [1])[0]))
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 20), d=st.integers(1, 64), seed=st.integers(0, 2**40),
+           streams=st.lists(st.integers(0, 2**33), min_size=1, max_size=5))
+    @example(n=3, d=7, seed=0, streams=[1, 2, 2**32 + 5])
+    def test_keys_drawn_together_equal_their_one_key_draws(self, n, d, seed, streams):
+        keys = probe_keys(seed, streams)
+        out = np.full((len(keys), n, d), np.nan)
+        assert hutchinson._keyed_probes(keys, n, d, out) is out
+        for z, key, stream in zip(out, keys, streams, strict=True):
+            np.testing.assert_array_equal(z, keyed_draw(n, d, key))
+            np.testing.assert_array_equal(z, rademacher((n, d), probe_rng(seed, stream)))
 
 
 class TestProbePass:
@@ -199,8 +189,8 @@ class TestProbePass:
             # each row is checked before the next is asked for: a later chunk
             # overwrites the buffer an earlier one was drawn into
             for t, source in zip(ts, probe_pass(probe_keys(seed, ts), n, d), strict=True):
-                if n * d > max_entries:  # a key, drawn block by block
-                    z = np.concatenate(list(probe_blocks(n, d, source)))
+                if n * d > max_entries:  # the Generator of probe_rng(seed, t)
+                    z = rademacher((n, d), source)
                 else:
                     z = source
                 assert z.shape == (n, d) and z.dtype == np.float64
@@ -209,9 +199,10 @@ class TestProbePass:
         assert taken == len(ts)
 
     def test_probes_past_one_block_are_drawn_by_their_key(self):
-        (key,) = keys = probe_keys(3, [4])
+        keys = probe_keys(3, [4])
         (source,) = probe_pass(keys, 2, (1 << 15) + 1)
-        np.testing.assert_array_equal(source, key)
+        assert isinstance(source, np.random.Generator)
+        np.testing.assert_equal(source.bit_generator.state, probe_rng(3, 4).bit_generator.state)
         (z,) = probe_pass(keys, 2, 1 << 15)
         np.testing.assert_array_equal(z, rademacher((2, 1 << 15), probe_rng(3, 4)))
 
@@ -221,17 +212,21 @@ class TestProbePass:
 
 
 class TestEstimateDiag:
-    def test_probes_key_and_generator_give_the_same_estimate(self):
+    def test_probes_and_generator_give_the_same_estimate(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
         p = pr.QuadraticProblem(A, np.zeros(2), name="q")
         cfg = HutchinsonConfig(samples_per_estimate=5)
-        (key,) = probe_keys(3, [9])
         probes = rademacher((5, 2), probe_rng(3, 9))
         given = estimate_diag(p, np.zeros(2), None, cfg, probes, hvp=A.__matmul__)
-        keyed = estimate_diag(p, np.zeros(2), None, cfg, key, hvp=A.__matmul__)
         numpy = estimate_diag(p, np.zeros(2), None, cfg, probe_rng(3, 9), hvp=A.__matmul__)
-        np.testing.assert_array_equal(given.values, keyed.values)
         np.testing.assert_array_equal(given.values, numpy.values)
+
+    @pytest.mark.parametrize("source", [probe_keys(3, [9])[0], [[1.0, -1.0]], 3],
+                             ids=["key", "list", "int"])
+    def test_rejects_a_source_that_is_neither_probes_nor_a_generator(self, source):
+        p = pr.make_fig1_quadratic()
+        with pytest.raises(ValueError, match="expected 1 probes of length 2"):
+            estimate_diag(p, p.theta0, None, HutchinsonConfig(), source)
 
     @pytest.mark.parametrize("shape", [(4, 2), (5, 3), (10, 1)])
     def test_rejects_probes_of_another_shape(self, shape):
@@ -240,15 +235,32 @@ class TestEstimateDiag:
             estimate_diag(p, p.theta0, None, HutchinsonConfig(samples_per_estimate=5),
                           np.ones(shape))
 
-    def test_key_and_generator_give_the_same_estimate(self):
-        # 32,770 probes of length 2 span two blocks of 32,768 rows.
-        A = np.array([[2.0, 1.0], [1.0, 3.0]])
-        p = pr.QuadraticProblem(A, np.zeros(2), name="q")
-        cfg = HutchinsonConfig(samples_per_estimate=32_770)
-        (key,) = probe_keys(3, [9])
-        keyed = estimate_diag(p, np.zeros(2), None, cfg, key, hvp=A.__matmul__)
-        numpy = estimate_diag(p, np.zeros(2), None, cfg, probe_rng(3, 9), hvp=A.__matmul__)
-        np.testing.assert_array_equal(keyed.values, numpy.values)
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), d=st.integers(1, 12), max_entries=st.integers(1, 100),
+           stream=st.integers(0, 2**33))
+    @example(n=17, d=7, max_entries=1, stream=1)  # one probe to a block
+    @example(n=15, d=3, max_entries=10, stream=3)  # 3-row blocks of 9 entries
+    @example(n=32_770, d=2, max_entries=1 << 16, stream=9)  # 32,768 rows, then 2
+    def test_small_blocks_give_the_one_block_estimate(self, n, d, max_entries, stream):
+        A = pr.make_random_spd_quadratic(max(d, 2), 10.0, 4).A[:d, :d]
+        p = pr.QuadraticProblem(A, np.zeros(d), name="q")
+        cfg = HutchinsonConfig(samples_per_estimate=n)
+        whole = estimate_diag(p, np.zeros(d), None, cfg, rademacher((n, d), probe_rng(5, stream)),
+                              hvp=A.__matmul__)
+        shapes = []
+
+        def recording(shape, rng):
+            shapes.append(shape)
+            return rademacher(shape, rng)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hutchinson, "_BLOCK_ENTRIES", max_entries)
+            mp.setattr(hutchinson, "rademacher", recording)
+            blocks = estimate_diag(p, np.zeros(d), None, cfg, probe_rng(5, stream),
+                                   hvp=A.__matmul__)
+        np.testing.assert_array_equal(blocks.values, whole.values)
+        rows = max(1, max_entries // d)
+        assert shapes == [(min(rows, n - start), d) for start in range(0, n, rows)]
 
     def test_diagonal_hessian_is_recovered_exactly_by_any_probe(self):
         # for diagonal H, z * (H z) = diag(H) regardless of the signs in z

@@ -51,6 +51,21 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             pr.QuadraticProblem(np.array([[1.0, 5.0], [0.0, 1.0]]), np.zeros(2), name="bad")
 
+    @pytest.mark.parametrize("A,c", [
+        ([[1.0, np.nan], [np.nan, 1.0]], None),  # NaN passes the symmetry check
+        ([[np.inf, 0.0], [0.0, 1.0]], None),
+        (np.eye(2), [0.0, np.nan]),
+        (np.eye(2), [np.inf, 0.0]),
+    ], ids=["nan-A", "inf-A", "nan-c", "inf-c"])
+    def test_rejects_non_finite_matrix_or_vector(self, A, c):
+        with pytest.raises(ValueError, match="A and c must be finite"):
+            pr.QuadraticProblem(A, c, name="bad", spd=True)
+
+    @pytest.mark.parametrize("condition_number", [np.inf, np.nan, -np.inf])
+    def test_random_spd_rejects_non_finite_condition_number(self, condition_number):
+        with pytest.raises(ValueError, match="condition_number must be finite"):
+            pr.make_random_spd_quadratic(d=2, condition_number=condition_number, seed=0)
+
     def test_rejects_non_spd_when_spd_required(self):
         with pytest.raises(ValueError):
             pr.QuadraticProblem(np.diag([1.0, -1.0]), np.zeros(2), name="bad", spd=True)
