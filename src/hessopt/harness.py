@@ -24,11 +24,11 @@ blow-up or a final loss beyond the divergence threshold) is recorded and the
 sweep continues.
 
 A sweep does its per-seed work once per ``sweep()`` call. It loops seeds
-outside and cells inside; each seed's pass holds one minibatch stream per
-(problem, problem_params) and one probe-key stream, both indexed by t and
-extended when a longer run asks for more, and keeps one companion time per
-(problem, problem_params, iters). The companion runs interleaved with the
-first cell of that key that has the cost ratio on and finishes without a
+outside and cells inside; each seed's pass draws, before its first run, one
+minibatch stream per (problem, problem_params) and one probe-key stream, both
+indexed by t and as long as the sweep's longest run, and keeps one companion
+time per (problem, problem_params, iters). The companion runs interleaved with
+the first cell of that key that has the cost ratio on and finishes without a
 numeric failure; the later cells of the key divide by its time. Nothing
 outlives the call, so a later sweep times its own companions.
 
@@ -443,54 +443,38 @@ def _iter_seconds(records: list[TrajectoryRecord]) -> dict:
 
 
 class _SeedPass:
-    """Per-seed work shared by every cell of one sweep pass over one seed.
+    """Per-seed work shared by every run of one sweep pass over one seed.
 
     ``problems`` maps each (problem, problem_params) key to its problem, and
     so its recorded tapes, built before the sweep's first run and shared with
-    the other passes. The pass draws each key's minibatch index stream, and
-    derives the seed's probe keys, read-only and indexed by t; a run longer
-    than any before it extends them by one vectorized pass each.
+    the other passes. The constructor draws, read-only and at row t - 1 for
+    t = 1 to the longest of ``configs``' iters, each key's ``batches`` (None
+    rows if full-batch) and, if a config uses AdaHessian, the seed's ``keys``.
     ``companions`` maps (key, iters) to the gradient-descent companion time of
     the first run of that key that timed one and finished ok; ``run`` reads
     and fills it. One instance lives for one seed of one ``sweep()`` call, or
     for one standalone ``run()``.
     """
 
-    def __init__(self, seed: int, problems: dict):
-        self.seed = seed
+    def __init__(self, seed: int, problems: dict, configs: list[RunConfig]):
         self.problems = problems
-        self._streams: dict[str, list] = {}
-        self._keys = np.empty((0, 2), dtype=np.uint64)
+        ts = np.arange(1, max(config.iters for config in configs) + 1)
+        self.batches = {}
+        for key, problem in problems.items():
+            drawn = problem.sample_batches(ts, seed)
+            if drawn is not None:
+                drawn.flags.writeable = False
+            self.batches[key] = [None] * len(ts) if drawn is None else drawn
+        self.keys = None
+        if any(config.optimizer == "adahessian" for config in configs):
+            self.keys = probe_keys(seed, ts)
+            self.keys.flags.writeable = False
         self.companions: dict[tuple[str, int], float] = {}
 
     @staticmethod
     def _key(config: RunConfig) -> str:
         return _dump_json_line({"problem": config.problem,
                                 "params": config.problem_params})
-
-    def probe_keys(self, iters: int) -> np.ndarray:
-        """The read-only ``(iters, 2)`` array whose row t - 1 is the probe key of
-        iteration t, ``probe_keys(seed, [t])[0]``; a longer run extends it by
-        one ``probe_keys`` pass."""
-        if len(self._keys) < iters:
-            more = probe_keys(self.seed, np.arange(len(self._keys) + 1, iters + 1))
-            self._keys = np.concatenate([self._keys, more])
-            self._keys.flags.writeable = False
-        return self._keys[:iters]
-
-    def batches(self, config: RunConfig, problem) -> list:
-        """The stream's batches for t = 1..config.iters, at index t - 1; a
-        longer run extends it by one ``sample_batches`` pass."""
-        stream = self._streams.setdefault(self._key(config), [])
-        if len(stream) < config.iters:
-            drawn = problem.sample_batches(np.arange(len(stream) + 1, config.iters + 1),
-                                           self.seed)
-            if drawn is None:
-                stream.extend([None] * (config.iters - len(stream)))
-            else:
-                drawn.flags.writeable = False
-                stream.extend(drawn)
-        return stream
 
 
 def _build_problem(config: RunConfig):
@@ -516,7 +500,7 @@ def _iterate(problem, opt, schedule, probes, theta, batch, t: int) -> tuple:
     if computed:
         hcfg, _, drawn = probes
         loss, g, hvp_fn = problem.full_tape(theta, batch)
-        est = estimate_diag(problem, theta, batch, hcfg, next(drawn), iteration=t, hvp=hvp_fn)
+        est = estimate_diag(problem, theta, batch, hcfg, next(drawn), hvp=hvp_fn)
         theta = opt.step(theta, g, Ds=opt.average_diagonal(est.values), lr_factor=lr_factor)
     else:
         loss, g = problem.value_and_gradient(theta, batch)
@@ -538,16 +522,16 @@ def run(config: RunConfig, write_files: bool = True, *,
     the gradient-descent companion (SGD with lr 1e-9, momentum 0.9, constant
     schedule, no weight decay) runs one ``_iterate`` before each of the run's.
     It reads its problem, batches, probe keys and companion time (once stored)
-    from a seed pass: ``_shared``, internal to ``sweep``, or one of its own;
-    the probes of the iterations that estimate come from one ``probe_pass``
-    over their keys.
+    from a seed pass: ``_shared``, internal to ``sweep``, which has validated
+    the config, or one of its own, built after ``validate``; the probes of the
+    iterations that estimate come from one ``probe_pass`` over their keys.
     """
-    config.validate()
-    key = _SeedPass._key(config)
     if _shared is None:
-        _shared = _SeedPass(config.seed, {key: _build_problem(config)})
+        problems = {_SeedPass._key(config.validate()): _build_problem(config)}
+        _shared = _SeedPass(config.seed, problems, [config])
+    key = _SeedPass._key(config)
     problem = _shared.problems[key]
-    batches = _shared.batches(config, problem)[:config.iters]
+    batches = _shared.batches[key][:config.iters]
     opt = make_optimizer(config.optimizer, problem.dim, group_sizes=problem.group_sizes,
                          **_optimizer_args(config))
     schedule = make_schedule(config.schedule, **config.schedule_params)
@@ -556,7 +540,7 @@ def run(config: RunConfig, write_files: bool = True, *,
         hcfg = HutchinsonConfig(samples_per_estimate=config.samples,
                                 frequency=config.hessian_freq, warmup_steps=config.warmup)
         due = [should_compute(t, hcfg) for t in range(1, config.iters + 1)]
-        probes = (hcfg, due, probe_pass(_shared.probe_keys(config.iters)[np.array(due)],
+        probes = (hcfg, due, probe_pass(_shared.keys[:config.iters][np.array(due)],
                                         config.samples, problem.dim))
     companion_key = (key, config.iters)
     sgd_time = _shared.companions.get(companion_key)
@@ -662,8 +646,8 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
     directory made before any run starts; a ``seed`` axis is refused.
     Individual cell failures are counted as diverged; the sweep always
     completes. Seeds loop outside and cells inside, sharing one ``_SeedPass``
-    per seed; every run of the sweep reuses the problems built for
-    validation, and so their tapes.
+    per seed, drawn before the seed's first run; every run reuses the problems
+    built for validation, and so their tapes, and validates nothing again.
     """
     base.validate()
     _check_file_name("csv-name", csv_name)
@@ -683,16 +667,15 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
     grid = [dict(zip(axis_names, combo))
             for combo in itertools.product(*(axes[a] for a in axis_names))]
     configs = [[base.with_overrides({**overrides, "seed": seed}).validate()
-                for seed in seeds] for overrides in grid]
+                for overrides in grid] for seed in seeds]
     problems = {key: _build_problem(cfg)
-                for key, cfg in {_SeedPass._key(c[0]): c[0] for c in configs}.items()}
+                for key, cfg in {_SeedPass._key(c): c for c in configs[0]}.items()}
     cells = [SweepCell(overrides=overrides, seeds=list(seeds), final_losses=[],
                        diverged=0, cost_ratios=[]) for overrides in grid]
     csv_path = make_out_dir(base.out if out is None else out) / csv_name
-    for i, seed in enumerate(seeds):
-        shared = _SeedPass(seed, problems)
-        for cell, cell_configs in zip(cells, configs):
-            cfg = cell_configs[i]
+    for seed, seed_configs in zip(seeds, configs):
+        shared = _SeedPass(seed, problems, seed_configs)
+        for cell, cfg in zip(cells, seed_configs):
             result = run(cfg, write_files=False, _shared=shared)
             if _is_diverged(cfg, result):
                 cell.diverged += 1

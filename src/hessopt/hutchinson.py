@@ -102,13 +102,12 @@ class HutchinsonConfig:
 
 @dataclass
 class DiagEstimate:
-    """A Hessian-diagonal estimate and the iteration it was computed at.
+    """A Hessian-diagonal estimate.
 
     Entries may be negative in non-convex regions; the sign is preserved.
     """
 
     values: np.ndarray
-    iteration_computed: int
 
     def __post_init__(self):
         self.values = as_float64(self.values)
@@ -273,7 +272,7 @@ def probe_pass(keys: np.ndarray, n: int, d: int):
 
 
 def estimate_diag(problem, theta, batch, cfg: HutchinsonConfig, source,
-                  iteration: int = 0, hvp=None) -> DiagEstimate:
+                  hvp=None) -> DiagEstimate:
     """Mean of z * (Hz) over ``cfg.samples_per_estimate`` Rademacher probes.
 
     ``source`` is the ``(samples_per_estimate, d)`` probes themselves (as
@@ -303,7 +302,7 @@ def estimate_diag(problem, theta, batch, cfg: HutchinsonConfig, source,
     if not all_finite(acc):
         raise NumericError(f"non-finite value in {problem.name} Hutchinson sum of "
                            f"{n} probes", phase="hvp")
-    return DiagEstimate(acc / n, iteration)
+    return DiagEstimate(acc / n)
 
 
 def should_compute(t: int, cfg: HutchinsonConfig) -> bool:

@@ -537,12 +537,17 @@ class NoisyParabola(DifferentiableProblem):
         return self.analytic_second_derivative(x) * np.asarray(z, dtype=np.float64)
 
 
+def _check_int(name: str, value, expected: str = "an int") -> None:
+    """``value`` is an int and not a bool, or a TypeError names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be {expected}, got {value!r}")
+
+
 def _check_batch_size(batch_size, n: int) -> int | None:
     """``batch_size`` as given: None (full batch) or an int in [1, n]."""
     if batch_size is None:
         return None
-    if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)):
-        raise TypeError(f"batch_size must be an int or null, got {batch_size!r}")
+    _check_int("batch_size", batch_size, "an int or null")
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must lie in [1, {n}] for {n} samples, got {batch_size}")
     return int(batch_size)
@@ -552,6 +557,7 @@ def _check_counts(**counts) -> None:
     """Builders' sample count n and feature count p: each at least 1 and within
     the desk scale, checked before any data is drawn."""
     for name, value in counts.items():
+        _check_int(name, value)
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
         if value > _DESK_SCALE[name]:
@@ -562,6 +568,8 @@ def _check_layers(layers: Sequence[int]) -> list[int]:
     """MLP widths, input first: at least two, each at least 1, with at most
     ``_MAX_DIM`` parameters, checked before any data is drawn."""
     layers = list(layers)
+    for i, width in enumerate(layers):
+        _check_int(f"layers[{i}]", width)
     if len(layers) < 2:
         raise ValueError(f"layers needs an input and an output width, got {layers}")
     if min(layers) < 1:
@@ -766,6 +774,11 @@ def make_random_spd_quadratic(d: int, condition_number: float, seed: int) -> Qua
     a random orthogonal matrix, so alpha = 1 and beta = condition_number up to
     rounding.
     """
+    _check_int("d", d)
+    _check_int("seed", seed)
+    if isinstance(condition_number, bool) or not isinstance(
+            condition_number, (int, float, np.integer, np.floating)):
+        raise TypeError(f"condition_number must be a real number, got {condition_number!r}")
     if d < 2:
         raise ValueError("d must be at least 2")
     if not math.isfinite(condition_number):  # NaN passes the check below
@@ -790,6 +803,7 @@ def make_logreg(n: int = 200, p: int = 8, seed: int = 7, batch_size=None) -> Log
     stress test for fixed-learning-rate methods while staying convex.
     """
     _check_counts(n=n, p=p)
+    _check_int("seed", seed)
     rng = np.random.default_rng(seed)
     scales = np.linspace(1.0, 15.0, p)
     X = rng.normal(size=(n, p)) * scales
@@ -803,6 +817,7 @@ def make_tiny_mlp(layers: Sequence[int] = (5, 8, 1), seed: int = 3, n: int = 256
     """Regression set from a fixed random tanh teacher plus mild noise."""
     layers = _check_layers(layers)
     _check_counts(n=n)
+    _check_int("seed", seed)
     rng = np.random.default_rng(seed)
     p = layers[0]
     X = rng.normal(size=(n, p))
@@ -817,6 +832,7 @@ def make_tiny_mlp_classifier(layers: Sequence[int] = (4, 6, 3), seed: int = 11, 
     """Three Gaussian clusters in 4-D, labelled by cluster."""
     layers = _check_layers(layers)
     _check_counts(n=n)
+    _check_int("seed", seed)
     rng = np.random.default_rng(seed)
     p, classes = layers[0], layers[-1]
     centers = 2.0 * rng.normal(size=(classes, p))

@@ -66,6 +66,22 @@ def test_counters_equal_needs_the_same_work_in_every_run(last_change_steps, equa
     summary = bench_pairs.summarize(runs, SPEC)
     assert summary["counters_equal"] is equal
     assert summary["counters"]["change"][-1] == {"optim.steps": last_change_steps}
+    assert ("counters_changed" in summary) is not equal
+
+
+def test_counters_changed_names_each_moved_counter_with_both_sides():
+    parent = {"optim.steps": 3, "trace.spans": 100, "harness.runs": 1}
+    change = {"optim.steps": 3, "trace.spans": 64, "hutchinson.probes": 2}
+    runs = [{"parent": result(1.0), "change": result(1.0)} for _ in range(2)]
+    for pair in runs:
+        pair["parent"]["counters"], pair["change"]["counters"] = dict(parent), dict(change)
+    runs[1]["parent"]["counters"]["trace.spans"] = 101
+    changed = bench_pairs.summarize(runs, SPEC)["counters_changed"]
+    assert changed == {
+        "trace.spans": {"parent": [100, 101], "change": [64, 64]},
+        "harness.runs": {"parent": [1, 1], "change": [None, None]},
+        "hutchinson.probes": {"parent": [None, None], "change": [2, 2]},
+    }
 
 
 @pytest.mark.parametrize("seeds,keys", [

@@ -314,12 +314,29 @@ class TestBadInput:
         ("tiny-mlp-relu", '{"n": 10000000000}', "dataset exceeds the intended desk scale"),
         ("tiny-mlp", '{"layers": [10000000000, 1]}', "tiny MLP exceeds d = 64"),
         ("spd-quadratic", '{"d": 100000}', "quadratic problems are limited to d <= 64"),
+        # a value of the wrong type is named before it is compared or used
+        ("spd-quadratic", '{"condition_number": "3"}',
+         "condition_number must be a real number, got '3'"),
+        ("spd-quadratic", '{"condition_number": true}',
+         "condition_number must be a real number, got True"),
+        ("spd-quadratic", '{"d": "3"}', "d must be an int, got '3'"),
+        ("spd-quadratic", '{"d": true}', "d must be an int, got True"),
+        ("spd-quadratic", '{"seed": 0.5}', "seed must be an int, got 0.5"),
+        ("logreg", '{"p": 2.0}', "p must be an int, got 2.0"),
+        ("logreg", '{"n": "200"}', "n must be an int, got '200'"),
+        ("logreg", '{"seed": "x"}', "seed must be an int, got 'x'"),
+        ("tiny-mlp", '{"layers": "58"}', "layers[0] must be an int, got '5'"),
+        ("tiny-mlp", '{"layers": [5, "8", 1]}', "layers[1] must be an int, got '8'"),
+        ("tiny-mlp-relu", '{"seed": null}', "seed must be an int, got None"),
     ], ids=["string-batch-size", "batch-size-above-n", "zero-batch-size",
             "negative-condition-number", "infinite-condition-number",
             "overflowing-condition-number", "infinite-condition-number-d2",
             "nan-condition-number-d2", "no-layers", "one-layer", "zero-width-layer",
             "zero-samples", "zero-features", "logreg-samples", "logreg-features",
-            "mlp-samples", "mlp-relu-samples", "mlp-input-width", "spd-dimension"])
+            "mlp-samples", "mlp-relu-samples", "mlp-input-width", "spd-dimension",
+            "string-condition-number", "bool-condition-number", "string-dimension",
+            "bool-dimension", "float-spd-seed", "float-features", "string-samples",
+            "string-logreg-seed", "string-layers", "string-layer-width", "null-mlp-seed"])
     def test_problem_param_value_rejected_by_builder(self, tmp_path, capsys, problem,
                                                      params, needle):
         code = main(["run", "--problem", problem, "--problem-params", params,

@@ -2,6 +2,7 @@
 
 import csv
 import inspect
+import itertools
 import json
 import math
 import typing
@@ -600,27 +601,73 @@ class TestSweepSharing:
         axes = {"hessian_freq": [10, 4], "warmup": [0, 3]}
         sweep(sharing_base(tmp_path), axes, seeds=SHARING_SEEDS, out=tmp_path)
         assert passes == [(s, list(range(1, 31))) for s in SHARING_SEEDS]
-        # a longer cell extends the seed's keys: 1..12, then 13..20
+        # the keys are drawn once, before the first run, at the longest run
         passes.clear()
         sweep(sharing_base(tmp_path), {"iters": [12, 20]}, seeds=[0], out=tmp_path)
-        assert passes == [(0, list(range(1, 13))), (0, list(range(13, 21)))]
+        assert passes == [(0, list(range(1, 21)))]
+
+    def test_sweep_settles_each_seed_before_its_first_run(self, tmp_path, monkeypatch):
+        # iters [12, 20] x two problem keys: one batch pass per (seed, key) and
+        # one key pass per seed, each over t = 1..20, and every config checked
+        # once, by the sweep.
+        batch_passes, key_passes, checked = [], [], []
+        original_batches, original_keys = LogisticRegression.sample_batches, harness.probe_keys
+        original_validate = RunConfig.validate
+
+        def counting_batches(self, ts, seed):
+            batch_passes.append((self.n_samples, seed, list(ts)))
+            return original_batches(self, ts, seed)
+
+        def counting_keys(seed, streams):
+            key_passes.append((seed, list(streams)))
+            return original_keys(seed, streams)
+
+        def counting_validate(config):
+            checked.append((config.iters, config.problem_params, config.seed))
+            return original_validate(config)
+
+        monkeypatch.setattr(LogisticRegression, "sample_batches", counting_batches)
+        monkeypatch.setattr(harness, "probe_keys", counting_keys)
+        monkeypatch.setattr(RunConfig, "validate", counting_validate)
+        base = sharing_base(tmp_path).with_overrides({"cost_ratio": False})
+        params = [{"batch_size": 32}, {"batch_size": 16, "n": 300}]
+        axes = {"iters": [12, 20], "problem_params": params}
+        _, csv_path = sweep(base, axes, seeds=[0, 1], out=tmp_path)
+        ts = list(range(1, 21))
+        assert batch_passes == [(n, s, ts) for s in (0, 1) for n in (200, 300)]
+        assert key_passes == [(s, ts) for s in (0, 1)]
+        configs = [(i, p, s) for s in (0, 1) for i in (12, 20) for p in params]
+        assert checked == [(30, {"batch_size": 32}, 0)] + configs
+        with csv_path.open() as fh:
+            swept = list(csv.DictReader(fh))
+        expected = []
+        for iters, problem_params in itertools.product(*axes.values()):
+            overrides = {"iters": iters, "problem_params": problem_params}
+            results = [run(base.with_overrides({**overrides, "seed": s}), write_files=False)
+                       for s in (0, 1)]
+            cell = harness.SweepCell(
+                overrides=overrides, seeds=[0, 1],
+                final_losses=[r.final_loss for r in results],
+                diverged=sum(harness._is_diverged(r.config, r) for r in results),
+                cost_ratios=[])
+            expected.append({k: str(v) for k, v in cell.row().items()})
+        assert swept == expected
 
     def test_shared_keys_equal_probe_keys(self, tmp_path, monkeypatch):
-        shared = harness._SeedPass(4, {})
-        keys = shared.probe_keys(21)
-        np.testing.assert_array_equal(keys, probe_keys(4, range(1, 22)))
+        configs = [sharing_base(tmp_path).with_overrides({"iters": n}) for n in (21, 30)]
+        keys = harness._SeedPass(4, {}, configs).keys
+        np.testing.assert_array_equal(keys, probe_keys(4, range(1, 31)))
+        assert not keys.flags.writeable
         with pytest.raises(ValueError):
             keys[0, 0] = 0
-        longer = shared.probe_keys(30)
-        assert not longer.flags.writeable
-        np.testing.assert_array_equal(longer, probe_keys(4, range(1, 31)))
-        np.testing.assert_array_equal(shared.probe_keys(5), keys[:5])
 
         def unused(*args):
-            raise AssertionError("a run without estimates derives no keys")
+            raise AssertionError("a pass without AdaHessian derives no keys")
 
         monkeypatch.setattr(harness, "probe_keys", unused)
-        result = run(sharing_base(tmp_path, optimizer="sgd"), write_files=False)
+        sgd = sharing_base(tmp_path, optimizer="sgd")
+        assert harness._SeedPass(4, {}, [sgd]).keys is None
+        result = run(sgd, write_files=False)
         assert result.status == "ok"
 
     @staticmethod
@@ -687,16 +734,17 @@ class TestSweepSharing:
     def test_shared_batches_equal_sample_batch_and_are_read_only(self, tmp_path):
         cfg = sharing_base(tmp_path, seed=4)
         problem = get_problem(cfg.problem, **cfg.problem_params)
-        shared = harness._SeedPass(4, {})
-        stream = shared.batches(cfg, problem)
-        assert len(stream) == cfg.iters
+        full = get_problem(cfg.problem)
+        configs = [cfg, cfg.with_overrides({"iters": 40})]
+        shared = harness._SeedPass(4, {"minibatch": problem, "full": full}, configs)
+        stream = shared.batches["minibatch"]
+        assert len(stream) == 40
         for t, batch in enumerate(stream, start=1):
             np.testing.assert_array_equal(batch, problem.sample_batch(t, 4))
             assert not batch.flags.writeable
         with pytest.raises(ValueError):
             stream[0][0] = 0
-        longer = shared.batches(cfg.with_overrides({"iters": 40}), problem)
-        assert longer is stream and len(stream) == 40
+        assert list(shared.batches["full"]) == [None] * 40
 
 
 class TestAtomicWrite:

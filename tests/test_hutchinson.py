@@ -298,10 +298,9 @@ class TestEstimateDiag:
         p = pr.make_logreg()
         theta = np.full(p.dim, 0.1)
         cfg = HutchinsonConfig(samples_per_estimate=3)
-        a = estimate_diag(p, theta, None, cfg, probe_rng(9, 4), iteration=4)
-        b = estimate_diag(p, theta, None, cfg, probe_rng(9, 4), iteration=4)
+        a = estimate_diag(p, theta, None, cfg, probe_rng(9, 4))
+        b = estimate_diag(p, theta, None, cfg, probe_rng(9, 4))
         np.testing.assert_array_equal(a.values, b.values)
-        assert a.iteration_computed == 4
 
     def test_multiple_samples_average_probe_estimates(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -331,7 +330,7 @@ class TestEstimateDiag:
 
     def test_rejects_nonfinite_estimates(self):
         with pytest.raises(ValueError):
-            DiagEstimate(np.array([1.0, np.nan]), iteration_computed=1)
+            DiagEstimate(np.array([1.0, np.nan]))
 
 
 class TestSchedule:

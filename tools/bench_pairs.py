@@ -22,7 +22,9 @@ better than every run of the parent (``all_change_runs_better``), and every
 run's value; plus the failed
 and attempted calls of each side, the work counters of each run, and whether
 every run of both sides counted the same work (``counters_equal``: a change of
-kernel must do the same work in less time). The file
+kernel must do the same work in less time). When they did not,
+``counters_changed`` names each counter whose value differs between runs, with
+each side's values, run by run (null where a run lacks it). The file
 is rewritten after every pair, so an interrupted session keeps the pairs it
 finished; entries of other workloads or seeds already in it are kept.
 """
@@ -92,16 +94,25 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
                                           for p in values["parent"]),
             "parent_runs": values["parent"], "change_runs": values["change"],
         }
-    return {
+    counters = {side: [r[side]["counters"] for r in runs] for side in SIDES}
+    summary = {
         "pairs": len(runs),
         "all_correct": all(r[side]["correct"] for r in runs for side in SIDES),
         "failed_calls": {side: sum(r[side]["failed"] for r in runs) for side in SIDES},
         "attempted_calls": {side: sum(r[side]["attempted"] for r in runs) for side in SIDES},
         "metrics": metrics,
-        "counters_equal": all(r[side]["counters"] == runs[0]["parent"]["counters"]
-                              for r in runs for side in SIDES),
-        "counters": {side: [r[side]["counters"] for r in runs] for side in SIDES},
+        "counters_equal": all(c == counters["parent"][0] for side in SIDES
+                              for c in counters[side]),
+        "counters": counters,
     }
+    if not summary["counters_equal"]:
+        names = dict.fromkeys(name for side in SIDES for c in counters[side] for name in c)
+        values = {name: {side: [c.get(name) for c in counters[side]] for side in SIDES}
+                  for name in names}
+        summary["counters_changed"] = {
+            name: both for name, both in values.items()
+            if len({v for side in SIDES for v in both[side]}) > 1}
+    return summary
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,7 +146,9 @@ def main(argv: list[str] | None = None) -> int:
                    "at least 9 pairs in 10 and its median is better than the parent's by "
                    "more than the parent's IQR; all_change_runs_better holds when every "
                    "change run is better than every parent run; counters_equal holds when "
-                   "every run of both sides reports the same work counters. Times are "
+                   "every run of both sides reports the same work counters, and "
+                   "counters_changed gives each side's values of every counter that "
+                   "differs when they do not. Times are "
                    "perfbench's values at reference machine speed. Written by "
                    "tools/bench_pairs.py."),
     })
