@@ -147,6 +147,11 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         _check_fields(RunConfig, vars(self))
+        for name in ("problem_params", "schedule_params"):  # the trajectory header holds both
+            try:
+                _dump_json_line(getattr(self, name))
+            except (TypeError, ValueError) as exc:  # a value JSON cannot hold, or a cycle
+                raise ConfigError(f"{name} must hold JSON values only: {exc}") from None
         for name, (allowed, _) in field_types(RunConfig).items():
             value = getattr(self, name)
             if float in allowed and value is not None and not _is_finite(value):

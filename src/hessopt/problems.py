@@ -24,7 +24,8 @@ in uint64 arithmetic and Floyd's sampling with Lemire's bounded draws (Lemire
 Parameters are flat float64 vectors. ``group_sizes`` records the parameter
 tensor layout (weight matrices, biases) so block-structured operations never
 straddle tensor boundaries. A loss reads one tensor per group
-(``loss(params, *inputs)``); ``build_loss`` narrows them from a flat theta.
+(``loss(params, *inputs)``), and every tape, recorded or eager, has one leaf
+per tensor, holding a view of theta's slice.
 
 Tapes are recorded once and replayed (see ``hessopt.autodiff``). A problem
 keeps one recorded tape per batch shape (``None`` for full batch), replayed by
@@ -38,14 +39,16 @@ ends (constants folded, repeated steps merged). The probe is one backward
 pass from every gradient part, seeded with z's slice. A replay writes the
 slices of theta, the batch's arrays and the probe into the recorded leaves
 and reruns the remaining numpy steps, then joins the gradient's and the HVP's
-parts, so its outputs equal a fresh tape's at a flat theta bit for bit.
+parts, so its outputs equal a fresh eager tape's over the parameter tensors
+bit for bit, signed zeros included.
 Everything a loss computes from those leaves must therefore be a taped op:
 data selected by the batch enters only through ``batch_inputs``. After a
 batch shape's first recording, every gradient and HVP of it is a replay: an
 hvp callable whose tape a later call moved replays it back first, and a
 non-finite replay raises the ``NumericError`` naming the op. Only ``value``
-stays eager, an independent path for finite differences. A recording that
-raised is never kept.
+and ``relu_inputs`` stay eager, over constant leaves of the same tensors: an
+independent path for finite differences. A recording that raised is never
+kept.
 """
 
 from __future__ import annotations
@@ -101,16 +104,15 @@ class _Tape:
 
     ``params`` holds one leaf per parameter tensor, written with theta's
     ``slices``, and ``inputs`` one per batch array; ``grads`` holds the
-    gradient's part of each parameter leaf, and ``grad_pad`` whether joining
-    them needs ``+= 0.0`` (see :func:`_needs_pad`). ``generation`` counts the
-    tape's replays, so an hvp callable can tell that the nodes it would read
-    now hold another point's data. ``probe`` holds the recorded probe program
-    over this tape, its leaves, its outputs (the HVP's parts) and their
-    ``_needs_pad``, once a first probe has succeeded.
+    gradient's part of each parameter leaf. ``generation`` counts the tape's
+    replays, so an hvp callable can tell that the nodes it would read now
+    hold another point's data. ``probe`` holds the recorded probe program
+    over this tape, its leaves and its outputs (the HVP's parts), once a
+    first probe has succeeded.
     """
 
-    __slots__ = ("params", "inputs", "slices", "loss", "grads", "grad_pad", "program",
-                 "generation", "probe")
+    __slots__ = ("params", "inputs", "slices", "loss", "grads", "program", "generation",
+                 "probe")
 
     def __init__(self, problem: "DifferentiableProblem", theta: np.ndarray, inputs):
         self.slices = _group_slices(problem.group_sizes)
@@ -120,9 +122,8 @@ class _Tape:
         with self.program.recording():
             self.loss = problem.loss(self.params, *self.inputs)
             self.grads = ad.backward(self.loss, self.params)
-        self.grad_pad = _needs_pad(self.grads)
         self.generation = 0
-        self.probe: tuple[ad.Program, list, list, bool] | None = None
+        self.probe: tuple[ad.Program, list, list] | None = None
 
     def replay(self, theta: np.ndarray, inputs) -> None:
         """Rerun the recorded tape at new leaf data."""
@@ -132,15 +133,6 @@ class _Tape:
         for leaf, x in zip(self.inputs, inputs):
             leaf.data = ad.as_float64(x)
         self.program.replay()
-
-
-def _needs_pad(parts: list[ad.Tensor]) -> bool:
-    """Whether joining ``parts`` needs ``+= 0.0``: a flat theta read through
-    slices gets its cotangent by adding one zero-padded vector per slice that
-    backward reaches (a part it does not reach is its zero constant), which
-    makes -0.0 +0.0 once there are two. A replay keeps each part's op, so a
-    recording decides this once for all its replays."""
-    return sum(part.op != "constant" for part in parts) > 1
 
 
 # ``default_rng`` is numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with
@@ -259,15 +251,14 @@ class DifferentiableProblem:
         raise NotImplementedError
 
     def build_loss(self, theta: ad.Tensor, batch: np.ndarray | None) -> ad.Tensor:
-        """The loss at a flat ``theta`` tensor, an eager tape unless recorded."""
-        return self.loss(self._params(theta), *map(ad.constant, self.batch_inputs(batch)))
-
-    def _params(self, theta: ad.Tensor) -> list[ad.Tensor]:
-        """The parameter tensors narrowed from a flat ``theta``; ``[theta]`` for one."""
-        if len(self.group_sizes) == 1:
-            return [theta]
-        return [ad.narrow(theta, part.start, part.stop - part.start)
-                for part in _group_slices(self.group_sizes)]
+        """The loss at a flat ``theta`` tensor, an eager tape that narrows the
+        parameter tensors from it. No run builds one: it is kept for the
+        per-layer timings of ``perfbench``, until they time the recorded
+        programs instead."""
+        params = [theta] if len(self.group_sizes) == 1 else [
+            ad.narrow(theta, part.start, part.stop - part.start)
+            for part in _group_slices(self.group_sizes)]
+        return self.loss(params, *map(ad.constant, self.batch_inputs(batch)))
 
     def sample_batch(self, t: int, seed: int) -> np.ndarray | None:
         """Deterministic index batch for iteration ``t``; None if full-batch.
@@ -327,9 +318,13 @@ class DifferentiableProblem:
             )
         return theta
 
+    def _constants(self, theta) -> list[ad.Tensor]:
+        """One constant leaf per parameter tensor of ``theta``, for an eager tape."""
+        return [ad.constant(part)
+                for part in _split(self._check_theta(theta), _group_slices(self.group_sizes))]
+
     def value(self, theta, batch=None) -> float:
-        theta = self._check_theta(theta)
-        loss = self.build_loss(ad.constant(theta), batch)
+        loss = self.loss(self._constants(theta), *map(ad.constant, self.batch_inputs(batch)))
         self._check(loss, "loss")
         return loss.item()
 
@@ -388,7 +383,7 @@ class DifferentiableProblem:
         # constants and merged ones get alias steps.
         if not math.isfinite(tape.loss.data):
             self._check(tape.loss, "loss")
-        grad = self._joined(tape.grads, tape.grad_pad, "gradient")
+        grad = self._joined(tape.grads, "gradient")
         self._tapes[key] = tape
         return tape, grad
 
@@ -402,26 +397,22 @@ class DifferentiableProblem:
             program = ad.Program(extends=tape.program)
             with program.recording():
                 hz = ad.backward(tape.grads, tape.params, leaves)
-                pad = _needs_pad(hz)
-                hvp = self._joined(hz, pad, "hvp")  # so that a probe that raised is not kept
-            tape.probe = (program, leaves, hz, pad)
+                hvp = self._joined(hz, "hvp")  # so that a probe that raised is not kept
+            tape.probe = (program, leaves, hz)
             return hvp
-        program, leaves, hz, pad = tape.probe
+        program, leaves, hz = tape.probe
         for leaf, part in zip(leaves, _split(z, tape.slices)):
             leaf.data = part
         program.replay()
-        return self._joined(hz, pad, "hvp")
+        return self._joined(hz, "hvp")
 
-    def _joined(self, parts: list[ad.Tensor], pad: bool, what: str) -> np.ndarray:
-        """A new flat vector of the parts' data, then ``+= 0.0`` if ``pad``
-        (the parts' :func:`_needs_pad`); raises the NumericError naming the op
-        if it is not finite."""
+    def _joined(self, parts: list[ad.Tensor], what: str) -> np.ndarray:
+        """A new flat vector of the parts' data; raises the NumericError naming
+        the op if it is not finite."""
         if len(parts) == 1:
             out = parts[0].data.copy()
         else:
             out = np.concatenate([part.data for part in parts])
-            if pad:
-                out += 0.0
         if not ad.all_finite(out):
             self._check(parts, what)
         return out
@@ -551,6 +542,13 @@ def _check_batch_size(batch_size, n: int) -> int | None:
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must lie in [1, {n}] for {n} samples, got {batch_size}")
     return int(batch_size)
+
+
+def _check_seed(seed) -> None:
+    """A builder's seed: an int that numpy's generators take, so at least 0."""
+    _check_int("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _check_counts(**counts) -> None:
@@ -714,8 +712,7 @@ class _MLPBase(DifferentiableProblem):
         if self.activation != "relu":
             return np.empty(0)
         hidden: list[np.ndarray] = []
-        X = ad.constant(self.batch_inputs(batch)[0])
-        self._forward(self._params(ad.constant(self._check_theta(theta))), X, hidden)
+        self._forward(self._constants(theta), ad.constant(self.batch_inputs(batch)[0]), hidden)
         return np.concatenate([h.ravel() for h in hidden])
 
 
@@ -775,7 +772,7 @@ def make_random_spd_quadratic(d: int, condition_number: float, seed: int) -> Qua
     rounding.
     """
     _check_int("d", d)
-    _check_int("seed", seed)
+    _check_seed(seed)
     if isinstance(condition_number, bool) or not isinstance(
             condition_number, (int, float, np.integer, np.floating)):
         raise TypeError(f"condition_number must be a real number, got {condition_number!r}")
@@ -790,8 +787,9 @@ def make_random_spd_quadratic(d: int, condition_number: float, seed: int) -> Qua
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     eigs = np.linspace(1.0, float(condition_number), d)
-    A = (Q * eigs) @ Q.T
-    A = 0.5 * (A + A.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # QuadraticProblem refuses a non-finite A
+        A = (Q * eigs) @ Q.T
+        A = 0.5 * (A + A.T)
     theta0 = rng.normal(size=d)
     return QuadraticProblem(A, name=f"spd-quadratic-d{d}", theta0=theta0, spd=True)
 
@@ -803,7 +801,7 @@ def make_logreg(n: int = 200, p: int = 8, seed: int = 7, batch_size=None) -> Log
     stress test for fixed-learning-rate methods while staying convex.
     """
     _check_counts(n=n, p=p)
-    _check_int("seed", seed)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     scales = np.linspace(1.0, 15.0, p)
     X = rng.normal(size=(n, p)) * scales
@@ -817,7 +815,7 @@ def make_tiny_mlp(layers: Sequence[int] = (5, 8, 1), seed: int = 3, n: int = 256
     """Regression set from a fixed random tanh teacher plus mild noise."""
     layers = _check_layers(layers)
     _check_counts(n=n)
-    _check_int("seed", seed)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     p = layers[0]
     X = rng.normal(size=(n, p))
@@ -832,7 +830,7 @@ def make_tiny_mlp_classifier(layers: Sequence[int] = (4, 6, 3), seed: int = 11, 
     """Three Gaussian clusters in 4-D, labelled by cluster."""
     layers = _check_layers(layers)
     _check_counts(n=n)
-    _check_int("seed", seed)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     p, classes = layers[0], layers[-1]
     centers = 2.0 * rng.normal(size=(classes, p))

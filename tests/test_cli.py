@@ -328,6 +328,13 @@ class TestBadInput:
         ("tiny-mlp", '{"layers": "58"}', "layers[0] must be an int, got '5'"),
         ("tiny-mlp", '{"layers": [5, "8", 1]}', "layers[1] must be an int, got '8'"),
         ("tiny-mlp-relu", '{"seed": null}', "seed must be an int, got None"),
+        # refused before numpy's generators see it
+        ("spd-quadratic", '{"seed": -1}', "seed must be >= 0, got -1"),
+        ("logreg", '{"seed": -1}', "seed must be >= 0, got -1"),
+        ("tiny-mlp", '{"seed": -1}', "seed must be >= 0, got -1"),
+        ("tiny-mlp-relu", '{"seed": -1}', "seed must be >= 0, got -1"),
+        # A overflows as it is built: the finite check's line, and no RuntimeWarning
+        ("spd-quadratic", '{"d": 2, "condition_number": 1e308}', "A and c must be finite"),
     ], ids=["string-batch-size", "batch-size-above-n", "zero-batch-size",
             "negative-condition-number", "infinite-condition-number",
             "overflowing-condition-number", "infinite-condition-number-d2",
@@ -336,7 +343,9 @@ class TestBadInput:
             "mlp-samples", "mlp-relu-samples", "mlp-input-width", "spd-dimension",
             "string-condition-number", "bool-condition-number", "string-dimension",
             "bool-dimension", "float-spd-seed", "float-features", "string-samples",
-            "string-logreg-seed", "string-layers", "string-layer-width", "null-mlp-seed"])
+            "string-logreg-seed", "string-layers", "string-layer-width", "null-mlp-seed",
+            "negative-spd-seed", "negative-logreg-seed", "negative-mlp-seed",
+            "negative-mlp-relu-seed", "overflowing-spd-matrix"])
     def test_problem_param_value_rejected_by_builder(self, tmp_path, capsys, problem,
                                                      params, needle):
         code = main(["run", "--problem", problem, "--problem-params", params,

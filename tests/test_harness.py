@@ -131,6 +131,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="'bogus'.*accepted: n, p, seed, batch_size"):
             RunConfig(problem="logreg", problem_params={"bogus": 1}).validate()
 
+    @pytest.mark.parametrize("overrides,name", [
+        ({"problem": "logreg", "problem_params": {"n": np.int64(300)}}, "problem_params"),
+        ({"problem": "tiny-mlp", "problem_params": {"layers": [np.int64(5), 8, 1]}},
+         "problem_params"),
+        ({"schedule": "step_decay", "schedule_params": {"milestones": [np.int64(3)]}},
+         "schedule_params"),
+    ], ids=["problem-param", "nested-problem-param", "schedule-param"])
+    def test_params_json_cannot_hold_are_a_config_error(self, tmp_path, overrides, name):
+        # Both dicts are written to the trajectory header, so a run checks them first.
+        with pytest.raises(ConfigError, match=f"^{name} must hold JSON values only: "):
+            run(quick_config(tmp_path, **overrides))
+        assert list(tmp_path.iterdir()) == []
+
     def test_every_optimizer_parameter_is_a_config_field(self):
         # run() passes an optimizer the config fields its constructor names, so a
         # constructor parameter without a field would silently keep its default.

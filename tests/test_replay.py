@@ -2,12 +2,14 @@
 
 A problem records one tape and its probe program once per batch shape and
 afterwards replays them. A replay must leave every output
-bit for bit equal to what a fresh eager tape at the same point gives, after
-the optimizations applied when a recording ends, and with the cheaper
-kernels the ops call; where an output is not finite, it must raise the
-NumericError a fresh recording raises, without building a tape.
+bit for bit equal to what a fresh eager tape over the parameter tensors at
+the same point gives, signed zeros included, after the optimizations applied
+when a recording ends, and with the cheaper kernels the ops call; where an
+output is not finite, it must raise the NumericError a fresh recording
+raises, without building a tape.
 """
 
+import functools
 from unittest import mock
 
 import numpy as np
@@ -26,12 +28,20 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 def eager(problem, theta, batch, probes=()):
-    """Loss and gradient of a fresh eager tape, and its HVP for each probe."""
-    t = ad.variable(theta)
-    loss = problem.build_loss(t, batch)
-    (g,) = ad.backward(loss, [t])
-    hvps = [ad.backward(ad.dot(g, ad.constant(z)), [t])[0].data for z in probes]
-    return loss.data, g.data, hvps
+    """Loss and gradient of a fresh eager tape, one variable per parameter
+    tensor, and its HVP for each probe: the gradient backpropagated through
+    the sum of each part's dot with its slice of the probe."""
+    cuts = np.cumsum(problem.group_sizes)[:-1]
+    params = [ad.variable(part) for part in np.split(theta, cuts)]
+    loss = problem.loss(params, *map(ad.constant, problem.batch_inputs(batch)))
+    grads = ad.backward(loss, params)
+
+    def hvp(z):
+        dots = [ad.dot(g, ad.constant(part)) for g, part in zip(grads, np.split(z, cuts))]
+        return np.concatenate([h.data for h in ad.backward(functools.reduce(ad.add, dots),
+                                                           params)])
+
+    return loss.data, np.concatenate([g.data for g in grads]), [hvp(z) for z in probes]
 
 
 def as_bytes(*arrays):
@@ -104,7 +114,8 @@ def no_tape_built():
 
 
 class _TwoTensors(DifferentiableProblem):
-    """Two parameter tensors, each dotted with a vector holding -0.0."""
+    """Two parameter tensors, each taken through a curve and dotted with a
+    vector holding -0.0."""
 
     name = "two-tensors"
     dim = 4
@@ -118,22 +129,35 @@ class _TwoTensors(DifferentiableProblem):
 
     def loss(self, params):
         c = ad.constant([-0.0, 1.5])
-        return ad.add(ad.dot(ad.tanh(params[0]), c), ad.dot(params[1], c))
+        return ad.add(ad.dot(ad.tanh(params[0]), c), ad.dot(ad.square(params[1]), c))
 
 
-def test_joined_parts_hold_the_signed_zeros_of_a_flat_theta():
-    # Each gradient part's first entry is -0.0. A flat theta read through
-    # slices gets its cotangent by adding zero-padded vectors, which makes it
-    # +0.0; the HVP reaches only the first slice, so it adds none and keeps
-    # the -0.0.
+def test_joined_parts_keep_their_signed_zeros():
+    # The first entry of each part of the gradient and of the HVP is -0.0;
+    # joining the parts keeps every one of them, as the eager tape over the
+    # parameter tensors has them.
     problem = _TwoTensors()
     z = np.array([1.0, -1.0, 0.5, 2.0])
-    for theta in (np.array([0.3, -0.2, 0.7, 1.1]), np.array([-0.4, 0.9, 0.0, -2.0])):
+    for theta in (np.array([-0.3, -0.2, 0.7, 1.1]), np.array([-0.4, 0.9, 0.5, -2.0])):
         loss, g, hvps = eager(problem, theta, None, [z])
         tape_loss, tape_g, hvp = problem.full_tape(theta)
-        assert as_bytes(tape_loss, tape_g, hvp(z)) == as_bytes(loss, g, *hvps)
-        assert not np.signbit(g[[0, 2]]).any()
-    assert np.signbit(hvps[0][0])
+        hz = hvp(z)
+        assert as_bytes(tape_loss, tape_g, hz) == as_bytes(loss, g, *hvps)
+        assert np.signbit(tape_g[[0, 2]]).all() and np.signbit(hz[[0, 2]]).all()
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_no_call_narrows_a_flat_theta(name):
+    # Every tape, recorded or eager, reads the parameter tensors as leaves of
+    # their own.
+    problem = get_problem(name)
+    theta = problem.theta0 + 0.1
+    batch = problem.sample_batch(1, 0)
+    with mock.patch.object(ad, "narrow", side_effect=AssertionError("theta was narrowed")):
+        problem.value(theta, batch)
+        problem.value_and_gradient(theta, batch)
+        problem.full_tape(theta, batch)[2](np.ones(problem.dim))
+        problem.relu_inputs(theta, batch)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
