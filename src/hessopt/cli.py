@@ -71,9 +71,11 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The config file's config, if given, with the flags given over it;
+    ``run`` and ``sweep`` validate it."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
     return config.with_overrides({f.name: getattr(args, f.name) for f in fields(RunConfig)
-                                  if getattr(args, f.name) is not None}).validate()
+                                  if getattr(args, f.name) is not None})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

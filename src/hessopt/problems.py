@@ -23,32 +23,36 @@ in uint64 arithmetic and Floyd's sampling with Lemire's bounded draws (Lemire
 
 Parameters are flat float64 vectors. ``group_sizes`` records the parameter
 tensor layout (weight matrices, biases) so block-structured operations never
-straddle tensor boundaries. A loss reads one tensor per group
-(``loss(params, *inputs)``), and every tape, recorded or eager, has one leaf
-per tensor, holding a view of theta's slice.
+straddle tensor boundaries. A loss reads one tensor per group and one leaf per
+per-sample array the problem declares once in ``batch_arrays``
+(``loss(params, *inputs)``); every tape, recorded or eager, has one leaf per
+tensor.
 
 Tapes are recorded once and replayed (see ``hessopt.autodiff``). A problem
 keeps one recorded tape per batch shape (``None`` for full batch), replayed by
 both ``value_and_gradient`` and ``full_tape``; the tape also keeps the
 program of its HVP probe, recorded on its first probe as an extension of the
 tape's program, so that steps the probe repeats of the tape (tanh's
-``1 - y**2``, the weights' transposes) are computed once. The leaves, one
-per parameter tensor and one per batch array (``batch_inputs``), are made
-before each recording, and each program is optimized once when its recording
-ends (constants folded, repeated steps merged). The probe is one backward
-pass from every gradient part, seeded with z's slice. A replay writes the
-slices of theta, the batch's arrays and the probe into the recorded leaves
-and reruns the remaining numpy steps, then joins the gradient's and the HVP's
-parts, so its outputs equal a fresh eager tape's over the parameter tensors
-bit for bit, signed zeros included.
+``1 - y**2``, the weights' transposes) are computed once. Each program is
+optimized once when its recording ends (constants folded, repeated steps
+merged). A tape owns everything its programs read: its own theta and z
+buffers, whose slices its parameter and probe leaves view for the tape's
+life, and one input leaf per batch array. A replay copies theta into its
+buffer and the batch's rows of each batch array into the input leaves (a
+full-batch tape's inputs never change), a probe copies z into its buffer,
+and each reruns the remaining numpy steps. So nothing a caller does to its
+arrays afterwards reaches a tape. The probe is one backward pass from every
+gradient part, seeded with z's slice. The gradient's and the HVP's parts are
+joined after a replay, so its outputs equal a fresh eager tape's over the
+parameter tensors bit for bit, signed zeros included.
 Everything a loss computes from those leaves must therefore be a taped op:
-data selected by the batch enters only through ``batch_inputs``. After a
-batch shape's first recording, every gradient and HVP of it is a replay: an
-hvp callable whose tape a later call moved replays it back first, and a
-non-finite replay raises the ``NumericError`` naming the op. Only ``value``
-and ``relu_inputs`` stay eager, over constant leaves of the same tensors: an
-independent path for finite differences. A recording that raised is never
-kept.
+batch data enters a tape only as rows of ``batch_arrays``. After a batch
+shape's first recording, every gradient and HVP of it is a replay: an hvp
+callable whose tape a later call moved replays it back first, to its own
+copies of theta and the batch, and a non-finite replay raises the
+``NumericError`` naming the op. Only ``value`` and ``relu_inputs`` stay
+eager, over constant leaves of the same tensors: an independent path for
+finite differences. A recording that raised is never kept.
 """
 
 from __future__ import annotations
@@ -94,44 +98,45 @@ def _group_slices(group_sizes: Sequence[int]) -> list[slice]:
     return [slice(stop - size, stop) for size, stop in zip(group_sizes, stops)]
 
 
-def _split(x: np.ndarray, slices: list[slice]) -> list[np.ndarray]:
-    """Views of ``x``'s parameter tensors; ``[x]`` itself for one tensor."""
-    return [x] if len(slices) == 1 else [x[part] for part in slices]
-
-
 class _Tape:
-    """A gradient tape of ``problem``, recorded at ``theta`` and ``inputs``.
+    """A gradient tape of ``problem``, recorded at ``theta`` and ``batch``,
+    owning everything its programs read.
 
-    ``params`` holds one leaf per parameter tensor, written with theta's
-    ``slices``, and ``inputs`` one per batch array; ``grads`` holds the
-    gradient's part of each parameter leaf. ``generation`` counts the tape's
-    replays, so an hvp callable can tell that the nodes it would read now
-    hold another point's data. ``probe`` holds the recorded probe program
-    over this tape, its leaves and its outputs (the HVP's parts), once a
-    first probe has succeeded.
+    ``theta`` and ``z`` are the tape's own buffers. ``params`` holds one
+    leaf per parameter tensor, a view of its slice of ``theta``, and the
+    probe program reads one leaf per tensor of ``z`` alike: each bound once,
+    for the tape's life. ``inputs`` holds one leaf per array of the
+    problem's ``batch_arrays``, the batch's rows of it, or the whole array
+    for the full batch; ``arrays`` are the arrays a replay takes new rows
+    of, none for the full batch. ``grads`` holds the gradient's part of each
+    parameter leaf. ``generation`` counts the tape's replays, so an hvp
+    callable can tell that the nodes it would read now hold another point's
+    data. ``probe`` holds the recorded probe program over this tape and its
+    outputs (the HVP's parts), once a first probe has succeeded.
     """
 
-    __slots__ = ("params", "inputs", "slices", "loss", "grads", "program", "generation",
-                 "probe")
+    __slots__ = ("theta", "z", "params", "inputs", "arrays", "loss", "grads", "program",
+                 "generation", "probe")
 
-    def __init__(self, problem: "DifferentiableProblem", theta: np.ndarray, inputs):
-        self.slices = _group_slices(problem.group_sizes)
-        self.params = [ad.variable(part) for part in _split(theta, self.slices)]
-        self.inputs = list(map(ad.constant, inputs))
+    def __init__(self, problem: "DifferentiableProblem", theta: np.ndarray, batch):
+        self.theta, self.z = theta.copy(), np.empty_like(theta)
+        self.params = [ad.variable(self.theta[part])
+                       for part in _group_slices(problem.group_sizes)]
+        self.inputs = list(map(ad.constant, problem.batch_inputs(batch)))
+        self.arrays = () if batch is None else problem.batch_arrays
         self.program = ad.Program()
         with self.program.recording():
             self.loss = problem.loss(self.params, *self.inputs)
             self.grads = ad.backward(self.loss, self.params)
         self.generation = 0
-        self.probe: tuple[ad.Program, list, list] | None = None
+        self.probe: tuple[ad.Program, list] | None = None
 
-    def replay(self, theta: np.ndarray, inputs) -> None:
-        """Rerun the recorded tape at new leaf data."""
+    def replay(self, theta: np.ndarray, batch) -> None:
+        """Rerun the recorded tape at ``theta`` and ``batch``, copied into its leaves."""
         self.generation += 1
-        for leaf, part in zip(self.params, _split(theta, self.slices)):
-            leaf.data = part
-        for leaf, x in zip(self.inputs, inputs):
-            leaf.data = ad.as_float64(x)
+        np.copyto(self.theta, theta)
+        for array, leaf in zip(self.arrays, self.inputs):
+            array.take(batch, axis=0, out=leaf.data)
         self.program.replay()
 
 
@@ -224,9 +229,9 @@ def _floyd_batches(n: int, b: int, words: np.ndarray) -> tuple[np.ndarray, np.nd
 class DifferentiableProblem:
     """Base class for scalar objectives with exact second-order products.
 
-    A subclass declares the arrays its loss reads of a batch
-    (:meth:`batch_inputs`) and builds the taped loss from its parameter
-    tensors and one leaf per array (:meth:`loss`). Everything else (values,
+    A subclass declares the per-sample arrays its loss reads once
+    (``batch_arrays``) and builds the taped loss from its parameter tensors
+    and one leaf per array (:meth:`loss`). Everything else (values,
     gradients, Hessian-vector products) derives from that single definition,
     so the three are consistent by construction.
     """
@@ -234,6 +239,9 @@ class DifferentiableProblem:
     name: str = "problem"
     dim: int = 0
     batch_size: int | None = None  # None: always full batch
+    # The float64 arrays, one row per sample, of which a batch takes rows:
+    # the only way batch data enters a tape. Empty for a problem without data.
+    batch_arrays: tuple[np.ndarray, ...] = ()
 
     def __init__(self):
         self.theta0 = np.zeros(self.dim)
@@ -241,8 +249,16 @@ class DifferentiableProblem:
         self._tapes: dict[tuple | None, _Tape] = {}
 
     def batch_inputs(self, batch: np.ndarray | None) -> tuple[np.ndarray, ...]:
-        """The arrays the loss reads of ``batch``, each entering the tape as a leaf."""
-        raise NotImplementedError
+        """The arrays the loss reads of ``batch``: each of ``batch_arrays``
+        whole for the full batch (None), else its rows ``batch``."""
+        if batch is None:
+            return self.batch_arrays
+        return tuple(array.take(batch, axis=0) for array in self.batch_arrays)
+
+    @property
+    def n_samples(self) -> int:
+        """The samples a batch is drawn from: the rows of each batch array."""
+        return len(self.batch_arrays[0]) if self.batch_arrays else 0
 
     def loss(self, params: list[ad.Tensor], *inputs: ad.Tensor) -> ad.Tensor:
         """The taped scalar loss from the parameter tensors, one 1-D tensor
@@ -297,10 +313,6 @@ class DifferentiableProblem:
                 out[start + i] = self.sample_batch(int(block[i]), seed)
         return out
 
-    @property
-    def n_samples(self) -> int:
-        return 0
-
     def relu_inputs(self, theta, batch=None) -> np.ndarray:
         """Every value the loss passes through a ReLU, flattened; empty if none.
 
@@ -320,8 +332,8 @@ class DifferentiableProblem:
 
     def _constants(self, theta) -> list[ad.Tensor]:
         """One constant leaf per parameter tensor of ``theta``, for an eager tape."""
-        return [ad.constant(part)
-                for part in _split(self._check_theta(theta), _group_slices(self.group_sizes))]
+        theta = self._check_theta(theta)
+        return [ad.constant(theta[part]) for part in _group_slices(self.group_sizes)]
 
     def value(self, theta, batch=None) -> float:
         loss = self.loss(self._constants(theta), *map(ad.constant, self.batch_inputs(batch)))
@@ -346,14 +358,17 @@ class DifferentiableProblem:
         """One tape yielding (loss, gradient, hvp-callable) without rebuilding.
 
         Used by the harness so that iterations needing a Hessian probe reuse
-        the gradient's graph instead of paying a second forward pass. Once a
-        later ``full_tape`` or ``value_and_gradient`` call on the same batch
-        shape has replayed the recorded tape, the callable replays it back to
-        its own ``theta`` and ``batch`` before probing.
+        the gradient's graph instead of paying a second forward pass. The
+        tape holds copies of ``theta`` and the batch's rows, so changing
+        either array afterwards changes no result. Once a later ``full_tape``
+        or ``value_and_gradient`` call on the same batch shape has replayed
+        the recorded tape, the callable replays it back to its own copies of
+        ``theta`` and ``batch`` before probing.
         """
         theta = self._check_theta(theta)
         tape, grad = self._gradient_tape(theta, batch)
         generation = tape.generation
+        point = theta.copy(), None if batch is None else batch.copy()
 
         def apply(z: np.ndarray) -> np.ndarray:
             nonlocal generation
@@ -361,7 +376,7 @@ class DifferentiableProblem:
             if z.shape != (self.dim,):
                 raise ValueError(f"{self.name}: probe length must be {self.dim}")
             if tape.generation != generation:
-                self._gradient_tape(theta, batch)
+                self._gradient_tape(*point)
                 generation = tape.generation
             return self._probe(tape, z)
 
@@ -372,13 +387,12 @@ class DifferentiableProblem:
         replayed after, and its joined gradient; a non-finite loss or gradient
         raises the NumericError naming the op, and a recording that raised is
         not kept."""
-        inputs = self.batch_inputs(batch)
         key = None if batch is None else batch.shape
         tape = self._tapes.get(key)
         if tape is None:
-            tape = _Tape(self, theta, inputs)
+            tape = _Tape(self, theta, batch)
         else:
-            tape.replay(theta, inputs)
+            tape.replay(theta, batch)
         # A replay names the op as a fresh recording does: folded nodes are
         # constants and merged ones get alias steps.
         if not math.isfinite(tape.loss.data):
@@ -388,21 +402,21 @@ class DifferentiableProblem:
         return tape, grad
 
     def _probe(self, tape: _Tape, z: np.ndarray) -> np.ndarray:
-        """``H @ z`` over a tape holding its current generation: its first probe
-        is recorded as a program extending the tape's, one backward pass from
-        every gradient part seeded with z's slice, and later ones replay it.
-        A non-finite HVP raises the NumericError naming the op."""
+        """``H @ z`` over a tape holding its current generation, with z copied
+        into the tape's buffer: its first probe is recorded as a program
+        extending the tape's, one backward pass from every gradient part
+        seeded with the leaf of z's slice, and later ones replay it. A
+        non-finite HVP raises the NumericError naming the op."""
+        np.copyto(tape.z, z)
         if tape.probe is None:
-            leaves = [ad.constant(part) for part in _split(z, tape.slices)]
+            leaves = [ad.constant(tape.z[part]) for part in _group_slices(self.group_sizes)]
             program = ad.Program(extends=tape.program)
             with program.recording():
                 hz = ad.backward(tape.grads, tape.params, leaves)
                 hvp = self._joined(hz, "hvp")  # so that a probe that raised is not kept
-            tape.probe = (program, leaves, hz)
+            tape.probe = (program, hz)
             return hvp
-        program, leaves, hz = tape.probe
-        for leaf, part in zip(leaves, _split(z, tape.slices)):
-            leaf.data = part
+        program, hz = tape.probe
         program.replay()
         return self._joined(hz, "hvp")
 
@@ -455,9 +469,6 @@ class QuadraticProblem(DifferentiableProblem):
         if theta0 is not None:
             self.theta0 = np.asarray(theta0, dtype=np.float64)
 
-    def batch_inputs(self, batch):
-        return ()
-
     def loss(self, params):
         (theta,) = params
         Ax = ad.matmul(ad.constant(self.A), theta)
@@ -502,9 +513,6 @@ class NoisyParabola(DifferentiableProblem):
     def __init__(self):
         super().__init__()
         self.theta0 = np.array([1.0])
-
-    def batch_inputs(self, batch):
-        return ()
 
     def loss(self, params):
         (x,) = params  # length-1 vector; taped ops are elementwise
@@ -613,15 +621,7 @@ class LogisticRegression(DifferentiableProblem):
         self.name = name
         self.batch_size = _check_batch_size(batch_size, data.n)
         super().__init__()
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.n
-
-    def batch_inputs(self, batch):
-        if batch is None:
-            return self.data.X, self.data.y
-        return self.data.X.take(batch, axis=0), self.data.y.take(batch, axis=0)
+        self.batch_arrays = (data.X, data.y)
 
     def loss(self, params, X, y):
         (theta,) = params
@@ -680,17 +680,8 @@ class _MLPBase(DifferentiableProblem):
             else:
                 init.append(np.zeros(shape))
         self.theta0 = np.concatenate(init)
-        # What the loss compares the network's output with, one row per sample.
-        self.targets = data.y
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.n
-
-    def batch_inputs(self, batch):
-        if batch is None:
-            return self.data.X, self.targets
-        return self.data.X.take(batch, axis=0), self.targets.take(batch, axis=0)
+        # The features and what the loss compares the network's output with.
+        self.batch_arrays = (data.X, data.y)
 
     def _forward(self, params, X: ad.Tensor, hidden: list | None = None) -> ad.Tensor:
         """Output layer of the network; ``hidden``, if given, collects each
@@ -741,7 +732,7 @@ class TinyMLPClassifier(_MLPBase):
 
     def __init__(self, data: SyntheticDataset, layers: Sequence[int], name, batch_size):
         super().__init__(data, layers, name, batch_size)
-        self.targets = np.eye(self.layers[-1])[data.y]  # one-hot labels
+        self.batch_arrays = (data.X, np.eye(self.layers[-1])[data.y])  # one-hot labels
 
     def loss(self, params, X, onehot):
         logits = self._forward(params, X)  # (n, classes)

@@ -346,9 +346,6 @@ class _SqrtProblem(DifferentiableProblem):
         super().__init__()
         self.exponent = exponent
 
-    def batch_inputs(self, batch):
-        return ()
-
     def loss(self, params):
         (theta,) = params
         return ad.tsum(ad.power(theta, self.exponent))

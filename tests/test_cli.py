@@ -101,6 +101,23 @@ class TestRunCommand:
         assert (code, len(err.strip().splitlines())) == (1, 1)
         assert err.startswith("config error:") and needle in err
 
+    @pytest.mark.parametrize("command,grid,checks", [
+        ("run", [], 1),
+        ("sweep", ["--grid", "lr=0.1,0.2", "--seeds", "0"], 3),  # the base, then each cell
+    ])
+    def test_each_config_is_validated_once(self, tmp_path, monkeypatch, command, grid, checks):
+        checked = []
+        original = harness.RunConfig.validate
+
+        def counting(config):
+            checked.append(config)
+            return original(config)
+
+        monkeypatch.setattr(harness.RunConfig, "validate", counting)
+        code = main([command, "--problem", "fig1-quadratic", "--iters", "2", "--no-cost-ratio",
+                     "--out", str(tmp_path), *grid])
+        assert (code, len(checked)) == (0, checks)
+
     def test_bad_problem_params_json_exits_one(self, tmp_path):
         code = main(["run", "--problem-params", "[1,2]", "--out", str(tmp_path)])
         assert code == 1
@@ -712,7 +729,6 @@ class TestRunFlags:
         else:
             token, expected = self.TOKENS[tp]
             argv = [flag, token]
-        monkeypatch.setattr(harness.RunConfig, "validate", lambda self: self)
         config = cli._config_from_args(cli.build_parser().parse_args([command, *argv]))
         assert config == replace(harness.RunConfig(), **{field.name: expected})
         assert type(getattr(config, field.name)) is type(expected)

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hessopt import autodiff as ad
+from hessopt import harness, hutchinson
 from hessopt import problems as pr
 from hessopt.hutchinson import probe_rng, rademacher, seed_words
 
@@ -426,6 +428,27 @@ class TestSharedInterface:
         monkeypatch.setattr(np.random, "default_rng", unused)
         with pytest.raises(ValueError, match=needle):
             pr.get_problem(name, **params)
+
+
+def test_a_finished_run_leaves_no_probe_chunk_alive(tmp_path, monkeypatch):
+    # A sweep's problems, and so their tapes, outlive each run; a tape copies
+    # each probe into its own buffer, so no chunk of drawn probes outlives
+    # the run that drew it.
+    chunks = []
+    original = hutchinson._keyed_probes
+
+    def spy(keys, n, d, out):
+        chunks.append(weakref.ref(out.base))
+        return original(keys, n, d, out)
+
+    monkeypatch.setattr(hutchinson, "_keyed_probes", spy)
+    config = harness.RunConfig(problem="logreg", problem_params={"batch_size": 32}, iters=6,
+                               out=str(tmp_path), cost_ratio=False).validate()
+    shared = harness._SeedPass(config.seed, {harness._SeedPass._key(config):
+                                             harness._build_problem(config)}, [config])
+    assert harness.run(config, write_files=False, _shared=shared).status == "ok"
+    gc.collect()
+    assert len(chunks) == 1 and chunks[0]() is None
 
 
 @pytest.mark.parametrize("name,params", [

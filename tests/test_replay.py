@@ -90,8 +90,38 @@ def test_an_earlier_hvp_keeps_its_own_point():
         assert as_bytes(hvp(z), hvp(-z)) == want
 
 
+@pytest.mark.parametrize("name", problem_names())
+def test_a_tape_keeps_its_own_copy_of_theta(name):
+    # Changing theta in place after full_tape changes nothing the hvp reads:
+    # its first probe, recorded after the change, is still the HVP at the
+    # tape's point.
+    problem = get_problem(name)
+    rng = np.random.default_rng(7)
+    theta = problem.theta0 + 0.3 * rng.standard_normal(problem.dim)
+    z = rng.standard_normal(problem.dim)
+    want = get_problem(name).hvp(theta, z)
+    _, _, hvp = problem.full_tape(theta)
+    theta += 1.0
+    assert as_bytes(hvp(z)) == as_bytes(want)
+
+
+def test_a_stale_hvp_replays_back_to_its_own_copies_of_theta_and_batch():
+    problem = get_problem("tiny-mlp")
+    rng = np.random.default_rng(8)
+    theta = problem.theta0 + 0.3 * rng.standard_normal(problem.dim)
+    batch = problem.sample_batch(1, 0)
+    z = rng.standard_normal(problem.dim)
+    want = get_problem("tiny-mlp").hvp(theta, z, batch)
+    _, _, hvp = problem.full_tape(theta, batch)
+    # The caller reuses both arrays for another point, which moves the tape.
+    theta += 1.0
+    batch[:] = problem.sample_batch(2, 0)
+    problem.gradient(theta, batch)
+    assert as_bytes(hvp(z)) == as_bytes(want)
+
+
 class _Power(DifferentiableProblem):
-    """sum(theta ** exponent), declaring its (empty) batch inputs so it replays."""
+    """sum(theta ** exponent)."""
 
     name = "sqrt"
     dim = 2
@@ -99,9 +129,6 @@ class _Power(DifferentiableProblem):
     def __init__(self, exponent):
         super().__init__()
         self.exponent = exponent
-
-    def batch_inputs(self, batch):
-        return ()
 
     def loss(self, params):
         (theta,) = params
@@ -123,9 +150,6 @@ class _TwoTensors(DifferentiableProblem):
     def __init__(self):
         super().__init__()
         self.group_sizes = [2, 2]
-
-    def batch_inputs(self, batch):
-        return ()
 
     def loss(self, params):
         c = ad.constant([-0.0, 1.5])
@@ -259,9 +283,6 @@ class _Composed(DifferentiableProblem):
     def __init__(self, expr, reduce):
         super().__init__()
         self.expr, self.reduce = expr, reduce
-
-    def batch_inputs(self, batch):
-        return ()
 
     def loss(self, params):
         (theta,) = params
