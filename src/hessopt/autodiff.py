@@ -17,37 +17,38 @@ Every op makes its node the same way: :class:`Tensor` calls the op's step
 function (a numpy function of the inputs' data) and keeps the inputs as the
 node's parents. Inside ``Program.recording()`` the constructor also appends
 that step to the program: the node, the step function and the input nodes.
-:meth:`Program.replay` reruns the steps in order after new arrays are
-written into the leaves' ``data``. The same numpy functions then run on the
-same operands in the same order, and the cotangent accumulation order is the
-one fixed at recording, so every node ends up bit for bit where a fresh tape
-at the new leaves would put it: eager and replayed data come from the same
-call. Only the leaves a caller rewrites change between replays; every other
-leaf is baked into the program. So any data an op derives from its inputs
-(``relu``'s mask, ``softplus``'s shift, ``logsumexp_rows``'s row max) is made
-by a step of its own, never captured as a constant leaf. Outside a recording
-the ops only build an eager tape, for one-off evaluations. :func:`check_finite`
-names the op behind a non-finite value on a replayed tape as on a fresh one.
+When the recording ends, each step becomes a kernel that writes into the
+array the recording made for its node, and :meth:`Program.replay` reruns the
+kernels in order after new values are written into the leaves' arrays in
+place. No node's array is ever replaced, so a view of one (a transpose, a
+reshape) is bound once and never remade. The same numpy operations then run
+on the same operands in the same order, and the cotangent accumulation order
+is the one fixed at recording, so every node ends up bit for bit where a
+fresh tape at the new leaves would put it. Only the leaves a caller rewrites
+change between replays; every other leaf is baked into the program. So any
+data an op derives from its inputs (``relu``'s mask, ``softplus``'s shift,
+``logsumexp_rows``'s row max) is made by a step of its own, never captured
+as a constant leaf. Outside a recording the ops only build an eager tape,
+for one-off evaluations. :func:`check_finite` names the op behind a
+non-finite value on a replayed tape as on a fresh one.
 
 When a recording ends, its steps are optimized once, so that a replay runs
 only numpy work whose result can change (``_optimize``): steps computed from
-constants made inside the recording are folded, and a step repeating an
-earlier one is merged into it (also across a probe program and the tape it
-extends). Each rewrite is exact; the docstring of ``_optimize`` says why.
-Some ops call cheaper kernels that compute the same bits: ``np.square`` and
-``np.reciprocal`` for the powers 2 and -1, ``einsum`` for axis-0 sums of
-C-contiguous matrices (``_power_kernel``, ``_sum_rows``),
-``np.add.reduce``, the call behind ``ndarray.sum``, for other sums, and
-``ndarray.dot`` for products. ``dot`` makes the BLAS call ``np.matmul``
-makes without its gufunc dispatch, and for float64 the two agree bit for
-bit when every 2-D operand is C- or F-ordered; a 1-D operand may have any
-stride. (A unit stride on one axis is not enough: rows ``x[::2]`` can
-differ.) Every product a loss here takes has such operands: node outputs,
-their transposes, reshapes of parameter leaves and batch arrays. In a
-replay, a step that makes a 0-d node (a loss, a mean's sum and scale) calls
-its ufunc or ``np.add.reduce`` with that node's 0-d array as ``out=``,
-rather than wrapping numpy's scalar result in a new array
-(``_scalar_step``).
+constants made inside the recording are folded, a step repeating an earlier
+one is merged into it (also across a probe program and the tape it
+extends), and views are bound once. Each rewrite is exact; the docstring
+of ``_optimize`` says why. Some ops call cheaper kernels that compute the
+same bits: the ufuncs numpy's scalar-power fast paths call (``np.square``,
+``np.reciprocal``, ``np.sqrt``, ``np.positive``), ``einsum`` for axis-0 sums
+of C-contiguous matrices (``_power_kernel``, ``_sum_rows``), ``np.add.reduce``,
+the call behind ``ndarray.sum``, for other sums, and ``ndarray.dot``, or
+``np.dot`` in a replay, for products. ``dot`` makes the BLAS call
+``np.matmul`` makes without its gufunc dispatch, and for float64 the two
+agree bit for bit when every 2-D operand is C- or F-ordered; a 1-D operand
+may have any stride. (A unit stride on one axis is not enough: rows
+``x[::2]`` can differ.) Every product a loss here takes has such operands:
+node outputs, their transposes, reshapes of parameter leaves and batch
+arrays.
 
 Conventions:
   - all data is float64; inputs are coerced on construction
@@ -202,7 +203,8 @@ def constant(data) -> Tensor:
     """Leaf tensor excluded from differentiation.
 
     Made inside a recording, it is a constant of the program (see
-    :class:`Program`): a leaf a caller rewrites must be made before.
+    :class:`Program`): a leaf a caller rewrites must be made before, and is
+    rewritten in place, through ``leaf.data[...]``, never rebound.
     """
     out = _leaf(data, "constant", False)
     if _steps is not None:
@@ -273,16 +275,19 @@ def div(a, b) -> Tensor:
     return mul(a, power(b, -1.0))
 
 
+# The ufuncs numpy's scalar-power fast paths call for ``x ** p`` at these p.
+_POWER_UFUNCS = {2.0: np.square, -1.0: np.reciprocal, 0.5: np.sqrt, 1.0: np.positive}
+
+
+def _pow(p: float, x: np.ndarray) -> np.ndarray:
+    return x**p
+
+
 @cache
 def _power_kernel(p: float):
-    """What ``x ** p`` computes: for p = 2 and p = -1 numpy's own scalar-power
-    fast path calls ``np.square`` and ``np.reciprocal``, so calling them
-    directly gives the same bits without the operator dispatch."""
-    if p == 2.0:
-        return np.square
-    if p == -1.0:
-        return np.reciprocal
-    return lambda x: x**p
+    """What ``x ** p`` computes: the fast path's ufunc, which gives the same
+    bits without the operator dispatch, or ``np.power``."""
+    return _POWER_UFUNCS.get(p) or partial(_pow, p)
 
 
 def power(a, exponent: float) -> Tensor:
@@ -539,10 +544,13 @@ class Program:
 
     Inside :meth:`recording` every op appends one step: the node it made,
     the numpy function that computed the node's data, and its input nodes;
-    :func:`constant` marks the constants made there. The caller keeps the
-    leaves it means to rewrite, made before the recording; after writing
-    new arrays (float64, of the recorded shapes) into their ``data``,
-    :meth:`replay` stores in each node what a fresh tape would hold.
+    :func:`constant` marks the constants made there. When the recording
+    ends, ``steps`` holds ``(kernel, args)`` pairs over the nodes' arrays,
+    each fixed from then on. The caller keeps the leaves it means to
+    rewrite, made before the recording, and writes new values (of the
+    recorded shapes) into their arrays in place, never binding a new array
+    to a leaf's ``data``; :meth:`replay` then leaves in each node's array
+    what a fresh tape would hold.
 
     A program recorded with ``extends`` continues that program's tape (a
     probe over a gradient tape): it is replayed after it, reads its nodes,
@@ -580,12 +588,14 @@ class Program:
         self._table = table
 
     def replay(self) -> None:
-        for node, fn, a, b in self.steps:
-            node.data = fn(a.data) if b is None else fn(a.data, b.data)
+        """Run every step's kernel, in order, over the arrays it was bound to."""
+        for kernel, args in self.steps:
+            kernel(*args)
 
 
 def _optimize(recorded: list, table: _Table) -> list:
-    """The steps of ``recorded`` that replay must run, rewritten once.
+    """The steps of ``recorded`` that replay must run, rewritten once into
+    ``(kernel, args)`` pairs over arrays that never change.
 
     Every rewrite leaves each node's data bit for bit what the recorded step
     would compute:
@@ -594,17 +604,20 @@ def _optimize(recorded: list, table: _Table) -> list:
       the recording computed and the step is dropped;
     - a step that repeats an earlier one (same step function, which ops make
       once per parameter value, and the same input nodes) is merged into it.
-      Later steps read the earlier node, and the repeat becomes an alias
-      step that hands it the earlier node's array, so every node still holds
-      current data for whatever reads the tape from outside: the loss, the
-      gradient, a program extending this one, or :func:`find_nonfinite`.
+      Later steps read the earlier node, and the repeat's node is bound to
+      the earlier node's array, so every node still holds current data for
+      whatever reads the tape from outside: the loss, the gradient, a
+      program extending this one, or :func:`find_nonfinite`;
+    - a step whose result views its input (a transpose, a slice, most
+      reshapes) is bound once, over its input's own array, and dropped;
+    - every other step writes into its node's own array, the one the
+      recording made, with the same operation on the same operands
+      (:func:`_kernel`).
 
-    A step that makes a 0-d node gets an array back, as :class:`Tensor`
-    makes one of numpy's scalar result: a ufunc or a sum writes into the
-    node's own 0-d array through ``out=``, the same operation on the same
-    operands, and any other step coerces its result (see :func:`_scalar_step`).
+    Merged nodes are bound last, so a view of one is still recognized by the
+    array it was recorded over.
     """
-    steps = []
+    steps, repeats = [], []
     merged, fixed = table.merged, table.fixed
     for node, fn, a, b in recorded:
         if fn is None:  # a constant made in the recording
@@ -614,37 +627,61 @@ def _optimize(recorded: list, table: _Table) -> list:
                 if first is not node:
                     merged[node] = first
             continue
-        a = merged.get(a, a)
-        b = merged.get(b, b)
-        first = table.steps.setdefault((fn, a, b), node)
+        x = merged.get(a, a)
+        y = merged.get(b, b)
+        first = table.steps.setdefault((fn, x, y), node)
         if first is not node:
             merged[node] = first
+            repeats.append(node)
             if first in fixed:
                 fixed.add(node)
-            else:
-                steps.append((node, _same, first, None))
-        elif a in fixed and (b is None or b in fixed):
+        elif x in fixed and (y is None or y in fixed):
             fixed.add(node)
+        elif b is None and np.may_share_memory(node.data, a.data):
+            node.data = fn(x.data)
         else:
-            steps.append((node, fn, a, b))
-    return [(node, fn if node.data.ndim or fn is _same else _scalar_step(node, fn), a, b)
-            for node, fn, a, b in steps]
+            steps.append(_kernel(fn, node.data, x.data, None if y is None else y.data))
+    for node in repeats:
+        node.data = merged[node].data
+    return steps
 
 
-def _same(x):
-    return x
+def _kernel(fn, out: np.ndarray, x: np.ndarray, y: np.ndarray | None) -> tuple:
+    """``(kernel, args)`` such that ``kernel(*args)`` writes ``fn(x)``, or
+    ``fn(x, y)``, into ``out``, the array the recording made for the step.
 
-
-def _scalar_step(node: Tensor, fn):
-    """The step making 0-d ``node``, returning an array instead of numpy's scalar.
-
-    A ufunc, or a sum (``np.add.reduce`` with its axis), writes into the
-    node's data through ``out=``: the array the recording made for it, which
-    the replay then keeps in the node. Any other step coerces its result.
+    Each is the call ``fn`` makes, given ``out`` positionally where numpy
+    takes it so: a ufunc, ``np.dot`` for ``ndarray.dot``, ``np.add.reduce``
+    for a sum, ``np.maximum.reduce`` for the row max. ``np.maximum`` takes
+    ``out=`` by keyword, since numpy deprecates a positional one for it, and
+    so does ``einsum``. A step without such a kernel (a reshape that
+    copies, an embed) copies its result into ``out``.
     """
-    if isinstance(fn, np.ufunc) or type(fn) is partial and fn.func == np.add.reduce:
-        return partial(fn, out=node.data)
-    return lambda *args: np.asarray(fn(*args), dtype=np.float64)
+    if isinstance(fn, np.ufunc):
+        return fn, (x, out) if y is None else (x, y, out)
+    if fn is np.ndarray.dot:
+        return np.dot, (x, y, out)
+    if fn is _positive:
+        return np.greater, (x, 0.0, out)
+    if fn is _clip_negative:
+        return partial(np.maximum, out=out), (x, 0.0)
+    if fn is _row_max:
+        return np.maximum.reduce, (x, 1, None, out, True)
+    if fn is _sum_rows:
+        if x.flags.c_contiguous:
+            return partial(np.einsum, "ij->j", out=out), (x,)
+        return np.add.reduce, (x, 0, None, out)
+    if type(fn) is partial and fn.func == np.add.reduce:
+        return np.add.reduce, (x, fn.keywords["axis"], None, out)
+    if type(fn) is partial and fn.func is _pow:
+        return np.power, (x, fn.args[0], out)
+    if type(fn) is partial and fn.func is _broadcast:
+        return np.copyto, (out, x)
+    return _copy_into, (out, fn, x) if y is None else (out, fn, x, y)
+
+
+def _copy_into(out: np.ndarray, fn, *inputs: np.ndarray) -> None:
+    np.copyto(out, fn(*inputs))
 
 
 def _outputs(output: Tensor | Sequence[Tensor]) -> list[Tensor]:

@@ -394,7 +394,7 @@ class DifferentiableProblem:
         else:
             tape.replay(theta, batch)
         # A replay names the op as a fresh recording does: folded nodes are
-        # constants and merged ones get alias steps.
+        # constants and merged ones hold their first node's array.
         if not math.isfinite(tape.loss.data):
             self._check(tape.loss, "loss")
         grad = self._joined(tape.grads, "gradient")

@@ -198,8 +198,8 @@ _PRODUCT_CASES = [(name, None) for name in problem_names()] + [
                          ids=[f"{n}-{'full' if b is None else 'batch'}" for n, b in _PRODUCT_CASES])
 def test_recorded_products_call_dot_on_documented_layouts(name, batch_size):
     """Every product a recorded gradient or probe program replays calls
-    ``ndarray.dot``, never ``np.matmul``, on operands of the layout under
-    which the two agree bit for bit."""
+    ``np.dot`` into its node's array, never ``np.matmul``, on operands of the
+    layout under which the two agree bit for bit."""
     problem = get_problem(name) if batch_size is None else get_problem(name, batch_size=batch_size)
     rng = np.random.default_rng(3)
     for t in (1, 2):  # records, then replays at another point and batch
@@ -207,15 +207,15 @@ def test_recorded_products_call_dot_on_documented_layouts(name, batch_size):
         problem.full_tape(theta, problem.sample_batch(t, 5))[2](rng.standard_normal(problem.dim))
     (tape,) = problem._tapes.values()
     steps = tape.program.steps + tape.probe[0].steps
-    assert all(fn is not np.matmul for _, fn, _, _ in steps)
-    # a repeated product is an alias step of the first
-    assert all(fn in (np.ndarray.dot, ad._same) for node, fn, _, _ in steps if node.op == "matmul")
-    products = [(node, a, b) for node, fn, a, b in steps if fn is np.ndarray.dot]
-    assert all(node.op == "matmul" for node, _, _ in products)
+    # A product is only ever the np.dot kernel: no other step computes one.
+    assert not any(f is np.matmul or f is np.ndarray.dot
+                   for kernel, args in steps for f in (kernel, *args))
+    products = [args for kernel, args in steps if kernel is np.dot]
     assert bool(products) == (name != "noisy-parabola")
-    for node, a, b in products:
-        assert _documented_layout(a.data) and _documented_layout(b.data), (
-            node, a.data.strides, b.data.strides)
+    for a, b, out in products:
+        assert _documented_layout(a) and _documented_layout(b), (a.strides, b.strides)
+        assert out.flags.c_contiguous
+        assert not (np.may_share_memory(out, a) or np.may_share_memory(out, b))
 
 
 def test_narrow_embed_roundtrip_gradient():
