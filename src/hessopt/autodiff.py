@@ -39,16 +39,16 @@ one is merged into it (also across a probe program and the tape it
 extends), and views are bound once. Each rewrite is exact; the docstring
 of ``_optimize`` says why. Some ops call cheaper kernels that compute the
 same bits: the ufuncs numpy's scalar-power fast paths call (``np.square``,
-``np.reciprocal``, ``np.sqrt``, ``np.positive``), ``einsum`` for axis-0 sums
-of C-contiguous matrices (``_power_kernel``, ``_sum_rows``), ``np.add.reduce``,
-the call behind ``ndarray.sum``, for other sums, and ``ndarray.dot``, or
-``np.dot`` in a replay, for products. ``dot`` makes the BLAS call
-``np.matmul`` makes without its gufunc dispatch, and for float64 the two
-agree bit for bit when every 2-D operand is C- or F-ordered; a 1-D operand
-may have any stride. (A unit stride on one axis is not enough: rows
-``x[::2]`` can differ.) Every product a loss here takes has such operands:
-node outputs, their transposes, reshapes of parameter leaves and batch
-arrays.
+``np.reciprocal``, ``np.sqrt``, ``np.positive``), the C function behind
+``einsum`` for axis-0 sums of C-contiguous matrices (``_power_kernel``,
+``_sum_rows``), ``np.add.reduce``, the call behind ``ndarray.sum``, for
+other sums, and ``ndarray.dot``, or ``np.dot`` in a replay, for products.
+``dot`` makes the BLAS call ``np.matmul`` makes without its gufunc dispatch,
+and for float64 the two agree bit for bit when every 2-D operand is C- or
+F-ordered; a 1-D operand may have any stride. (A unit stride on one axis is
+not enough: rows ``x[::2]`` can differ.) Every product a loss here takes has
+such operands: node outputs, their transposes, reshapes of parameter leaves
+and batch arrays.
 
 Conventions:
   - all data is float64; inputs are coerced on construction
@@ -69,6 +69,11 @@ from operator import itemgetter, methodcaller
 from typing import Callable, Sequence
 
 import numpy as np
+
+try:  # the C function np.einsum calls when optimize is off
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum
 
 __all__ = [
     "Tensor",
@@ -396,11 +401,14 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     """``x.sum(axis=0)`` of a 2-D array with at least 2 columns, bit for bit.
 
     numpy sums axis 0 of a C-contiguous array one row at a time, in order,
-    and so does ``einsum``, with less overhead. On other layouts the two
-    differ in the last bits, so those keep ``sum``.
+    and so does ``einsum``, with less overhead. ``c_einsum`` is the C
+    function ``np.einsum`` calls when ``optimize`` is off, so it gives
+    einsum's bits without its Python wrapper; it was the fastest of the
+    three at 32 rows and at 256. On other layouts the two differ in the last
+    bits, so those keep ``sum``.
     """
     if x.flags.c_contiguous:
-        return np.einsum("ij->j", x)
+        return c_einsum("ij->j", x)
     return x.sum(axis=0)
 
 
@@ -646,6 +654,10 @@ def _optimize(recorded: list, table: _Table) -> list:
     return steps
 
 
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
 def _kernel(fn, out: np.ndarray, x: np.ndarray, y: np.ndarray | None) -> tuple:
     """``(kernel, args)`` such that ``kernel(*args)`` writes ``fn(x)``, or
     ``fn(x, y)``, into ``out``, the array the recording made for the step.
@@ -654,27 +666,30 @@ def _kernel(fn, out: np.ndarray, x: np.ndarray, y: np.ndarray | None) -> tuple:
     takes it so: a ufunc, ``np.dot`` for ``ndarray.dot``, ``np.add.reduce``
     for a sum, ``np.maximum.reduce`` for the row max. ``np.maximum`` takes
     ``out=`` by keyword, since numpy deprecates a positional one for it, and
-    so does ``einsum``. A step without such a kernel (a reshape that
-    copies, an embed) copies its result into ``out``.
+    so does ``c_einsum``. A scalar operand (relu's 0, an exponent off the
+    fast paths) is bound as a 0-d array, which gives the bits the Python
+    float gives without numpy converting it on every replay. A step without
+    such a kernel (a reshape that copies, an embed) copies its result into
+    ``out``.
     """
     if isinstance(fn, np.ufunc):
         return fn, (x, out) if y is None else (x, y, out)
     if fn is np.ndarray.dot:
         return np.dot, (x, y, out)
     if fn is _positive:
-        return np.greater, (x, 0.0, out)
+        return np.greater, (x, _ZERO, out)
     if fn is _clip_negative:
-        return partial(np.maximum, out=out), (x, 0.0)
+        return partial(np.maximum, out=out), (x, _ZERO)
     if fn is _row_max:
         return np.maximum.reduce, (x, 1, None, out, True)
     if fn is _sum_rows:
         if x.flags.c_contiguous:
-            return partial(np.einsum, "ij->j", out=out), (x,)
+            return partial(c_einsum, "ij->j", out=out), (x,)
         return np.add.reduce, (x, 0, None, out)
     if type(fn) is partial and fn.func == np.add.reduce:
         return np.add.reduce, (x, fn.keywords["axis"], None, out)
     if type(fn) is partial and fn.func is _pow:
-        return np.power, (x, fn.args[0], out)
+        return np.power, (x, np.array(fn.args[0]), out)
     if type(fn) is partial and fn.func is _broadcast:
         return np.copyto, (out, x)
     return _copy_into, (out, fn, x) if y is None else (out, fn, x, y)

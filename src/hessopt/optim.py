@@ -15,12 +15,23 @@ with Ds_t the block-averaged diagonal estimate (reused from the last fresh
 estimate on skipped iterations). k in [0, 1] interpolates between plain
 gradient momentum (k=0) and full diagonal-Newton-like scaling (k=1). Weight
 decay is decoupled: applied directly to theta, outside the adaptive term.
+
+Each optimizer binds its state, its scratch vectors and a 0-d float64 array
+for each scalar operand once, at construction; the scalars that change each
+iteration (``lr * lr_factor``, ``1 - beta1**t``, ``1 - beta2**t``) are
+rewritten into theirs, computed in Python as the formulas state them. A step
+then runs in place and hands numpy no Python scalar, so it costs little more
+than its arithmetic. It performs the same IEEE operations on the same
+operands as its formula written out of place, so the bits are the same, and
+it allocates only the theta it returns (callers keep earlier ones) and the
+second moment :func:`ema_square_update` returns.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -71,8 +82,10 @@ class BlockSpec:
             starts.extend(range(offset, offset + size, self.block_size))
             offset += size
         self._starts = np.asarray(starts, dtype=np.intp)
-        self._counts = np.diff(np.append(self._starts, self.dim))
-        self._lengths = self._counts.astype(np.float64)
+        counts = np.diff(np.append(self._starts, self.dim))
+        self._lengths = counts.astype(np.float64)
+        # The block of each coordinate, to spread the block means back out.
+        self._block_of = np.repeat(np.arange(counts.size), counts)
 
     def __repr__(self) -> str:
         return f"BlockSpec(block_size={self.block_size}, group_sizes={self.group_sizes})"
@@ -80,14 +93,20 @@ class BlockSpec:
 
 def spatial_average(D: np.ndarray, blocks: BlockSpec) -> np.ndarray:
     """Replace each entry by the mean of its block (Hessian-diagonal smoothing)."""
-    D = np.asarray(D, dtype=np.float64)
+    D = as_float64(D)
     if D.shape != (blocks.dim,):
         raise ValueError(f"expected vector of length {blocks.dim}, got {D.shape}")
     if blocks.block_size == 1:
         return D.copy()
-    sums = np.add.reduceat(D, blocks._starts)
-    means = sums / blocks._lengths
-    return np.repeat(means, blocks._counts)
+    means = np.add.reduceat(D, blocks._starts)
+    np.divide(means, blocks._lengths, means)
+    return means.take(blocks._block_of)
+
+
+@lru_cache(maxsize=8)
+def _ema_constants(beta2: float) -> tuple[np.ndarray, np.ndarray]:
+    """``beta2`` and ``1.0 - beta2`` as 0-d arrays, made once per value."""
+    return np.array(beta2, dtype=np.float64), np.array(1.0 - beta2, dtype=np.float64)
 
 
 def ema_square_update(prev: np.ndarray, value: np.ndarray, beta2: float) -> np.ndarray:
@@ -96,12 +115,14 @@ def ema_square_update(prev: np.ndarray, value: np.ndarray, beta2: float) -> np.n
     Kept as a free function so the verification suite can exercise it (and
     detect tampering) in isolation. It computes
     ``beta2 * prev + (1.0 - beta2) * value * value`` in that order, in two
-    new arrays.
+    new arrays. ``beta2`` and ``1.0 - beta2`` enter as 0-d arrays from a
+    small cache keyed by ``beta2``, which give the bits the Python floats
+    give without numpy converting them on every call.
     """
-    out = value * (1.0 - beta2)
-    out *= value
-    out += prev * beta2
-    return out
+    keep, take = _ema_constants(beta2)
+    out = np.multiply(value, take)
+    np.multiply(out, value, out)
+    return np.add(out, np.multiply(prev, keep), out)
 
 
 # The curvature track resolves the recurrence through this module-level name,
@@ -134,7 +155,9 @@ def _check_beta(name: str, value: float) -> float:
 
 
 class Optimizer:
-    """Common hyperparameter checks, shape checks and the finite-update guard."""
+    """Common hyperparameter checks, shape checks and the finite-update guard,
+    and the arrays every step binds once: the weight decay and eps as 0-d
+    operands, the current step's learning rate, and the scratch vectors."""
 
     kind = "base"
 
@@ -155,6 +178,14 @@ class Optimizer:
         self.weight_decay = float(weight_decay)
         self.eps = float(eps)
         self.t = 0
+        self._weight_decay = np.array(self.weight_decay)
+        self._eps = np.array(self.eps)
+        # Rewritten each step: lr * lr_factor, 1 - beta1**t, 1 - beta2**t and
+        # the decoupled weight decay's factor lr * lr_factor * weight_decay.
+        self._eff_lr, self._bias1, self._bias2, self._shrink = (np.zeros(()) for _ in range(4))
+        self._decayed = np.empty(self.dim)  # the gradient or theta after weight decay
+        self._update = np.empty(self.dim)
+        self._denom = np.empty(self.dim)
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr_factor: float = 1.0) -> np.ndarray:
         raise NotImplementedError
@@ -176,34 +207,11 @@ class Optimizer:
         return update
 
 
-# In-place forms of the steps' formulas. Each computes the same IEEE
-# operations on the same operands as the formula written out of place
-# (multiplication and addition commute exactly), into fewer new arrays.
-
-
-def _ema(avg: np.ndarray, x: np.ndarray, beta: float) -> None:
-    """``avg = beta * avg + (1 - beta) * x``, in ``avg``."""
-    avg *= beta
-    avg += x * (1.0 - beta)
-
-
-def _plus_scaled(grad: np.ndarray, theta: np.ndarray, weight_decay: float) -> np.ndarray:
-    """``grad + weight_decay * theta`` (L2 coupling) in one new array."""
-    out = theta * weight_decay
-    out += grad
-    return out
-
-
-def _momentum_step(m_hat: np.ndarray, eff_lr: float, denom: np.ndarray) -> np.ndarray:
-    """``eff_lr * m_hat / denom``, written into ``m_hat``, which the step made."""
-    m_hat *= eff_lr
-    m_hat /= denom
-    return m_hat
-
-
-def _minus(theta: np.ndarray, update: np.ndarray) -> np.ndarray:
-    """``theta - update``, written into ``update``, which the step made."""
-    return np.subtract(theta, update, out=update)
+# Each step hands every ufunc its output positionally and only arrays: a
+# scalar enters as a 0-d array, which gives the bits the Python float gives.
+# It performs the IEEE operations its docstring's formula names, in order,
+# with multiplication and addition commuted where convenient, which is
+# exact; the tests write each formula out of place and compare the bytes.
 
 
 class SGD(Optimizer):
@@ -221,19 +229,24 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         self.momentum = float(momentum)
+        self._momentum = np.array(self.momentum)
+        self._one_minus_momentum = np.array(1.0 - self.momentum)
         self.buffer = np.zeros(self.dim)
 
     def step(self, theta, grad, lr_factor=1.0):
         theta, grad = self._check(theta, grad)
         self.t += 1
+        self._eff_lr[()] = self.lr * lr_factor
         if self.weight_decay > 0:
-            grad = _plus_scaled(grad, theta, self.weight_decay)
+            grad = np.add(np.multiply(theta, self._weight_decay, self._decayed), grad,
+                          self._decayed)
         if self.momentum > 0:
-            _ema(self.buffer, grad, self.momentum)
-            direction = self.buffer
-        else:
-            direction = grad
-        return _minus(theta, self._guard_update(direction * (self.lr * lr_factor)))
+            np.multiply(self.buffer, self._momentum, self.buffer)
+            np.add(self.buffer, np.multiply(grad, self._one_minus_momentum, self._update),
+                   self.buffer)
+            grad = self.buffer
+        update = np.multiply(grad, self._eff_lr, self._update)
+        return np.subtract(theta, self._guard_update(update))
 
 
 class Adagrad(Optimizer):
@@ -248,11 +261,14 @@ class Adagrad(Optimizer):
     def step(self, theta, grad, lr_factor=1.0):
         theta, grad = self._check(theta, grad)
         self.t += 1
+        self._eff_lr[()] = self.lr * lr_factor
         if self.weight_decay > 0:
-            grad = grad + self.weight_decay * theta
-        self.accum = self.accum + grad * grad
-        update = self.lr * lr_factor * grad / (np.sqrt(self.accum) + self.eps)
-        return theta - self._guard_update(update)
+            grad = np.add(np.multiply(theta, self._weight_decay, self._decayed), grad,
+                          self._decayed)
+        np.add(self.accum, np.multiply(grad, grad, self._denom), self.accum)
+        denom = np.add(np.sqrt(self.accum, self._denom), self._eps, self._denom)
+        update = np.divide(np.multiply(grad, self._eff_lr, self._update), denom, self._update)
+        return np.subtract(theta, self._guard_update(update))
 
 
 class RMSProp(Optimizer):
@@ -269,11 +285,14 @@ class RMSProp(Optimizer):
     def step(self, theta, grad, lr_factor=1.0):
         theta, grad = self._check(theta, grad)
         self.t += 1
+        self._eff_lr[()] = self.lr * lr_factor
         if self.weight_decay > 0:
-            grad = grad + self.weight_decay * theta
+            grad = np.add(np.multiply(theta, self._weight_decay, self._decayed), grad,
+                          self._decayed)
         self.v = ema_square_update(self.v, grad, self.beta2)
-        update = self.lr * lr_factor * grad / (np.sqrt(self.v) + self.eps)
-        return theta - self._guard_update(update)
+        denom = np.add(np.sqrt(self.v, self._denom), self._eps, self._denom)
+        update = np.divide(np.multiply(grad, self._eff_lr, self._update), denom, self._update)
+        return np.subtract(theta, self._guard_update(update))
 
 
 class Adam(Optimizer):
@@ -291,25 +310,32 @@ class Adam(Optimizer):
         super().__init__(dim, lr, weight_decay, eps)
         self.beta1 = _check_beta("beta1", beta1)
         self.beta2 = _check_beta("beta2", beta2)
+        self._beta1, self._one_minus_beta1 = np.array(self.beta1), np.array(1.0 - self.beta1)
         self.m = np.zeros(self.dim)
         self.v = np.zeros(self.dim)
 
     def step(self, theta, grad, lr_factor=1.0):
         theta, grad = self._check(theta, grad)
         self.t += 1
-        eff_lr = self.lr * lr_factor
+        eff_lr = self._eff_lr[()] = self.lr * lr_factor
+        self._bias1[()] = 1.0 - self.beta1**self.t
+        self._bias2[()] = 1.0 - self.beta2**self.t
         if self.weight_decay > 0:
             if self.decoupled_wd:
-                theta = _minus(theta, theta * (eff_lr * self.weight_decay))
+                self._shrink[()] = eff_lr * self.weight_decay
+                theta = np.subtract(theta, np.multiply(theta, self._shrink, self._decayed),
+                                    self._decayed)
             else:
-                grad = _plus_scaled(grad, theta, self.weight_decay)
-        _ema(self.m, grad, self.beta1)
+                grad = np.add(np.multiply(theta, self._weight_decay, self._decayed), grad,
+                              self._decayed)
+        np.multiply(self.m, self._beta1, self.m)
+        np.add(self.m, np.multiply(grad, self._one_minus_beta1, self._update), self.m)
         self.v = ema_square_update(self.v, grad, self.beta2)
-        denom = self.v / (1.0 - self.beta2**self.t)  # v_hat
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        update = _momentum_step(self.m / (1.0 - self.beta1**self.t), eff_lr, denom)
-        return _minus(theta, self._guard_update(update))
+        denom = np.divide(self.v, self._bias2, self._denom)  # v_hat
+        np.add(np.sqrt(denom, denom), self._eps, denom)
+        update = np.divide(self.m, self._bias1, self._update)  # m_hat
+        np.divide(np.multiply(update, self._eff_lr, update), denom, update)
+        return np.subtract(theta, self._guard_update(update))
 
 
 class AdamW(Adam):
@@ -324,7 +350,8 @@ class AdaHessian(Optimizer):
     """Gradient momentum preconditioned by an averaged Hessian diagonal.
 
     ``step`` takes the current spatially averaged diagonal estimate ``Ds``
-    (pass None to reuse the previous one on skipped iterations). With
+    (pass None to reuse the previous one on skipped iterations); it is
+    copied into ``last_Ds``, so the caller may reuse its array. With
     ``hessian_ema`` on, the preconditioner is the bias-corrected RMS of the
     Ds history; off, it is simply |Ds| of the current estimate, which makes
     the update hostage to single-point curvature noise (used for ablation).
@@ -340,6 +367,7 @@ class AdaHessian(Optimizer):
         super().__init__(dim, lr, weight_decay, eps)
         self.beta1 = _check_beta("beta1", beta1)
         self.beta2 = _check_beta("beta2", beta2)
+        self._beta1, self._one_minus_beta1 = np.array(self.beta1), np.array(1.0 - self.beta1)
         if not 0.0 <= k <= 1.0:
             raise ValueError("hessian power k must lie in [0, 1]")
         self.k = float(k)
@@ -350,6 +378,7 @@ class AdaHessian(Optimizer):
         self.m = np.zeros(self.dim)
         self.v_raw = np.zeros(self.dim)
         self.last_Ds = None
+        self._Ds = np.empty(self.dim)  # last_Ds once a first estimate arrives
 
     def average_diagonal(self, raw_diag: np.ndarray) -> np.ndarray:
         """Spatially average a raw diagonal estimate over this block layout."""
@@ -358,32 +387,37 @@ class AdaHessian(Optimizer):
     def step(self, theta, grad, Ds: np.ndarray | None = None, lr_factor: float = 1.0):
         theta, grad = self._check(theta, grad)
         self.t += 1
-        if Ds is None:
-            if self.last_Ds is None:
-                raise ValueError("first step requires a diagonal estimate")
-            Ds = self.last_Ds
-        else:
+        if Ds is not None:
             Ds = as_float64(Ds)
             if Ds.shape != (self.dim,):
                 raise ValueError(f"Ds must have shape ({self.dim},)")
-            self.last_Ds = Ds
-        eff_lr = self.lr * lr_factor
+            np.copyto(self._Ds, Ds)
+            self.last_Ds = self._Ds
+        elif self.last_Ds is None:
+            raise ValueError("first step requires a diagonal estimate")
+        Ds = self.last_Ds
+        eff_lr = self._eff_lr[()] = self.lr * lr_factor
+        self._bias1[()] = 1.0 - self.beta1**self.t
         if self.weight_decay > 0:
-            theta = _minus(theta, theta * (eff_lr * self.weight_decay))
-        _ema(self.m, grad, self.beta1)
+            self._shrink[()] = eff_lr * self.weight_decay
+            theta = np.subtract(theta, np.multiply(theta, self._shrink, self._decayed),
+                                self._decayed)
+        np.multiply(self.m, self._beta1, self.m)
+        np.add(self.m, np.multiply(grad, self._one_minus_beta1, self._update), self.m)
         # The squared-Ds average advances every iteration, including ones
         # that reuse an old estimate, so the bias correction sees global t.
         self.v_raw = hessian_ema_square_update(self.v_raw, Ds, self.beta2)
         if self.hessian_ema:
-            denom = self.v_raw / (1.0 - self.beta2**self.t)
-            np.sqrt(denom, out=denom)  # Dbar
+            self._bias2[()] = 1.0 - self.beta2**self.t
+            denom = np.sqrt(np.divide(self.v_raw, self._bias2, self._denom), self._denom)  # Dbar
         else:
-            denom = np.abs(Ds)
+            denom = np.abs(Ds, self._denom)
         if self.k != 1.0:  # x**1.0 is exactly x
             denom **= self.k  # the kernel Dbar**k calls, in place
-        denom += self.eps
-        update = _momentum_step(self.m / (1.0 - self.beta1**self.t), eff_lr, denom)
-        return _minus(theta, self._guard_update(update))
+        np.add(denom, self._eps, denom)
+        update = np.divide(self.m, self._bias1, self._update)  # m_hat
+        np.divide(np.multiply(update, self._eff_lr, update), denom, update)
+        return np.subtract(theta, self._guard_update(update))
 
 
 OPTIMIZERS: dict[str, type] = {

@@ -1,6 +1,7 @@
 """Tests for optimizers, block averaging, curvature momentum, schedules."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,20 @@ class TestAdaHessian:
         opt.step(np.zeros(1), np.array([1.0]))  # Ds=None reuses (2.0)
         np.testing.assert_allclose(opt.v_raw, 0.5 * before + 0.5 * 4.0)
 
+    def test_a_reused_estimate_is_the_one_passed_not_the_callers_array(self):
+        # The caller may write into its estimate after the step; a step that
+        # reuses it must still see the values it was given.
+        theta, g = np.array([1.0, -2.0, 0.5]), np.array([1.0, -1.0, 1.0])
+        D = np.array([1.0, 2.0, 4.0])
+        opt = AdaHessian(3, lr=0.01, eps=0.0)
+        twin = AdaHessian(3, lr=0.01, eps=0.0)
+        theta_1 = opt.step(theta, g, Ds=D)
+        twin.step(theta, g, Ds=D.copy())
+        D[:] = 1e6
+        theta_2 = opt.step(theta_1, g)
+        assert theta_2.tobytes() == twin.step(theta_1, g).tobytes()
+        np.testing.assert_allclose(theta_2, [0.98, -1.99, 0.495], rtol=1e-12)
+
     def test_first_step_without_estimate_raises(self):
         opt = AdaHessian(dim=1, lr=1.0)
         with pytest.raises(ValueError):
@@ -363,6 +378,28 @@ def sgd_formula(theta, grads, factors, lr, momentum, weight_decay):
         theta = theta - lr * f * g
         thetas.append(theta)
     return thetas, {"buffer": buffer}
+
+
+def adagrad_formula(theta, grads, factors, lr, weight_decay, eps):
+    accum, thetas = np.zeros_like(theta), []
+    for g, f in zip(grads, factors):
+        if weight_decay > 0:
+            g = g + weight_decay * theta
+        accum = accum + g * g
+        theta = theta - lr * f * g / (np.sqrt(accum) + eps)
+        thetas.append(theta)
+    return thetas, {"accum": accum}
+
+
+def rmsprop_formula(theta, grads, factors, lr, beta2, weight_decay, eps):
+    v, thetas = np.zeros_like(theta), []
+    for g, f in zip(grads, factors):
+        if weight_decay > 0:
+            g = g + weight_decay * theta
+        v = beta2 * v + (1.0 - beta2) * g * g
+        theta = theta - lr * f * g / (np.sqrt(v) + eps)
+        thetas.append(theta)
+    return thetas, {"v": v}
 
 
 def adam_formula(theta, grads, factors, lr, beta1, beta2, weight_decay, eps, decoupled):
@@ -447,6 +484,22 @@ class TestStepsEqualTheirFormulas:
         assert_steps_match(opt, theta, list(zip(grads, factors)), *expected)
 
     @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), _rate, _decay, _eps)
+    def test_adagrad(self, seed, lr, weight_decay, eps):
+        theta, grads, factors = draw_run(seed)
+        expected = adagrad_formula(theta, grads, factors, lr, weight_decay, eps)
+        opt = Adagrad(theta.size, lr, weight_decay=weight_decay, eps=eps)
+        assert_steps_match(opt, theta, list(zip(grads, factors)), *expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), _rate, _beta, _decay, _eps)
+    def test_rmsprop(self, seed, lr, beta2, weight_decay, eps):
+        theta, grads, factors = draw_run(seed)
+        expected = rmsprop_formula(theta, grads, factors, lr, beta2, weight_decay, eps)
+        opt = RMSProp(theta.size, lr, beta2=beta2, weight_decay=weight_decay, eps=eps)
+        assert_steps_match(opt, theta, list(zip(grads, factors)), *expected)
+
+    @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), _rate, _beta, _beta, _decay, _eps, st.booleans())
     def test_adam_and_adamw(self, seed, lr, beta1, beta2, weight_decay, eps, decoupled):
         theta, grads, factors = draw_run(seed)
@@ -467,6 +520,61 @@ class TestStepsEqualTheirFormulas:
         opt = AdaHessian(theta.size, lr, beta1=beta1, beta2=beta2, k=k,
                          weight_decay=weight_decay, eps=eps, hessian_ema=hessian_ema)
         assert_steps_match(opt, theta, list(zip(grads, estimates, factors)), *expected)
+
+
+# Each optimizer with weight decay off and on, and AdaHessian without the
+# curvature average and off numpy's power fast paths.
+CONFIGS = [(kind, hyper) for kind in optim.optimizer_names()
+           for hyper in ({}, {"weight_decay": 0.1})]
+CONFIGS += [("sgd", {"momentum": 0.0}), ("adahessian", {"hessian_ema": False}),
+            ("adahessian", {"k": 0.3, "weight_decay": 0.1})]
+CONFIG_IDS = [kind + "".join(f"-{k}={v}" for k, v in hyper.items()) for kind, hyper in CONFIGS]
+# AdaHessian's steps with a fresh estimate and with a reused one.
+ALLOC_CASES = [pytest.param(kind, hyper, reuse, id=f"{name}-reused-Ds" if reuse else name)
+               for (kind, hyper), name in zip(CONFIGS, CONFIG_IDS)
+               for reuse in ((False, True) if kind == "adahessian" else (False,))]
+# The arrays a step keeps: the theta it returns, and the second moment
+# ema_square_update returns.
+KEPT = {"sgd": 1, "adagrad": 1, "rmsprop": 2, "adam": 2, "adamw": 2, "adahessian": 2}
+
+
+class TestStepsInPlace:
+    @pytest.mark.parametrize("kind,hyper,reuse", ALLOC_CASES)
+    def test_a_step_allocates_only_the_arrays_it_keeps(self, kind, hyper, reuse):
+        dim = 100_000
+        theta, grad, Ds = np.random.default_rng(0).standard_normal((3, dim))
+        opt = make_optimizer(kind, dim, lr=0.01, **hyper)
+        extra = {"Ds": Ds} if kind == "adahessian" else {}
+        opt.step(theta, grad, **extra)  # the first step, and the constants' cache
+        if reuse:
+            extra = {}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            opt.step(theta, grad, **extra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= KEPT[kind] * theta.nbytes + 2**16
+
+    @pytest.mark.parametrize("kind,hyper", CONFIGS, ids=CONFIG_IDS)
+    def test_returned_thetas_share_no_memory(self, kind, hyper):
+        # Callers keep earlier thetas: none may be state, scratch, an input
+        # or another return, and none may change after it is returned.
+        rng = np.random.default_rng(4)
+        opt = make_optimizer(kind, 5, lr=0.01, **hyper)
+        theta, returned = rng.standard_normal(5), []
+        for t in range(4):
+            grad = rng.standard_normal(5)
+            extra = {"Ds": rng.standard_normal(5)} if kind == "adahessian" and t % 2 == 0 else {}
+            new = opt.step(theta, grad, **extra)
+            arrays = [x for x in vars(opt).values() if isinstance(x, np.ndarray)]
+            for other in (*arrays, *(kept for kept, _ in returned), theta, grad,
+                          *extra.values()):
+                assert not np.shares_memory(new, other)
+            returned.append((new, new.copy()))
+            theta = new
+        assert all(x.tobytes() == copy.tobytes() for x, copy in returned)
 
 
 class TestStateDicts:

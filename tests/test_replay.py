@@ -503,6 +503,10 @@ def test_a_replay_names_the_op_as_a_fresh_recording_does(expr, reduce, first, po
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True, width=64)
 # numpy's scalar-power fast paths, and exponents that take np.power.
 POWERS = (2.0, -1.0, 0.5, 1.0, 0.0, -2.0, 1.5)
+# Minibatch-sized inputs, where a row sum adds 32 or 256 rows.
+_wide = np.random.default_rng(5)
+BATCHES = [_wide.standard_normal((rows, 3)) * 10.0 ** _wide.uniform(-3, 3, (rows, 3))
+           for rows in (32, 256)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -520,6 +524,10 @@ def test_power_kernels_equal_the_operator_bit_for_bit(x):
 @given(x=hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(2, 9)),
                     elements=FLOATS),
        layout=st.sampled_from(["C", "F", "strided", "transposed"]))
+@example(x=BATCHES[0], layout="C")
+@example(x=BATCHES[0], layout="F")
+@example(x=BATCHES[1], layout="C")
+@example(x=BATCHES[1], layout="transposed")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_row_sum_kernel_equals_sum_bit_for_bit(x, layout):
     if layout == "F":
@@ -531,9 +539,10 @@ def test_row_sum_kernel_equals_sum_bit_for_bit(x, layout):
     want = x.sum(axis=0).tobytes()
     if x.flags.c_contiguous:
         assert ad._sum_rows(x).tobytes() == want
+        assert np.einsum("ij->j", x).tobytes() == want
     else:
         # einsum's bits differ on these layouts; the kernel must keep sum.
-        with mock.patch.object(np, "einsum", side_effect=AssertionError("einsum called")):
+        with mock.patch.object(ad, "c_einsum", side_effect=AssertionError("einsum called")):
             assert ad._sum_rows(x).tobytes() == want
     assert ad.tsum(ad.constant(x), axis=0).data.tobytes() == want
 
@@ -575,6 +584,10 @@ SPECIALS = np.array([[-0.0, np.inf, -np.inf], [np.nan, 0.0, -2.5]])
 @example(x=SPECIALS, layout="C")
 @example(x=SPECIALS, layout="F")
 @example(x=SPECIALS, layout="strided")
+@example(x=BATCHES[0], layout="C")
+@example(x=BATCHES[0], layout="F")
+@example(x=BATCHES[1], layout="C")
+@example(x=BATCHES[1], layout="strided")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_in_place_kernels_equal_their_step_functions_bit_for_bit(x, layout):
     x, y = laid_out(x, layout), laid_out(x[::-1, ::-1] * -0.5, layout)
@@ -584,6 +597,18 @@ def test_in_place_kernels_equal_their_step_functions_bit_for_bit(x, layout):
         kernel, args = ad._kernel(fn, out, *(*inputs, None)[:2])
         kernel(*args)
         assert out.tobytes() == want.tobytes(), fn
+
+
+@pytest.mark.parametrize("name,batched", CASES,
+                         ids=[f"{n}-{'batch' if b else 'full'}" for n, b in CASES])
+def test_no_replayed_kernel_takes_a_python_float(name, batched):
+    # numpy converts a Python float operand on every call; a 0-d array
+    # holding the same value gives the same bits without that cost.
+    tape = recorded_tape(make_problem(name, batched))
+    for kernel, args in tape.program.steps + tape.probe[0].steps:
+        if type(kernel) is functools.partial:
+            args = (*kernel.args, *kernel.keywords.values(), *args)
+        assert not any(type(arg) is float for arg in args), kernel
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
