@@ -17,7 +17,15 @@ Generator, the numpy reference, as a run's estimates of more than 65,536
 entries do.
 
 ``run_verification_suite`` bundles all properties into a JSON-serializable
-report; the CLI ``verify`` subcommand is a thin wrapper over it.
+report; the CLI ``verify`` subcommand is a thin wrapper over it. A call
+builds the registry problems once, when the first of the four tape
+properties (HVP linearity, symmetry, and the two finite-difference checks)
+runs, hands them to each, and drops them after the last; nothing is kept
+between calls. ``adam_reduction`` steps ten independent 6-coordinate
+AdaHessians against one 60-coordinate Adam over the ten seeds' draws side by
+side: Adam is elementwise, so each seed's slice is bit for bit its own Adam.
+Every property keeps its worst deviation with ``np.maximum``, so a NaN
+deviation fails it instead of dropping out.
 """
 
 from __future__ import annotations
@@ -278,9 +286,9 @@ def _sample_theta(problem: DifferentiableProblem, rng) -> np.ndarray:
     return problem.theta0 + 0.5 * rng.standard_normal(problem.dim)
 
 
-def _check_hvp_linearity(rng) -> tuple[bool, str]:
+def _check_hvp_linearity(rng, problems) -> tuple[bool, str]:
     worst = 0.0
-    for problem in _suite_problems():
+    for problem in problems:
         for _ in range(5):
             theta = _sample_theta(problem, rng)
             hvp = problem.hvp_operator(theta)
@@ -290,13 +298,13 @@ def _check_hvp_linearity(rng) -> tuple[bool, str]:
             lhs = hvp(a * z1 + b * z2)
             rhs = a * hvp(z1) + b * hvp(z2)
             rel = np.abs(lhs - rhs).max() / max(1.0, np.abs(rhs).max())
-            worst = max(worst, rel)
+            worst = np.maximum(worst, rel)
     return worst <= 1e-10, f"worst relative deviation {worst:.3e} (tol 1e-10)"
 
 
-def _check_hvp_symmetry(rng) -> tuple[bool, str]:
+def _check_hvp_symmetry(rng, problems) -> tuple[bool, str]:
     worst = 0.0
-    for problem in _suite_problems():
+    for problem in problems:
         for _ in range(5):
             theta = _sample_theta(problem, rng)
             hvp = problem.hvp_operator(theta)
@@ -305,7 +313,7 @@ def _check_hvp_symmetry(rng) -> tuple[bool, str]:
             s12 = float(z1 @ hvp(z2))
             s21 = float(z2 @ hvp(z1))
             rel = abs(s12 - s21) / max(1.0, abs(s12))
-            worst = max(worst, rel)
+            worst = np.maximum(worst, rel)
     return worst <= 1e-8, f"worst symmetry deviation {worst:.3e} (tol 1e-8)"
 
 
@@ -327,20 +335,20 @@ def _crosses_kink(problem: DifferentiableProblem, theta: np.ndarray, steps) -> b
     return bool((np.abs(base) <= reach).any())
 
 
-def _check_gradient_fd(rng) -> tuple[bool, str]:
+def _check_gradient_fd(rng, problems) -> tuple[bool, str]:
     worst = 0.0
-    for problem in _suite_problems():
+    for problem in problems:
         theta = _sample_theta(problem, rng)
         while _crosses_kink(problem, theta, np.diag(_steps(theta, DEFAULT_FD_STEP))):
             theta = _sample_theta(problem, rng)
         dev = np.abs(problem.gradient(theta) - fd_gradient(problem, theta)).max()
-        worst = max(worst, dev)
+        worst = np.maximum(worst, dev)
     return worst <= 1e-5, f"worst |grad - fd| {worst:.3e} (tol 1e-5)"
 
 
-def _check_hvp_fd(rng) -> tuple[bool, str]:
+def _check_hvp_fd(rng, problems) -> tuple[bool, str]:
     worst = 0.0
-    for problem in _suite_problems():
+    for problem in problems:
         for _ in range(20):
             theta = _sample_theta(problem, rng)
             z = rng.standard_normal(problem.dim)
@@ -349,7 +357,7 @@ def _check_hvp_fd(rng) -> tuple[bool, str]:
             hz = problem.hvp(theta, z)
             fd = fd_hvp(problem, theta, z)
             rel = np.abs(hz - fd).max() / max(1.0, np.abs(hz).max())
-            worst = max(worst, rel)
+            worst = np.maximum(worst, rel)
     return worst <= 1e-5, f"worst hvp-vs-fd relative deviation {worst:.3e} (tol 1e-5)"
 
 
@@ -360,7 +368,7 @@ def _check_quadratic_hvp_exact(rng) -> tuple[bool, str]:
         theta = rng.standard_normal(8)
         z = rng.standard_normal(8)
         dev = np.abs(q.hvp(theta, z) - q.A @ z).max()
-        worst = max(worst, dev)
+        worst = np.maximum(worst, dev)
     return worst <= 1e-12, f"worst |hvp - Az| {worst:.3e} (tol 1e-12)"
 
 
@@ -371,14 +379,14 @@ def _check_hutchinson_enumeration(rng) -> tuple[bool, str]:
         M = rng.standard_normal((d, d))
         H = 0.5 * (M + M.T)
         dev = np.abs(exact_hutchinson_expectation(H) - np.diag(H)).max()
-        worst = max(worst, dev)
+        worst = np.maximum(worst, dev)
     # Same expectation through the tape's hvp on an explicit quadratic.
     q = make_random_spd_quadratic(8, 12.0, 123)
     theta = rng.standard_normal(8)
     tape_dev = np.abs(
         hutchinson_enumerate(q.hvp_operator(theta), 8) - np.diag(q.A)
     ).max()
-    worst = max(worst, tape_dev)
+    worst = np.maximum(worst, tape_dev)
     return worst <= 1e-12, f"worst |enumeration - diag| {worst:.3e} (tol 1e-12)"
 
 
@@ -388,7 +396,7 @@ def _check_hutchinson_diagonal_exact(rng) -> tuple[bool, str]:
     worst = 0.0
     for stream in range(20):
         est = estimate_diag(q, q.theta0, None, cfg, probe_rng(0, stream))
-        worst = max(worst, np.abs(est.values - np.array([20.0, 2.0])).max())
+        worst = np.maximum(worst, np.abs(est.values - np.array([20.0, 2.0])).max())
     return worst == 0.0, f"worst deviation on diagonal Hessian {worst:.3e} (tol exact)"
 
 
@@ -500,26 +508,33 @@ def _check_descent(mode: str):
                 else:
                     sizes = [None]
                 for b in sizes:
-                    worst = max(worst, point.slack(k, mode, b) - tol)
+                    worst = np.maximum(worst, point.slack(k, mode, b) - tol)
         return worst <= 0.0, f"worst slack beyond tolerance {worst:.3e}"
 
     return check
 
 
 def _check_adam_reduction(rng) -> tuple[bool, str]:
-    worst = 0.0
-    for seed in range(10):
-        local = np.random.default_rng(seed)
-        dim = 6
-        adam = optim.Adam(dim, lr=0.01)
+    # Ten seeds, each a 6-coordinate AdaHessian fed Ds = g: row 0 of a seed's
+    # draws is its start, rows 1..200 its gradients. Adam is elementwise, so
+    # one 60-coordinate Adam over the seeds' draws side by side steps each
+    # seed's 6 columns exactly as that seed's own 6-coordinate Adam would.
+    dim, seeds, steps = 6, 10, 200
+    draws = np.hstack([np.random.default_rng(seed).standard_normal((steps + 1, dim))
+                       for seed in range(seeds)])
+    ta = np.empty_like(draws)
+    ta[0] = draws[0]
+    tb = ta.copy()
+    adam = optim.Adam(dim * seeds, lr=0.01)
+    for t in range(1, steps + 1):
+        ta[t] = adam.step(ta[t - 1], draws[t])
+    for seed in range(seeds):
+        cols = slice(dim * seed, dim * (seed + 1))
         ah = optim.AdaHessian(dim, lr=0.01, k=1.0)
-        ta = local.standard_normal(dim)
-        tb = ta.copy()
-        for _ in range(200):
-            g = local.standard_normal(dim)
-            ta = adam.step(ta, g)
-            tb = ah.step(tb, g, Ds=g)
-            worst = max(worst, np.abs(ta - tb).max())
+        for t in range(1, steps + 1):
+            g = draws[t, cols]
+            tb[t, cols] = ah.step(tb[t - 1, cols], g, Ds=g)
+    worst = np.abs(ta - tb).max()
     return worst <= 1e-12, f"worst trajectory deviation {worst:.3e} (tol 1e-12)"
 
 
@@ -531,7 +546,7 @@ def _check_ema_square_update(rng) -> tuple[bool, str]:
         beta = float(rng.uniform(0.1, 0.999))
         got = optim.ema_square_update(prev, val, beta)
         ref = beta * prev + (1 - beta) * val * val
-        worst = max(worst, np.abs(got - ref).max())
+        worst = np.maximum(worst, np.abs(got - ref).max())
     return worst == 0.0, f"worst deviation from the recurrence {worst:.3e} (tol exact)"
 
 
@@ -550,9 +565,9 @@ def _check_spatial_average(rng) -> tuple[bool, str]:
                 stop = min(start + b, offset + size)
                 block_in = D[start:stop]
                 block_out = out[start:stop]
-                worst = max(worst, np.abs(block_out - block_in.mean()).max())
+                worst = np.maximum(worst, np.abs(block_out - block_in.mean()).max())
             offset += size
-        worst = max(worst, abs(out.sum() - D.sum()) / max(1.0, abs(D.sum())))
+        worst = np.maximum(worst, abs(out.sum() - D.sum()) / max(1.0, abs(D.sum())))
     return worst <= 1e-12, f"worst block-mean deviation {worst:.3e} (tol 1e-12)"
 
 
@@ -565,6 +580,9 @@ def _check_one_step_quadratic(rng) -> tuple[bool, str]:
     norm = float(np.linalg.norm(theta1))
     return norm <= 1e-12, f"||theta_1|| = {norm:.3e} (tol 1e-12)"
 
+
+# Properties checked on the registry problems; each takes them after rng.
+_TAPE_PROPERTIES = {"hvp_linearity", "hvp_symmetry", "gradient_vs_fd", "hvp_vs_fd"}
 
 _PROPERTY_CHECKS = [
     ("hvp_linearity", _check_hvp_linearity),
@@ -601,14 +619,24 @@ def run_verification_suite(names: list[str] | None = None,
             raise KeyError(f"unknown properties: {', '.join(map(repr, unknown))}")
         selected = [(n, c) for n, c in _PROPERTY_CHECKS if n in set(names)]
     report = VerificationReport()
+    # The tape properties share one build of the registry problems: made when
+    # the first of them runs, timed with it, and dropped after the last.
+    last_tape = next((n for n, _ in reversed(selected) if n in _TAPE_PROPERTIES), None)
+    problems = None
     for name, check in selected:
         # crc32 keys the stream stably by property name across processes.
         rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
         start = time.perf_counter()
         try:
-            passed, detail = check(rng)
+            if name in _TAPE_PROPERTIES:
+                problems = problems or _suite_problems()
+                passed, detail = check(rng, problems)
+            else:
+                passed, detail = check(rng)
         except Exception as exc:  # a crashed property is a failed property
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        if name == last_tape:
+            problems = None
         report.properties.append(
             PropertyResult(name, bool(passed), detail, time.perf_counter() - start)
         )

@@ -2,6 +2,8 @@
 
 import time
 import tracemalloc
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -428,3 +430,108 @@ class TestSuiteCanFail:
         report = run_verification_suite(names=["one_step_quadratic"], seed=0)
         assert not report.all_passed
         assert "synthetic fault" in report.properties[0].detail
+
+
+class TestNonFiniteDeviations:
+    """A NaN deviation must fail its property, never drop out of the worst."""
+
+    def test_nan_from_the_ema_recurrence_fails_its_property(self, monkeypatch):
+        monkeypatch.setattr(optim, "ema_square_update",
+                            lambda prev, val, beta: np.full_like(prev, np.nan))
+        (result,) = run_verification_suite(names=["ema_square_update"], seed=0).properties
+        assert not result.passed
+        assert "nan" in result.detail
+
+    def test_nan_from_spatial_averaging_fails_its_property(self, monkeypatch):
+        monkeypatch.setattr(optim, "spatial_average",
+                            lambda D, spec: np.full_like(D, np.nan))
+        (result,) = run_verification_suite(names=["spatial_average_blocks"], seed=0).properties
+        assert not result.passed
+        assert "nan" in result.detail
+
+
+TAPE_PROPERTIES = ["hvp_linearity", "hvp_symmetry", "gradient_vs_fd", "hvp_vs_fd"]
+
+
+class TestSuiteWork:
+    """The suite does each piece of work once per call, and checks what it did."""
+
+    def test_wide_adam_slices_equal_per_seed_adams(self):
+        # adam_reduction steps one 60-coordinate Adam over ten seeds' draws
+        # side by side; each 6-column slice must be that seed's own Adam.
+        steps, dim, seeds = 200, 6, 10
+        wide_draws, narrow_runs = [], []
+        for seed in range(seeds):
+            whole = np.random.default_rng(seed).standard_normal((steps + 1, dim))
+            one_by_one = np.random.default_rng(seed)
+            rows = np.array([one_by_one.standard_normal(dim) for _ in range(steps + 1)])
+            assert whole.tobytes() == rows.tobytes()
+            wide_draws.append(whole)
+            adam, theta, run = optim.Adam(dim, lr=0.01), rows[0], []
+            for g in rows[1:]:
+                theta = adam.step(theta, g)
+                run.append(theta)
+            narrow_runs.append(np.array(run))
+        draws = np.hstack(wide_draws)
+        adam, theta, wide = optim.Adam(dim * seeds, lr=0.01), draws[0], []
+        for g in draws[1:]:
+            theta = adam.step(theta, g)
+            wide.append(theta)
+        assert np.array(wide).tobytes() == np.hstack(narrow_runs).tobytes()
+
+    def test_adam_reduction_steps_ten_adahessians_200_times_each(self, monkeypatch):
+        steps = []
+        original = optim.AdaHessian.step
+
+        def counting(self, *args, **kwargs):
+            steps.append(self)  # held, so no instance's id is reused
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(optim.AdaHessian, "step", counting)
+        report = run_verification_suite(names=["adam_reduction"], seed=0)
+        assert report.all_passed
+        assert len(steps) == 2_000
+        assert sorted(Counter(steps).values()) == [200] * 10
+
+    def test_a_suite_call_builds_its_problems_once_and_frees_them(self, monkeypatch):
+        builds, kinds = [], []
+        original = oracle._suite_problems
+
+        def spy():
+            problems = original()
+            builds.append([weakref.ref(p) for p in problems])
+            kinds.append(sorted(type(p).__name__ for p in problems))
+            return problems
+
+        alive_at_variance = []
+        variance = oracle._check_hutchinson_variance
+
+        def watched(rng):
+            alive_at_variance.append([r() is not None for b in builds for r in b])
+            return variance(rng)
+
+        monkeypatch.setattr(oracle, "_suite_problems", spy)
+        monkeypatch.setattr(oracle, "_PROPERTY_CHECKS", [
+            (name, watched if name == "hutchinson_variance" else check)
+            for name, check in oracle._PROPERTY_CHECKS])
+        for call in (1, 2):
+            assert run_verification_suite(seed=0).all_passed
+            assert len(builds) == call
+            assert kinds[-1] == sorted(
+                type(pr.get_problem(name)).__name__ for name in pr.problem_names())
+            # Dropped after the last tape property, by reference counting.
+            assert alive_at_variance[-1] == [False] * 6 * call
+            assert all(r() is None for r in builds[-1])
+
+    @pytest.mark.parametrize("names", [
+        ["hvp_symmetry"], ["hvp_vs_fd"], ["gradient_vs_fd", "adam_reduction"],
+        ["hvp_linearity", "hvp_vs_fd", "rademacher_mean"],
+        ["ema_square_update", "one_step_quadratic"],
+    ])
+    def test_subsets_give_the_full_suites_details(self, names):
+        # Each property draws from its own stream, so a subset with one of
+        # the tape properties, or none, reproduces its pinned details.
+        report = run_verification_suite(names=names, seed=0)
+        assert report.all_passed
+        assert {p.name: p.detail for p in report.properties} == {
+            name: SEED_0_DETAILS[name] for name in names}
