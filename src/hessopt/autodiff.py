@@ -42,13 +42,16 @@ same bits: the ufuncs numpy's scalar-power fast paths call (``np.square``,
 ``np.reciprocal``, ``np.sqrt``, ``np.positive``), the C function behind
 ``einsum`` for axis-0 sums of C-contiguous matrices (``_power_kernel``,
 ``_sum_rows``), ``np.add.reduce``, the call behind ``ndarray.sum``, for
-other sums, and ``ndarray.dot``, or ``np.dot`` in a replay, for products.
-``dot`` makes the BLAS call ``np.matmul`` makes without its gufunc dispatch,
-and for float64 the two agree bit for bit when every 2-D operand is C- or
-F-ordered; a 1-D operand may have any stride. (A unit stride on one axis is
-not enough: rows ``x[::2]`` can differ.) Every product a loss here takes has
-such operands: node outputs, their transposes, reshapes of parameter leaves
-and batch arrays.
+other sums, and ``ndarray.dot``, or in a replay the C function behind
+``np.dot`` (``c_dot``, see :func:`c_function`), for products. A replay
+enters no Python function of numpy: its kernels are ufuncs, their
+``reduce`` methods and the C functions behind ``np.dot``, ``np.copyto`` and
+``np.einsum``. ``ndarray.dot`` makes the BLAS call ``np.matmul`` makes
+without its gufunc dispatch, and for float64 the two agree bit for bit when
+every 2-D operand is C- or F-ordered; a 1-D operand may have any stride. (A
+unit stride on one axis is not enough: rows ``x[::2]`` can differ.) Every
+product a loss here takes has such operands: node outputs, their
+transposes, reshapes of parameter leaves and batch arrays.
 
 Conventions:
   - all data is float64; inputs are coerced on construction
@@ -74,6 +77,22 @@ try:  # the C function np.einsum calls when optimize is off
     from numpy._core.multiarray import c_einsum
 except ImportError:  # numpy 1.x
     from numpy.core.multiarray import c_einsum
+
+
+def c_function(f):
+    """The C function behind a numpy function, or ``f`` if it has none.
+
+    ``np.dot`` and its kin are dispatchers: each call first runs a Python
+    function that lists the arguments to offer ``__array_function__``, and
+    then the C function kept as ``_implementation``. Called on ndarrays,
+    which override nothing, the C function does the same work and gives the
+    same bits, about 0.2 µs sooner.
+    """
+    return getattr(f, "_implementation", f)
+
+
+c_dot, c_vdot, c_copyto, c_concatenate = map(
+    c_function, (np.dot, np.vdot, np.copyto, np.concatenate))
 
 __all__ = [
     "Tensor",
@@ -663,19 +682,21 @@ def _kernel(fn, out: np.ndarray, x: np.ndarray, y: np.ndarray | None) -> tuple:
     ``fn(x, y)``, into ``out``, the array the recording made for the step.
 
     Each is the call ``fn`` makes, given ``out`` positionally where numpy
-    takes it so: a ufunc, ``np.dot`` for ``ndarray.dot``, ``np.add.reduce``
-    for a sum, ``np.maximum.reduce`` for the row max. ``np.maximum`` takes
-    ``out=`` by keyword, since numpy deprecates a positional one for it, and
-    so does ``c_einsum``. A scalar operand (relu's 0, an exponent off the
-    fast paths) is bound as a 0-d array, which gives the bits the Python
-    float gives without numpy converting it on every replay. A step without
-    such a kernel (a reshape that copies, an embed) copies its result into
-    ``out``.
+    takes it so: a ufunc, ``c_dot`` (the C function behind ``np.dot``) for
+    ``ndarray.dot``, ``np.add.reduce`` for a sum, ``np.maximum.reduce`` for
+    the row max, ``c_copyto`` for a broadcast. None runs a line of numpy's
+    Python: its dispatchers and wrappers cost more than the work at these
+    sizes. ``np.maximum`` takes ``out=`` by keyword, since numpy deprecates
+    a positional one for it, and so does ``c_einsum``. A scalar operand
+    (relu's 0, an exponent off the fast paths) is bound as a 0-d array,
+    which gives the bits the Python float gives without numpy converting it
+    on every replay. A step without such a kernel (a reshape that copies, an
+    embed) copies its result into ``out`` with ``c_copyto``.
     """
     if isinstance(fn, np.ufunc):
         return fn, (x, out) if y is None else (x, y, out)
     if fn is np.ndarray.dot:
-        return np.dot, (x, y, out)
+        return c_dot, (x, y, out)
     if fn is _positive:
         return np.greater, (x, _ZERO, out)
     if fn is _clip_negative:
@@ -691,12 +712,12 @@ def _kernel(fn, out: np.ndarray, x: np.ndarray, y: np.ndarray | None) -> tuple:
     if type(fn) is partial and fn.func is _pow:
         return np.power, (x, np.array(fn.args[0]), out)
     if type(fn) is partial and fn.func is _broadcast:
-        return np.copyto, (out, x)
+        return c_copyto, (out, x)
     return _copy_into, (out, fn, x) if y is None else (out, fn, x, y)
 
 
 def _copy_into(out: np.ndarray, fn, *inputs: np.ndarray) -> None:
-    np.copyto(out, fn(*inputs))
+    c_copyto(out, fn(*inputs))
 
 
 def _outputs(output: Tensor | Sequence[Tensor]) -> list[Tensor]:
@@ -791,8 +812,10 @@ def all_finite(x: np.ndarray) -> bool:
     once. A sum that is not finite comes from a NaN or an infinite entry, or
     from finite entries large enough to overflow it, so only then does the
     exact entrywise test run. Unlike ``dot``, ``vdot`` warns of no overflow.
+    It is called as ``c_vdot``, the C function behind ``np.vdot``, since the
+    check runs on every gradient, HVP and optimizer update.
     """
-    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+    return math.isfinite(c_vdot(x, x)) or bool(np.isfinite(x).all())
 
 
 def check_finite(output: Tensor | Sequence[Tensor], context: str,

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import NumericError, all_finite, as_float64
+from .autodiff import NumericError, all_finite, as_float64, c_copyto
 
 __all__ = [
     "BlockSpec",
@@ -76,16 +76,18 @@ class BlockSpec:
         self.block_size = int(block_size)
         self.group_sizes = group_sizes
         self.dim = sum(group_sizes)
-        starts = []
+        starts, counts = [], []
         offset = 0
         for size in group_sizes:
-            starts.extend(range(offset, offset + size, self.block_size))
-            offset += size
-        self._starts = np.asarray(starts, dtype=np.intp)
-        counts = np.diff(np.append(self._starts, self.dim))
-        self._lengths = counts.astype(np.float64)
+            end = offset + size
+            for start in range(offset, end, self.block_size):
+                starts.append(start)
+                counts.append(min(self.block_size, end - start))
+            offset = end
+        self._starts = np.array(starts, dtype=np.intp)
+        self._lengths = np.array(counts, dtype=np.float64)
         # The block of each coordinate, to spread the block means back out.
-        self._block_of = np.repeat(np.arange(counts.size), counts)
+        self._block_of = np.arange(len(counts)).repeat(counts)
 
     def __repr__(self) -> str:
         return f"BlockSpec(block_size={self.block_size}, group_sizes={self.group_sizes})"
@@ -391,7 +393,7 @@ class AdaHessian(Optimizer):
             Ds = as_float64(Ds)
             if Ds.shape != (self.dim,):
                 raise ValueError(f"Ds must have shape ({self.dim},)")
-            np.copyto(self._Ds, Ds)
+            c_copyto(self._Ds, Ds)
             self.last_Ds = self._Ds
         elif self.last_Ds is None:
             raise ValueError("first step requires a diagonal estimate")

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optim
+from .autodiff import c_einsum
 from .hutchinson import HutchinsonConfig, estimate_diag, probe_rng, rademacher
 from .problems import (
     DifferentiableProblem,
@@ -184,15 +185,15 @@ def _preconditioner(q: QuadraticProblem, mode: str, block_size: int | None):
     if mode == "full":
         return np.linalg.eigh(q.A)
     if mode == "diag":
-        D = np.diag(q.A).copy()
+        D = q.A.diagonal().copy()
     elif mode == "block":
         if block_size is None or q.dim % block_size != 0:
             raise ValueError("block mode needs a block size dividing d")
         spec = optim.BlockSpec(block_size, [q.dim])
-        D = optim.spatial_average(np.diag(q.A), spec)
+        D = optim.spatial_average(q.A.diagonal(), spec)
     else:
         raise ValueError(f"unknown preconditioner mode {mode!r}")
-    if D.min() < q.alpha - 1e-9 or D.max() > q.beta + 1e-9:
+    if np.minimum.reduce(D) < q.alpha - 1e-9 or np.maximum.reduce(D) > q.beta + 1e-9:
         raise AssertionError("preconditioner entries fell outside [alpha, beta]")
     return D
 
@@ -410,16 +411,17 @@ def _rows_sum(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
     """``rows.sum(axis=0)`` continued from ``total``, the sum of all earlier rows.
 
     numpy reduces axis 0 of a C-contiguous array with two or more columns one
-    row at a time, in order, and ``einsum`` makes the same additions with
-    less overhead; every block here is such an array. Adding ``total`` into
-    the first row therefore makes a chain of calls over consecutive blocks
+    row at a time, in order, and ``c_einsum``, the C function behind
+    ``np.einsum``, makes the same additions without the wrapper's Python;
+    every block here is such an array. Adding ``total`` into the first row
+    therefore makes a chain of calls over consecutive blocks
     do the additions of one axis-0 sum over the stacked blocks, in the same
     order, so the result is equal bit for bit. ``total`` is None for the
     first block; ``rows[0]`` is overwritten.
     """
     if total is not None:
         rows[0] += total
-    return np.einsum("ij->j", rows)
+    return c_einsum("ij->j", rows)
 
 
 def _blocks(n: int):

@@ -134,7 +134,7 @@ class _Tape:
     def replay(self, theta: np.ndarray, batch) -> None:
         """Rerun the recorded tape at ``theta`` and ``batch``, copied into its leaves."""
         self.generation += 1
-        np.copyto(self.theta, theta)
+        ad.c_copyto(self.theta, theta)
         for array, leaf in zip(self.arrays, self.inputs):
             array.take(batch, axis=0, out=leaf.data)
         self.program.replay()
@@ -407,7 +407,7 @@ class DifferentiableProblem:
         extending the tape's, one backward pass from every gradient part
         seeded with the leaf of z's slice, and later ones replay it. A
         non-finite HVP raises the NumericError naming the op."""
-        np.copyto(tape.z, z)
+        ad.c_copyto(tape.z, z)
         if tape.probe is None:
             leaves = [ad.constant(tape.z[part]) for part in _group_slices(self.group_sizes)]
             program = ad.Program(extends=tape.program)
@@ -426,7 +426,7 @@ class DifferentiableProblem:
         if len(parts) == 1:
             out = parts[0].data.copy()
         else:
-            out = np.concatenate([part.data for part in parts])
+            out = ad.c_concatenate([part.data for part in parts])
         if not ad.all_finite(out):
             self._check(parts, what)
         return out
@@ -454,7 +454,7 @@ class QuadraticProblem(DifferentiableProblem):
         self.c = np.zeros(A.shape[0]) if c is None else np.asarray(c, dtype=np.float64)
         if not (ad.all_finite(A) and ad.all_finite(self.c)):  # NaN passes the symmetry check
             raise ValueError("A and c must be finite")
-        if np.abs(A - A.T).max() > 1e-12:
+        if np.maximum.reduce(np.abs(A - A.T), None) > 1e-12:
             raise ValueError("A must be symmetric to 1e-12")
         self.A = 0.5 * (A + A.T)
         self.dim = A.shape[0]
@@ -479,10 +479,15 @@ class QuadraticProblem(DifferentiableProblem):
     # its descent checks without one: analytic_value, analytic_gradient,
     # analytic_hvp and hessian_matrix.
     def analytic_value(self, theta) -> float:
-        """``value(theta)`` bit for bit: the tape's numpy ops in the tape's order."""
+        """``value(theta)`` bit for bit: the tape's numpy ops in the tape's order.
+
+        Each sum is ``np.add.reduce``, the tape's kernel for it and the call
+        ``ndarray.sum`` makes, without the method's Python wrapper: the
+        descent checks evaluate this thousands of times per suite call.
+        """
         theta = self._check_theta(theta)
-        value = (0.5 * (theta * (self.A @ theta)).sum(axis=(0,))
-                 + (self.c * theta).sum(axis=(0,)))
+        value = (0.5 * np.add.reduce(theta * (self.A @ theta), (0,))
+                 + np.add.reduce(self.c * theta, (0,)))
         if not np.isfinite(value):
             raise ad.NumericError(f"non-finite value in {self.name} loss", phase="loss")
         return float(value)

@@ -198,8 +198,9 @@ _PRODUCT_CASES = [(name, None) for name in problem_names()] + [
                          ids=[f"{n}-{'full' if b is None else 'batch'}" for n, b in _PRODUCT_CASES])
 def test_recorded_products_call_dot_on_documented_layouts(name, batch_size):
     """Every product a recorded gradient or probe program replays calls
-    ``np.dot`` into its node's array, never ``np.matmul``, on operands of the
-    layout under which the two agree bit for bit."""
+    ``c_dot``, the C function behind ``np.dot``, into its node's array, never
+    ``np.matmul``, on operands of the layout under which the two agree bit
+    for bit."""
     problem = get_problem(name) if batch_size is None else get_problem(name, batch_size=batch_size)
     rng = np.random.default_rng(3)
     for t in (1, 2):  # records, then replays at another point and batch
@@ -207,10 +208,10 @@ def test_recorded_products_call_dot_on_documented_layouts(name, batch_size):
         problem.full_tape(theta, problem.sample_batch(t, 5))[2](rng.standard_normal(problem.dim))
     (tape,) = problem._tapes.values()
     steps = tape.program.steps + tape.probe[0].steps
-    # A product is only ever the np.dot kernel: no other step computes one.
-    assert not any(f is np.matmul or f is np.ndarray.dot
+    # A product is only ever the c_dot kernel: no other step computes one.
+    assert not any(f is np.matmul or f is np.ndarray.dot or f is np.dot
                    for kernel, args in steps for f in (kernel, *args))
-    products = [args for kernel, args in steps if kernel is np.dot]
+    products = [args for kernel, args in steps if kernel is ad.c_dot]
     assert bool(products) == (name != "noisy-parabola")
     for a, b, out in products:
         assert _documented_layout(a) and _documented_layout(b), (a.strides, b.strides)
@@ -378,7 +379,9 @@ _SPECIAL = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308, -1e308, 1e200, 1.5e154]
 @example(np.full((2, 3), 1.5e154))  # each square is finite, their sum is not
 @example(np.array([1e308, np.nan]))
 @example(np.empty((0, 3)))
+@example(np.full((3, 8), -1e200)[:, ::2])  # strided, and its sum of squares overflows
 def test_all_finite_is_the_entrywise_test(x):
+    """Also warns of no overflow: pytest makes a ``RuntimeWarning`` an error."""
     expected = bool(np.isfinite(x).all())
     assert ad.all_finite(x) is expected
     if x.ndim == 2:

@@ -17,10 +17,16 @@ SPEC = [{"name": "call_p50_s", "unit": "s", "better": "lower", "bound": 0.2},
 PARENT = [1.00 + 0.01 * i for i in range(10)]
 
 
-def result(value: float) -> dict:
+ENV = {"nproc": 2, "cpus_allowed": 2, "python": "3.12.3", "numpy": "2.4.6",
+       "loadavg_start": [0.5, 0.4, 0.3], "loadavg_end": [0.6, 0.4, 0.3]}
+
+
+def result(value: float, numpy: str = "2.4.6") -> dict:
     """One run's result as ``perfbench/run.py`` prints it, with the same
-    value for both metrics."""
+    value for both metrics, and the counters and machine state from its
+    result file."""
     return {"correct": True, "failed": 0, "attempted": 12, "counters": {"optim.steps": 3},
+            "env": dict(ENV, numpy=numpy),
             "metrics": {m["name"]: {"value": value} for m in SPEC}}
 
 
@@ -82,6 +88,39 @@ def test_counters_changed_names_each_moved_counter_with_both_sides():
         "harness.runs": {"parent": [1, 1], "change": [None, None]},
         "hutchinson.probes": {"parent": [None, None], "change": [2, 2]},
     }
+
+
+@pytest.mark.parametrize("change_numpy,equal", [("2.4.6", True), ("2.3.0", False)],
+                         ids=["one-numpy", "two-numpys"])
+def test_each_runs_env_is_kept_and_a_numpy_version_split_is_flagged(change_numpy, equal):
+    runs = [{"parent": result(p), "change": result(p - 0.1)} for p in PARENT]
+    runs[3]["change"] = result(1.0, numpy=change_numpy)
+    summary = bench_pairs.summarize(runs, SPEC)
+    assert summary["numpy_versions_equal"] is equal
+    assert summary["numpy_versions"] == {"parent": ["2.4.6"],
+                                         "change": sorted({"2.4.6", change_numpy})}
+    assert summary["env"]["parent"] == [ENV] * len(PARENT)
+    assert summary["env"]["change"][3] == dict(ENV, numpy=change_numpy)
+    assert summary["env"]["change"][3]["loadavg_start"] == [0.5, 0.4, 0.3]
+
+
+def test_run_once_takes_counters_and_env_from_the_result_file(tmp_path, monkeypatch):
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    (out / "result-a-s3-trace0.json").write_text(
+        json.dumps({"counters": {"optim.steps": 3}, "env": ENV, "metrics": {}}))
+
+    def fake_run(cmd, **kwargs):
+        assert cmd[1:] == ["perfbench/run.py", "--workload", "a", "--seed", "3",
+                           "--seconds", "1.0", "--trace", "0"]
+        assert kwargs["cwd"] == tmp_path and kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+        line = json.dumps({"correct": True, "failed": 0, "attempted": 2, "metrics": {}})
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, "env ...\n" + line + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    run = bench_pairs.run_once(tmp_path, "a", 3, 1.0)
+    assert run["counters"] == {"optim.steps": 3}
+    assert run["env"] == ENV
 
 
 @pytest.mark.parametrize("seeds,keys", [

@@ -418,7 +418,7 @@ def written(kernel, args):
     if type(kernel) is functools.partial:
         return kernel.keywords["out"]
     arrays = [arg for arg in args if isinstance(arg, np.ndarray)]
-    return arrays[0] if kernel in (np.copyto, ad._copy_into) else arrays[-1]
+    return arrays[0] if kernel in (ad.c_copyto, ad._copy_into) else arrays[-1]
 
 
 @pytest.mark.parametrize("name,batched", CASES,

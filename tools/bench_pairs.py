@@ -24,7 +24,11 @@ and attempted calls of each side, the work counters of each run, and whether
 every run of both sides counted the same work (``counters_equal``: a change of
 kernel must do the same work in less time). When they did not,
 ``counters_changed`` names each counter whose value differs between runs, with
-each side's values, run by run (null where a run lacks it). The file
+each side's values, run by run (null where a run lacks it). ``env`` keeps
+each run's machine state as its result file records it (CPU counts, python
+and numpy versions, load averages at start and end), and
+``numpy_versions_equal`` is false when the runs did not all use one numpy
+version, since a speed ratio across two numpy builds measures numpy. The file
 is rewritten after every pair, so an interrupted session keeps the pairs it
 finished; entries of other workloads or seeds already in it are kept.
 """
@@ -47,7 +51,8 @@ SIDES = ("parent", "change")
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``tree``: its final JSON line, plus the
-    work counters from the result file the run leaves in ``perfbench/out``."""
+    work counters and the machine state (``env``) from the result file the
+    run leaves in ``perfbench/out``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     proc = subprocess.run(
@@ -59,7 +64,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{tree}: perfbench exited {proc.returncode}: {proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     saved = tree / "perfbench" / "out" / f"result-{workload}-s{seed}-trace0.json"
-    result["counters"] = json.loads(saved.read_text())["counters"]
+    saved = json.loads(saved.read_text())
+    result["counters"], result["env"] = saved["counters"], saved["env"]
     return result
 
 
@@ -95,6 +101,8 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
             "parent_runs": values["parent"], "change_runs": values["change"],
         }
     counters = {side: [r[side]["counters"] for r in runs] for side in SIDES}
+    envs = {side: [r[side]["env"] for r in runs] for side in SIDES}
+    numpys = {side: sorted({env["numpy"] for env in envs[side]}) for side in SIDES}
     summary = {
         "pairs": len(runs),
         "all_correct": all(r[side]["correct"] for r in runs for side in SIDES),
@@ -104,6 +112,9 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
         "counters_equal": all(c == counters["parent"][0] for side in SIDES
                               for c in counters[side]),
         "counters": counters,
+        "numpy_versions": numpys,
+        "numpy_versions_equal": len({v for side in SIDES for v in numpys[side]}) == 1,
+        "env": envs,
     }
     if not summary["counters_equal"]:
         names = dict.fromkeys(name for side in SIDES for c in counters[side] for name in c)
@@ -148,7 +159,9 @@ def main(argv: list[str] | None = None) -> int:
                    "change run is better than every parent run; counters_equal holds when "
                    "every run of both sides reports the same work counters, and "
                    "counters_changed gives each side's values of every counter that "
-                   "differs when they do not. Times are "
+                   "differs when they do not; env is each run's machine state from its "
+                   "result file, and numpy_versions_equal holds when every run used one "
+                   "numpy version. Times are "
                    "perfbench's values at reference machine speed. Written by "
                    "tools/bench_pairs.py."),
     })
@@ -169,6 +182,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"{pair['change']['metrics']['call_p50_s']['value']:.5f} "
                   f"(medians {p50['parent']['median']:.5f} / {p50['change']['median']:.5f})",
                   flush=True)
+            if not bench["end_to_end"][key]["numpy_versions_equal"]:
+                print(f"{key}: the runs used different numpy versions "
+                      f"{bench['end_to_end'][key]['numpy_versions']}", flush=True)
     return 0
 
 
