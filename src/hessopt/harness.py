@@ -26,11 +26,13 @@ sweep continues.
 A sweep does its per-seed work once per ``sweep()`` call. It loops seeds
 outside and cells inside; each seed's pass draws, before its first run, one
 minibatch stream per (problem, problem_params) and one probe-key stream, both
-indexed by t and as long as the sweep's longest run, and keeps one companion
-time per (problem, problem_params, iters). The companion runs interleaved with
-the first cell of that key that has the cost ratio on and finishes without a
-numeric failure; the later cells of the key divide by its time. Nothing
-outlives the call, so a later sweep times its own companions.
+indexed by t and as long as the sweep's longest run. The sweep keeps one
+companion time per (problem, problem_params, iters) across all its seeds: a
+seed changes only the batch rows a run gathers, not its program or its
+shapes. The companion runs interleaved with the first run of that key, in
+whichever seed, that has the cost ratio on and finishes without a numeric
+failure; every later run of the key divides by its time. Nothing outlives the
+call, so a later sweep times its own companions.
 
 An AdaHessian run decides before its loop which iterations estimate
 (``should_compute``) and makes one probe pass over those iterations' keys
@@ -457,12 +459,16 @@ class _SeedPass:
     rows if full-batch) and, if a config uses AdaHessian, the seed's ``keys``.
     ``companions`` maps (key, iters) to the gradient-descent companion time of
     the first run of that key that timed one and finished ok; ``run`` reads
-    and fills it. One instance lives for one seed of one ``sweep()`` call, or
-    for one standalone ``run()``.
+    and fills it. A ``sweep()`` call hands one dict to all its seeds' passes,
+    so a key's companion is timed once per call, not once per seed; a pass
+    built without one starts its own. One instance lives for one seed of one
+    ``sweep()`` call, or for one standalone ``run()``.
     """
 
-    def __init__(self, seed: int, problems: dict, configs: list[RunConfig]):
+    def __init__(self, seed: int, problems: dict, configs: list[RunConfig],
+                 companions: dict[tuple[str, int], float] | None = None):
         self.problems = problems
+        self.companions = {} if companions is None else companions
         ts = np.arange(1, max(config.iters for config in configs) + 1)
         self.batches = {}
         for key, problem in problems.items():
@@ -474,7 +480,6 @@ class _SeedPass:
         if any(config.optimizer == "adahessian" for config in configs):
             self.keys = probe_keys(seed, ts)
             self.keys.flags.writeable = False
-        self.companions: dict[tuple[str, int], float] = {}
 
     @staticmethod
     def _key(config: RunConfig) -> str:
@@ -653,6 +658,8 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
     completes. Seeds loop outside and cells inside, sharing one ``_SeedPass``
     per seed, drawn before the seed's first run; every run reuses the problems
     built for validation, and so their tapes, and validates nothing again.
+    The seeds' passes share one companion dict, so each (problem,
+    problem_params, iters) times one gradient-descent companion per call.
     """
     base.validate()
     _check_file_name("csv-name", csv_name)
@@ -678,8 +685,9 @@ def sweep(base: RunConfig, axes: dict[str, list], seeds: list[int],
     cells = [SweepCell(overrides=overrides, seeds=list(seeds), final_losses=[],
                        diverged=0, cost_ratios=[]) for overrides in grid]
     csv_path = make_out_dir(base.out if out is None else out) / csv_name
+    companions: dict[tuple[str, int], float] = {}
     for seed, seed_configs in zip(seeds, configs):
-        shared = _SeedPass(seed, problems, seed_configs)
+        shared = _SeedPass(seed, problems, seed_configs, companions)
         for cell, cfg in zip(cells, seed_configs):
             result = run(cfg, write_files=False, _shared=shared)
             if _is_diverged(cfg, result):

@@ -383,7 +383,14 @@ class AdaHessian(Optimizer):
         self._Ds = np.empty(self.dim)  # last_Ds once a first estimate arrives
 
     def average_diagonal(self, raw_diag: np.ndarray) -> np.ndarray:
-        """Spatially average a raw diagonal estimate over this block layout."""
+        """Spatially average a raw diagonal estimate over this block layout.
+
+        At block size 1 averaging is the identity, and this returns
+        ``raw_diag`` itself (as float64) without ``spatial_average``'s copy:
+        ``step`` copies the ``Ds`` it is given.
+        """
+        if self.block_spec.block_size == 1:
+            return as_float64(raw_diag)
         return spatial_average(raw_diag, self.block_spec)
 
     def step(self, theta, grad, Ds: np.ndarray | None = None, lr_factor: float = 1.0):

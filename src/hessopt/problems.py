@@ -454,9 +454,11 @@ class QuadraticProblem(DifferentiableProblem):
         self.c = np.zeros(A.shape[0]) if c is None else np.asarray(c, dtype=np.float64)
         if not (ad.all_finite(A) and ad.all_finite(self.c)):  # NaN passes the symmetry check
             raise ValueError("A and c must be finite")
-        if np.maximum.reduce(np.abs(A - A.T), None) > 1e-12:
+        asymmetry = np.maximum.reduce(np.abs(A - A.T), None)
+        if asymmetry > 1e-12:
             raise ValueError("A must be symmetric to 1e-12")
-        self.A = 0.5 * (A + A.T)
+        # An exactly symmetric A, as the SPD builder makes, is its own symmetrization.
+        self.A = A.copy() if asymmetry == 0 else 0.5 * (A + A.T)
         self.dim = A.shape[0]
         self.name = name
         eigs = np.linalg.eigvalsh(self.A)

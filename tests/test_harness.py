@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hessopt import harness, hutchinson
+from hessopt.autodiff import NumericError
 from hessopt.harness import (
     ConfigError,
     RunConfig,
@@ -535,11 +536,47 @@ class TestSweepSharing:
             want.pop("cost_ratio_mean")
             assert row == want
 
-    def test_companion_timed_once_per_seed_not_per_cell(self, tmp_path, companion_calls):
+    def test_companion_timed_once_per_sweep_not_per_seed(self, tmp_path, companion_calls):
         cells, _ = sweep(sharing_base(tmp_path), SHARING_AXES, seeds=SHARING_SEEDS,
                          out=tmp_path)
-        assert companion_calls == [(30, 0), (30, 1), (30, 2)]
+        assert companion_calls == [(30, 0)]
         assert all(len(c.cost_ratios) == 3 for c in cells)
+
+    def test_every_run_of_a_sweep_divides_by_one_companion_time(self, tmp_path, monkeypatch):
+        results, original = [], harness.run
+
+        def recording(config, *args, **kwargs):
+            results.append(original(config, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "run", recording)
+        sweep(sharing_base(tmp_path), SHARING_AXES, seeds=SHARING_SEEDS, out=tmp_path)
+        assert [r.config.seed for r in results] == [s for s in SHARING_SEEDS for _ in range(4)]
+        times = {r.summary["sgd_median_iter_seconds"] for r in results}
+        assert len(times) == 1 and times.pop() > 0
+
+    def test_a_failed_first_run_leaves_the_companion_to_the_next_seed(
+            self, tmp_path, companion_calls, monkeypatch):
+        # Seed 0's only run fails mid-loop, so it stores no time; seed 1's run
+        # times the key's companion and seed 2's reuses it.
+        seeds, tracking, original_iterate = [], harness.run, harness._iterate
+
+        def seeded(config, *args, **kwargs):
+            seeds.append(config.seed)
+            return tracking(config, *args, **kwargs)
+
+        def failing_in_seed_0(problem, opt, *args):
+            if seeds[-1] == 0 and isinstance(opt, AdaHessian) and opt.t == 4:
+                raise NumericError("injected", phase="step")
+            return original_iterate(problem, opt, *args)
+
+        monkeypatch.setattr(harness, "run", seeded)
+        monkeypatch.setattr(harness, "_iterate", failing_in_seed_0)
+        (cell,), _ = sweep(sharing_base(tmp_path), {"lr": [0.05]}, seeds=SHARING_SEEDS,
+                           out=tmp_path)
+        assert companion_calls == [(30, 0), (30, 1)]
+        assert cell.diverged == 1 and len(cell.cost_ratios) == 2
+        assert all(ratio > 0 for ratio in cell.cost_ratios)
 
     def test_iters_axis_gets_one_companion_per_value(self, tmp_path, companion_calls):
         sweep(sharing_base(tmp_path), {"iters": [12, 20], "lr": [0.05, 0.2]},
@@ -574,7 +611,7 @@ class TestSweepSharing:
 
         monkeypatch.setattr(harness, "get_problem", counting)
         sweep(sharing_base(tmp_path), SHARING_AXES, seeds=SHARING_SEEDS, out=tmp_path)
-        assert built == ["logreg"]  # 12 runs, 3 of them with a companion
+        assert built == ["logreg"]  # 12 runs, the first of them with the companion
         run(sharing_base(tmp_path), write_files=False)
         assert built == ["logreg", "logreg"]  # the run, with its companion
 

@@ -9,6 +9,7 @@ paths it must count none. The C functions must give the public calls' bits.
 """
 
 import os
+import subprocess
 import sys
 import types
 
@@ -133,6 +134,28 @@ def _sample_args(name):
     x = np.arange(6.0)
     return {"dot": (x, x), "vdot": (x, x), "copyto": (np.empty(6), x),
             "concatenate": ([x, x],)}[name]
+
+
+@pytest.mark.skipif(not hasattr(np, "_core"), reason="numpy 1.x has only the fallback")
+def test_the_numpy_1_import_of_c_einsum_gives_the_c_einsum_bits():
+    # Hiding numpy._core.multiarray sends autodiff down its numpy 1.x import,
+    # which numpy 2 serves through its deprecated numpy.core alias.
+    probe = (
+        "import sys, numpy as np\n"
+        "reference = np._core.multiarray.c_einsum\n"
+        "sys.modules['numpy._core.multiarray'] = None\n"
+        "from hessopt import autodiff\n"
+        "assert 'numpy.core.multiarray' in sys.modules\n"
+        "x = np.random.default_rng(0).standard_normal((37, 8))\n"
+        "assert x.flags.c_contiguous\n"
+        "got, want = autodiff.c_einsum('ij->j', x), reference('ij->j', x)\n"
+        "assert got.tobytes() == want.tobytes(), (got, want)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c", probe],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("f", [np.add, len, lambda x: x],

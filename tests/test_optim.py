@@ -311,6 +311,15 @@ class TestAdaHessian:
         with pytest.raises(ValueError):
             opt.step(np.zeros(1), np.array([1.0]))
 
+    def test_block_size_one_passes_the_estimate_through_to_the_step_copy(self):
+        # Averaging is the identity at block size 1; the step's copy is the only one.
+        D = np.array([1.0, 2.0, 4.0])
+        opt = AdaHessian(3, lr=0.01)
+        Ds = opt.average_diagonal(D)
+        assert Ds is D
+        opt.step(np.zeros(3), np.ones(3), Ds=Ds)
+        assert opt.last_Ds is not D and opt.last_Ds.tobytes() == D.tobytes()
+
     def test_spatial_averaging_applies_block_means(self):
         spec = BlockSpec(2, [4])
         opt = AdaHessian(dim=4, lr=1.0, block_spec=spec)

@@ -53,6 +53,18 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             pr.QuadraticProblem(np.array([[1.0, 5.0], [0.0, 1.0]]), np.zeros(2), name="bad")
 
+    def test_symmetrizes_a_nearly_symmetric_matrix(self):
+        A = np.array([[2.0, 1.0], [1.0 + 1e-13, 3.0]])
+        p = pr.QuadraticProblem(A, name="q")
+        assert p.A.tobytes() == (0.5 * (A + A.T)).tobytes()
+
+    def test_keeps_an_exactly_symmetric_matrix_bit_for_bit(self):
+        # Its own copy, with no A + A.T to overflow near the float64 limit.
+        A = np.array([[1.5e308, -0.0], [-0.0, 1.0]])
+        p = pr.QuadraticProblem(A, name="q")
+        assert p.A is not A and p.A.tobytes() == A.tobytes()
+        assert (p.alpha, p.beta) == (1.0, 1.5e308)
+
     @pytest.mark.parametrize("A,c", [
         ([[1.0, np.nan], [np.nan, 1.0]], None),  # NaN passes the symmetry check
         ([[np.inf, 0.0], [0.0, 1.0]], None),
