@@ -1,8 +1,12 @@
 """Optimizers: the adaptive second-order update plus first-order baselines.
 
-All optimizers share one shape of interface: ``step(theta, grad, ...)``
-returns the next parameter vector and advances internal state by exactly one
-iteration.
+One step serves every optimizer: ``step(theta, grad, ...)`` checks its
+arguments, counts the iteration, sets the learning rate, applies weight
+decay, takes the update from the optimizer's own rule, refuses a non-finite
+update, and returns the next parameter vector. A call refused for its
+arguments changes no state. SGD, Adagrad, RMSProp and Adam couple weight
+decay into the gradient (L2); AdamW and AdaHessian decouple it, shrinking
+theta directly, outside the adaptive term.
 
 The second-order method preconditions with a moving root-mean-square of the
 spatially averaged Hessian diagonal:
@@ -13,8 +17,7 @@ spatially averaged Hessian diagonal:
 
 with Ds_t the block-averaged diagonal estimate (reused from the last fresh
 estimate on skipped iterations). k in [0, 1] interpolates between plain
-gradient momentum (k=0) and full diagonal-Newton-like scaling (k=1). Weight
-decay is decoupled: applied directly to theta, outside the adaptive term.
+gradient momentum (k=0) and full diagonal-Newton-like scaling (k=1).
 
 Each optimizer binds its state, its scratch vectors and a 0-d float64 array
 for each scalar operand once, at construction; the scalars that change each
@@ -98,8 +101,6 @@ def spatial_average(D: np.ndarray, blocks: BlockSpec) -> np.ndarray:
     D = as_float64(D)
     if D.shape != (blocks.dim,):
         raise ValueError(f"expected vector of length {blocks.dim}, got {D.shape}")
-    if blocks.block_size == 1:
-        return D.copy()
     means = np.add.reduceat(D, blocks._starts)
     np.divide(means, blocks._lengths, means)
     return means.take(blocks._block_of)
@@ -157,11 +158,18 @@ def _check_beta(name: str, value: float) -> float:
 
 
 class Optimizer:
-    """Common hyperparameter checks, shape checks and the finite-update guard,
+    """The step every optimizer shares, its hyperparameter and shape checks,
     and the arrays every step binds once: the weight decay and eps as 0-d
-    operands, the current step's learning rate, and the scratch vectors."""
+    operands, the current step's learning rate, and the scratch vectors.
+
+    A subclass supplies ``_direction(grad)``, the update to subtract from
+    theta. ``decoupled_wd`` says where weight decay goes: false adds
+    ``weight_decay * theta`` to the gradient (classical L2 coupling), true
+    shrinks theta by ``lr * weight_decay * theta`` outside the update.
+    """
 
     kind = "base"
+    decoupled_wd = False
 
     def __init__(self, dim: int, lr: float, weight_decay: float = 0.0, eps: float = 1e-8):
         if dim < 1:
@@ -190,7 +198,7 @@ class Optimizer:
         self._denom = np.empty(self.dim)
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr_factor: float = 1.0) -> np.ndarray:
-        raise NotImplementedError
+        return self._advance(*self._check(theta, grad), lr_factor)
 
     def _check(self, theta, grad):
         theta = as_float64(theta)
@@ -199,14 +207,28 @@ class Optimizer:
             raise ValueError(f"theta and grad must have shape ({self.dim},)")
         return theta, grad
 
-    def _guard_update(self, update: np.ndarray) -> np.ndarray:
+    def _advance(self, theta: np.ndarray, grad: np.ndarray, lr_factor: float) -> np.ndarray:
+        """One iteration on checked arguments: count it, set the learning
+        rate, apply weight decay, and return theta less the update, which
+        must be finite."""
+        self.t += 1
+        eff_lr = self._eff_lr[()] = self.lr * lr_factor
+        if self.weight_decay > 0:
+            if self.decoupled_wd:
+                self._shrink[()] = eff_lr * self.weight_decay
+                theta = np.subtract(theta, np.multiply(theta, self._shrink, self._decayed),
+                                    self._decayed)
+            else:
+                grad = np.add(np.multiply(theta, self._weight_decay, self._decayed), grad,
+                              self._decayed)
+        update = self._direction(grad)
         if not all_finite(update):
             bad = int(np.flatnonzero(~np.isfinite(update))[0])
             raise NumericError(
                 f"{self.kind} produced a non-finite update at coordinate {bad} "
                 f"(iteration {self.t})", phase="step"
             )
-        return update
+        return np.subtract(theta, update)
 
 
 # Each step hands every ufunc its output positionally and only arrays: a
@@ -235,20 +257,13 @@ class SGD(Optimizer):
         self._one_minus_momentum = np.array(1.0 - self.momentum)
         self.buffer = np.zeros(self.dim)
 
-    def step(self, theta, grad, lr_factor=1.0):
-        theta, grad = self._check(theta, grad)
-        self.t += 1
-        self._eff_lr[()] = self.lr * lr_factor
-        if self.weight_decay > 0:
-            grad = np.add(np.multiply(theta, self._weight_decay, self._decayed), grad,
-                          self._decayed)
+    def _direction(self, grad):
         if self.momentum > 0:
             np.multiply(self.buffer, self._momentum, self.buffer)
             np.add(self.buffer, np.multiply(grad, self._one_minus_momentum, self._update),
                    self.buffer)
             grad = self.buffer
-        update = np.multiply(grad, self._eff_lr, self._update)
-        return np.subtract(theta, self._guard_update(update))
+        return np.multiply(grad, self._eff_lr, self._update)
 
 
 class Adagrad(Optimizer):
@@ -260,17 +275,10 @@ class Adagrad(Optimizer):
         super().__init__(dim, lr, weight_decay, eps)
         self.accum = np.zeros(self.dim)
 
-    def step(self, theta, grad, lr_factor=1.0):
-        theta, grad = self._check(theta, grad)
-        self.t += 1
-        self._eff_lr[()] = self.lr * lr_factor
-        if self.weight_decay > 0:
-            grad = np.add(np.multiply(theta, self._weight_decay, self._decayed), grad,
-                          self._decayed)
+    def _direction(self, grad):
         np.add(self.accum, np.multiply(grad, grad, self._denom), self.accum)
         denom = np.add(np.sqrt(self.accum, self._denom), self._eps, self._denom)
-        update = np.divide(np.multiply(grad, self._eff_lr, self._update), denom, self._update)
-        return np.subtract(theta, self._guard_update(update))
+        return np.divide(np.multiply(grad, self._eff_lr, self._update), denom, self._update)
 
 
 class RMSProp(Optimizer):
@@ -284,17 +292,10 @@ class RMSProp(Optimizer):
         self.beta2 = _check_beta("beta2", beta2)
         self.v = np.zeros(self.dim)
 
-    def step(self, theta, grad, lr_factor=1.0):
-        theta, grad = self._check(theta, grad)
-        self.t += 1
-        self._eff_lr[()] = self.lr * lr_factor
-        if self.weight_decay > 0:
-            grad = np.add(np.multiply(theta, self._weight_decay, self._decayed), grad,
-                          self._decayed)
+    def _direction(self, grad):
         self.v = ema_square_update(self.v, grad, self.beta2)
         denom = np.add(np.sqrt(self.v, self._denom), self._eps, self._denom)
-        update = np.divide(np.multiply(grad, self._eff_lr, self._update), denom, self._update)
-        return np.subtract(theta, self._guard_update(update))
+        return np.divide(np.multiply(grad, self._eff_lr, self._update), denom, self._update)
 
 
 class Adam(Optimizer):
@@ -302,10 +303,11 @@ class Adam(Optimizer):
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps). Weight decay, when
     set, enters the gradient (L2 coupling); see AdamW for the decoupled form.
+    AdaHessian computes its moments separately, so Adam stays an independent
+    reference for it.
     """
 
     kind = "adam"
-    decoupled_wd = False
 
     def __init__(self, dim, lr, beta1: float = 0.9, beta2: float = 0.999,
                  weight_decay: float = 0.0, eps: float = 1e-8):
@@ -316,28 +318,16 @@ class Adam(Optimizer):
         self.m = np.zeros(self.dim)
         self.v = np.zeros(self.dim)
 
-    def step(self, theta, grad, lr_factor=1.0):
-        theta, grad = self._check(theta, grad)
-        self.t += 1
-        eff_lr = self._eff_lr[()] = self.lr * lr_factor
+    def _direction(self, grad):
         self._bias1[()] = 1.0 - self.beta1**self.t
         self._bias2[()] = 1.0 - self.beta2**self.t
-        if self.weight_decay > 0:
-            if self.decoupled_wd:
-                self._shrink[()] = eff_lr * self.weight_decay
-                theta = np.subtract(theta, np.multiply(theta, self._shrink, self._decayed),
-                                    self._decayed)
-            else:
-                grad = np.add(np.multiply(theta, self._weight_decay, self._decayed), grad,
-                              self._decayed)
         np.multiply(self.m, self._beta1, self.m)
         np.add(self.m, np.multiply(grad, self._one_minus_beta1, self._update), self.m)
         self.v = ema_square_update(self.v, grad, self.beta2)
         denom = np.divide(self.v, self._bias2, self._denom)  # v_hat
         np.add(np.sqrt(denom, denom), self._eps, denom)
         update = np.divide(self.m, self._bias1, self._update)  # m_hat
-        np.divide(np.multiply(update, self._eff_lr, update), denom, update)
-        return np.subtract(theta, self._guard_update(update))
+        return np.divide(np.multiply(update, self._eff_lr, update), denom, update)
 
 
 class AdamW(Adam):
@@ -357,11 +347,13 @@ class AdaHessian(Optimizer):
     ``hessian_ema`` on, the preconditioner is the bias-corrected RMS of the
     Ds history; off, it is simply |Ds| of the current estimate, which makes
     the update hostage to single-point curvature noise (used for ablation).
+    Weight decay is decoupled, as in AdamW.
 
     Feeding Ds := grad with k=1 and block size 1 reproduces Adam exactly.
     """
 
     kind = "adahessian"
+    decoupled_wd = True
 
     def __init__(self, dim, lr, beta1: float = 0.9, beta2: float = 0.999,
                  k: float = 1.0, weight_decay: float = 0.0, eps: float = 1e-8,
@@ -394,8 +386,8 @@ class AdaHessian(Optimizer):
         return spatial_average(raw_diag, self.block_spec)
 
     def step(self, theta, grad, Ds: np.ndarray | None = None, lr_factor: float = 1.0):
+        # Every argument is checked before any state changes.
         theta, grad = self._check(theta, grad)
-        self.t += 1
         if Ds is not None:
             Ds = as_float64(Ds)
             if Ds.shape != (self.dim,):
@@ -404,13 +396,11 @@ class AdaHessian(Optimizer):
             self.last_Ds = self._Ds
         elif self.last_Ds is None:
             raise ValueError("first step requires a diagonal estimate")
+        return self._advance(theta, grad, lr_factor)
+
+    def _direction(self, grad):
         Ds = self.last_Ds
-        eff_lr = self._eff_lr[()] = self.lr * lr_factor
         self._bias1[()] = 1.0 - self.beta1**self.t
-        if self.weight_decay > 0:
-            self._shrink[()] = eff_lr * self.weight_decay
-            theta = np.subtract(theta, np.multiply(theta, self._shrink, self._decayed),
-                                self._decayed)
         np.multiply(self.m, self._beta1, self.m)
         np.add(self.m, np.multiply(grad, self._one_minus_beta1, self._update), self.m)
         # The squared-Ds average advances every iteration, including ones
@@ -425,8 +415,7 @@ class AdaHessian(Optimizer):
             denom **= self.k  # the kernel Dbar**k calls, in place
         np.add(denom, self._eps, denom)
         update = np.divide(self.m, self._bias1, self._update)  # m_hat
-        np.divide(np.multiply(update, self._eff_lr, update), denom, update)
-        return np.subtract(theta, self._guard_update(update))
+        return np.divide(np.multiply(update, self._eff_lr, update), denom, update)
 
 
 OPTIMIZERS: dict[str, type] = {

@@ -858,8 +858,13 @@ class TestRepeatedCalls:
     later call skip a function the benchmark's spans wrap (its traced runs
     compare every call's span counts with the first call's)."""
 
-    @pytest.mark.parametrize("workload", ["train-dense", "sweep-sparse"])
-    def test_every_call_counts_the_same_spans(self, tmp_path, monkeypatch, workload):
+    # AdaHessian steps, and all optimizer steps with the SGD companion's, of
+    # one call: iters_per_s divides by the first count.
+    @pytest.mark.parametrize("workload,adahessian_steps,steps",
+                             [pytest.param("train-dense", 300, 600, id="train-dense"),
+                              pytest.param("sweep-sparse", 2_400, 2_600, id="sweep-sparse")])
+    def test_every_call_counts_the_same_spans(self, tmp_path, monkeypatch, workload,
+                                              adahessian_steps, steps):
         spans = _bench_module("spans", monkeypatch)
         argv = _bench_module("run", monkeypatch).WORKLOADS[workload]["argv"](0)
         monkeypatch.setenv("HESSOPT_OUT", str(tmp_path))
@@ -880,6 +885,9 @@ class TestRepeatedCalls:
         assert counts[0]["cli.build_parser"] == 1
         assert counts[0]["problems.get_problem"] == 1
         assert counts[0]["autodiff.backward"] >= 1  # every call records its own tapes
+        assert counts[0]["optim.AdaHessian.step"] == adahessian_steps
+        assert sum(n for name, n in counts[0].items()
+                   if name.startswith("optim.") and name.endswith(".step")) == steps
 
 
 # Leaves of the values a fuzzed file's JSON value is swapped for: every JSON

@@ -586,6 +586,45 @@ class TestStepsInPlace:
         assert all(x.tobytes() == copy.tobytes() for x, copy in returned)
 
 
+def _refusals():
+    """(kind, warm, args, extra) of calls a step must refuse, on a fresh
+    optimizer and, but for the missing first estimate, after a valid step."""
+    ok, short = np.ones(3), np.ones(2)
+    cases = [pytest.param("adahessian", False, (ok, ok), {}, id="adahessian-no-first-estimate")]
+    for warm in (False, True):
+        suffix = "-after-a-step" if warm else ""
+        cases.append(pytest.param("adahessian", warm, (ok, ok), {"Ds": short},
+                                  id=f"adahessian-Ds-shape{suffix}"))
+        for kind in optim.optimizer_names():
+            extra = {"Ds": ok} if kind == "adahessian" else {}
+            for name, args in (("theta", (short, ok)), ("grad", (ok, short))):
+                cases.append(pytest.param(kind, warm, args, extra,
+                                          id=f"{kind}-{name}-shape{suffix}"))
+    return cases
+
+
+def _state(opt) -> dict:
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else value
+            for name, value in vars(opt).items()}
+
+
+class TestRefusedSteps:
+    @pytest.mark.parametrize("kind,warm,args,extra", _refusals())
+    def test_a_refused_step_changes_no_state(self, kind, warm, args, extra):
+        theta, grad, Ds = np.random.default_rng(2).standard_normal((3, 3))
+        valid = {"Ds": Ds} if kind == "adahessian" else {}
+        opt, twin = (make_optimizer(kind, 3, lr=0.1, weight_decay=0.1) for _ in range(2))
+        if warm:
+            for o in (opt, twin):
+                o.step(theta, grad, **valid)
+        before = _state(opt)
+        with pytest.raises(ValueError):
+            opt.step(*args, **extra)
+        assert _state(opt) == before  # t, the moments and last_Ds among them
+        after = opt.step(theta, grad, **valid)
+        assert after.tobytes() == twin.step(theta, grad, **valid).tobytes()
+
+
 class TestStateDicts:
     def test_make_optimizer_unknown_kind_raises(self):
         with pytest.raises(KeyError):
