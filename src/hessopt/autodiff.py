@@ -35,8 +35,8 @@ non-finite value on a replayed tape as on a fresh one.
 When a recording ends, its steps are optimized once, so that a replay runs
 only numpy work whose result can change (``_optimize``): steps computed from
 constants made inside the recording are folded, a step repeating an earlier
-one is merged into it (also across a probe program and the tape it
-extends), and views are bound once. Each rewrite is exact; the docstring
+one is merged into it (also from a probe into the gradient recorded with
+it), and views are bound once. Each rewrite is exact; the docstring
 of ``_optimize`` says why. Some ops call cheaper kernels that compute the
 same bits: the ufuncs numpy's scalar-power fast paths call (``np.square``,
 ``np.reciprocal``, ``np.sqrt``, ``np.positive``), the C function behind
@@ -546,26 +546,6 @@ def logsumexp_rows(a) -> Tensor:
     return add(_derived(_first_column, m), log(tsum(exp(shifted), axis=1)))
 
 
-class _Table:
-    """What a recording learned about its nodes, for the programs after it.
-
-    ``steps`` maps a step's (function, inputs) to the node it computes;
-    ``merged`` maps a node whose step repeated an earlier one to that one's
-    node; ``fixed`` holds the nodes whose data never changes: constants made
-    inside a recording and the steps folded from them. ``scalars`` maps the
-    bytes of a 0-d constant to the first constant holding them, so that equal
-    constants made by separate ops count as one input.
-    """
-
-    __slots__ = ("steps", "merged", "fixed", "scalars")
-
-    def __init__(self):
-        self.steps: dict = {}
-        self.merged: dict = {}
-        self.fixed: set = set()
-        self.scalars: dict = {}
-
-
 class Program:
     """The numpy steps that built a tape, in order, rerun on new leaf data.
 
@@ -578,41 +558,39 @@ class Program:
     recorded shapes) into their arrays in place, never binding a new array
     to a leaf's ``data``; :meth:`replay` then leaves in each node's array
     what a fresh tape would hold.
-
-    A program recorded with ``extends`` continues that program's tape (a
-    probe over a gradient tape): it is replayed after it, reads its nodes,
-    and takes over the table of what the earlier recording learned, so steps
-    repeated across the two are shared. A program can be extended by one
-    program; a second one shares nothing, and is just as exact.
     """
 
-    __slots__ = ("steps", "_extends", "_table")
+    __slots__ = ("steps",)
 
-    def __init__(self, extends: "Program | None" = None):
+    def __init__(self):
         self.steps: list = []
-        self._extends = extends
-        self._table: _Table | None = None
 
     @contextmanager
     def recording(self):
         """Record the steps of every op run inside the block, then optimize
         them once (see :func:`_optimize`).
 
+        The block gets a function that starts the next program of the same
+        recording and returns it: a probe over a gradient tape, replayed
+        after it and reading its nodes. The programs are optimized together,
+        so a step the later one repeats of the earlier is computed once.
         Steps of a block that raises are discarded.
         """
         global _steps
-        previous, _steps = _steps, []
+        recorded, programs, starts = [], [self], [0]
+
+        def next_program() -> Program:
+            programs.append(Program())
+            starts.append(len(recorded))
+            return programs[-1]
+
+        previous, _steps = _steps, recorded
         try:
-            yield self
-            recorded = _steps
+            yield next_program
         finally:
             _steps = previous
-        parent, self._extends = self._extends, None
-        table = _Table()
-        if parent is not None and parent._table is not None:
-            table, parent._table = parent._table, None
-        self.steps = _optimize(recorded, table)
-        self._table = table
+        for program, steps in zip(programs, _optimize(recorded, starts)):
+            program.steps = steps
 
     def replay(self) -> None:
         """Run every step's kernel, in order, over the arrays it was bound to."""
@@ -620,21 +598,24 @@ class Program:
             kernel(*args)
 
 
-def _optimize(recorded: list, table: _Table) -> list:
+def _optimize(recorded: list, starts: list[int]) -> list[list]:
     """The steps of ``recorded`` that replay must run, rewritten once into
-    ``(kernel, args)`` pairs over arrays that never change.
+    ``(kernel, args)`` pairs over arrays that never change: one list for
+    each program, the one starting at each index of ``starts``.
 
     Every rewrite leaves each node's data bit for bit what the recorded step
     would compute:
 
-    - a step whose inputs are all fixed is folded: its node keeps the data
-      the recording computed and the step is dropped;
+    - a step whose inputs are all fixed (constants made inside the
+      recording, and steps folded from them) is folded: its node keeps the
+      data the recording computed and the step is dropped;
     - a step that repeats an earlier one (same step function, which ops make
-      once per parameter value, and the same input nodes) is merged into it.
-      Later steps read the earlier node, and the repeat's node is bound to
-      the earlier node's array, so every node still holds current data for
-      whatever reads the tape from outside: the loss, the gradient, a
-      program extending this one, or :func:`find_nonfinite`;
+      once per parameter value, and the same input nodes), in its own
+      program or an earlier one, is merged into it. Equal 0-d constants
+      count as one input. Later steps read the earlier node, and the
+      repeat's node is bound to the earlier node's array, so every node
+      still holds current data for whatever reads the tape from outside:
+      the loss, the gradient, a later program, or :func:`find_nonfinite`;
     - a step whose result views its input (a transpose, a slice, most
       reshapes) is bound once, over its input's own array, and dropped;
     - every other step writes into its node's own array, the one the
@@ -644,33 +625,39 @@ def _optimize(recorded: list, table: _Table) -> list:
     Merged nodes are bound last, so a view of one is still recognized by the
     array it was recorded over.
     """
-    steps, repeats = [], []
-    merged, fixed = table.merged, table.fixed
-    for node, fn, a, b in recorded:
-        if fn is None:  # a constant made in the recording
-            fixed.add(node)
-            if not node.data.ndim:
-                first = table.scalars.setdefault(node.data.tobytes(), node)
-                if first is not node:
-                    merged[node] = first
-            continue
-        x = merged.get(a, a)
-        y = merged.get(b, b)
-        first = table.steps.setdefault((fn, x, y), node)
-        if first is not node:
-            merged[node] = first
-            repeats.append(node)
-            if first in fixed:
+    # steps maps a step's (function, inputs) to the node it computes; merged
+    # maps a repeat to that node; scalars maps a 0-d constant's bytes to the
+    # first constant holding them.
+    steps, merged, fixed, scalars = {}, {}, set(), {}
+    programs, repeats = [], []
+    for start, stop in zip(starts, [*starts[1:], len(recorded)]):
+        kernels = []
+        programs.append(kernels)
+        for node, fn, a, b in recorded[start:stop]:
+            if fn is None:  # a constant made in the recording
                 fixed.add(node)
-        elif x in fixed and (y is None or y in fixed):
-            fixed.add(node)
-        elif b is None and np.may_share_memory(node.data, a.data):
-            node.data = fn(x.data)
-        else:
-            steps.append(_kernel(fn, node.data, x.data, None if y is None else y.data))
+                if not node.data.ndim:
+                    first = scalars.setdefault(node.data.tobytes(), node)
+                    if first is not node:
+                        merged[node] = first
+                continue
+            x = merged.get(a, a)
+            y = merged.get(b, b)
+            first = steps.setdefault((fn, x, y), node)
+            if first is not node:
+                merged[node] = first
+                repeats.append(node)
+                if first in fixed:
+                    fixed.add(node)
+            elif x in fixed and (y is None or y in fixed):
+                fixed.add(node)
+            elif b is None and np.may_share_memory(node.data, a.data):
+                node.data = fn(x.data)
+            else:
+                kernels.append(_kernel(fn, node.data, x.data, None if y is None else y.data))
     for node in repeats:
         node.data = merged[node].data
-    return steps
+    return programs
 
 
 _ZERO = np.zeros(())

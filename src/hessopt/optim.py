@@ -40,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import NumericError, all_finite, as_float64, c_copyto
+from .problems import _check_int
 
 __all__ = [
     "BlockSpec",
@@ -71,8 +72,11 @@ class BlockSpec:
     """
 
     def __init__(self, block_size: int, group_sizes: Sequence[int]):
+        _check_int("block_size", block_size)
         if block_size < 1:
             raise ValueError("block size must be >= 1")
+        for i, size in enumerate(group_sizes):
+            _check_int(f"group_sizes[{i}]", size)
         group_sizes = [int(s) for s in group_sizes]
         if any(s < 1 for s in group_sizes):
             raise ValueError("group sizes must be positive")
@@ -172,6 +176,7 @@ class Optimizer:
     decoupled_wd = False
 
     def __init__(self, dim: int, lr: float, weight_decay: float = 0.0, eps: float = 1e-8):
+        _check_int("dim", dim)
         if dim < 1:
             raise ValueError("dim must be >= 1")
         for name, value in (("lr", lr), ("weight_decay", weight_decay), ("eps", eps)):
@@ -446,8 +451,7 @@ def make_optimizer(kind: str, dim: int, group_sizes: Sequence[int] | None = None
             f"unknown optimizer {kind!r}; available: {', '.join(optimizer_names())}"
         ) from None
     if cls is AdaHessian:
-        block_size = int(hyper.pop("block_size", 1))
-        hyper["block_spec"] = BlockSpec(block_size, list(group_sizes or [dim]))
+        hyper["block_spec"] = BlockSpec(hyper.pop("block_size", 1), list(group_sizes or [dim]))
     return cls(dim, **hyper)
 
 

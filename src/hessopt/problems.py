@@ -31,23 +31,23 @@ tensor.
 Tapes are recorded once and replayed (see ``hessopt.autodiff``). A problem
 keeps one recorded tape per batch shape (``None`` for full batch), replayed by
 both ``value_and_gradient`` and ``full_tape``; the tape also keeps the
-program of its HVP probe, recorded on its first probe as an extension of the
-tape's program, so that steps the probe repeats of the tape (tanh's
-``1 - y**2``, the weights' transposes) are computed once. Each program is
-optimized once when its recording ends (constants folded, repeated steps
-merged). A tape owns everything its programs read: its own theta and z
-buffers, whose slices its parameter and probe leaves view for the tape's
-life, and one input leaf per batch array. A replay copies theta into its
-buffer and the batch's rows of each batch array into the input leaves (a
-full-batch tape's inputs never change), a probe copies z into its buffer,
-and each reruns the remaining numpy steps. So nothing a caller does to its
-arrays afterwards reaches a tape. The probe is one backward pass from every
-gradient part, seeded with z's slice. The gradient's and the HVP's parts are
-joined after a replay, so its outputs equal a fresh eager tape's over the
-parameter tensors bit for bit, signed zeros included.
+program of its HVP probe, recorded with the gradient's in one recording and
+replayed after it, so that steps the probe repeats of the gradient (tanh's
+``1 - y**2``, the weights' transposes) are computed once. The recording is
+optimized once when it ends (constants folded, repeated steps merged). A
+tape owns everything its programs read: its own theta and z buffers, whose
+slices its parameter and probe leaves view for the tape's life, and one
+input leaf per batch array. A replay copies theta into its buffer and the
+batch's rows of each batch array into the input leaves (a full-batch tape's
+inputs never change), a probe copies z into its buffer, and each reruns the
+remaining numpy steps. So nothing a caller does to its arrays afterwards
+reaches a tape. The probe is one backward pass from every gradient part,
+seeded with z's slice. The gradient's and the HVP's parts are joined after a
+replay, so its outputs equal a fresh eager tape's over the parameter tensors
+bit for bit, signed zeros included.
 Everything a loss computes from those leaves must therefore be a taped op:
-batch data enters a tape only as rows of ``batch_arrays``. After a batch
-shape's first recording, every gradient and HVP of it is a replay: an hvp
+batch data enters a tape only as rows of ``batch_arrays``. Every HVP, and
+every gradient after a batch shape's first recording, is a replay: an hvp
 callable whose tape a later call moved replays it back first, to its own
 copies of theta and the batch, and a non-finite replay raises the
 ``NumericError`` naming the op. Only ``value`` and ``relu_inputs`` stay
@@ -111,25 +111,29 @@ class _Tape:
     of, none for the full batch. ``grads`` holds the gradient's part of each
     parameter leaf. ``generation`` counts the tape's replays, so an hvp
     callable can tell that the nodes it would read now hold another point's
-    data. ``probe`` holds the recorded probe program over this tape and its
-    outputs (the HVP's parts), once a first probe has succeeded.
+    data. ``probe`` holds the probe program, recorded with the gradient's
+    and replayed after it, and its outputs (the HVP's parts).
     """
 
     __slots__ = ("theta", "z", "params", "inputs", "arrays", "loss", "grads", "program",
                  "generation", "probe")
 
     def __init__(self, problem: "DifferentiableProblem", theta: np.ndarray, batch):
-        self.theta, self.z = theta.copy(), np.empty_like(theta)
-        self.params = [ad.variable(self.theta[part])
-                       for part in _group_slices(problem.group_sizes)]
+        self.theta, self.z = theta.copy(), np.zeros_like(theta)
+        parts = _group_slices(problem.group_sizes)
+        self.params = [ad.variable(self.theta[part]) for part in parts]
+        zs = [ad.constant(self.z[part]) for part in parts]
         self.inputs = list(map(ad.constant, problem.batch_inputs(batch)))
         self.arrays = () if batch is None else problem.batch_arrays
         self.program = ad.Program()
-        with self.program.recording():
+        with self.program.recording() as next_program:
             self.loss = problem.loss(self.params, *self.inputs)
             self.grads = ad.backward(self.loss, self.params)
+            probe = next_program()
+            # The probe's values at z = 0 are never read: a probe replays first.
+            with np.errstate(all="ignore"):
+                self.probe = probe, ad.backward(self.grads, self.params, zs)
         self.generation = 0
-        self.probe: tuple[ad.Program, list] | None = None
 
     def replay(self, theta: np.ndarray, batch) -> None:
         """Rerun the recorded tape at ``theta`` and ``batch``, copied into its leaves."""
@@ -402,20 +406,11 @@ class DifferentiableProblem:
         return tape, grad
 
     def _probe(self, tape: _Tape, z: np.ndarray) -> np.ndarray:
-        """``H @ z`` over a tape holding its current generation, with z copied
-        into the tape's buffer: its first probe is recorded as a program
-        extending the tape's, one backward pass from every gradient part
-        seeded with the leaf of z's slice, and later ones replay it. A
-        non-finite HVP raises the NumericError naming the op."""
+        """``H @ z`` over a tape holding its current generation: z is copied
+        into the tape's buffer and the probe program, one backward pass from
+        every gradient part seeded with the leaf of z's slice, is replayed.
+        A non-finite HVP raises the NumericError naming the op."""
         ad.c_copyto(tape.z, z)
-        if tape.probe is None:
-            leaves = [ad.constant(tape.z[part]) for part in _group_slices(self.group_sizes)]
-            program = ad.Program(extends=tape.program)
-            with program.recording():
-                hz = ad.backward(tape.grads, tape.params, leaves)
-                hvp = self._joined(hz, "hvp")  # so that a probe that raised is not kept
-            tape.probe = (program, hz)
-            return hvp
         program, hz = tape.probe
         program.replay()
         return self._joined(hz, "hvp")
@@ -452,6 +447,8 @@ class QuadraticProblem(DifferentiableProblem):
         if A.shape[0] > _MAX_DIM:
             raise ValueError(f"quadratic problems are limited to d <= {_MAX_DIM}")
         self.c = np.zeros(A.shape[0]) if c is None else np.asarray(c, dtype=np.float64)
+        if self.c.shape != A.shape[:1]:
+            raise ValueError(f"c must have shape {A.shape[:1]}, got {self.c.shape}")
         if not (ad.all_finite(A) and ad.all_finite(self.c)):  # NaN passes the symmetry check
             raise ValueError("A and c must be finite")
         asymmetry = np.maximum.reduce(np.abs(A - A.T), None)
@@ -470,6 +467,8 @@ class QuadraticProblem(DifferentiableProblem):
         super().__init__()
         if theta0 is not None:
             self.theta0 = np.asarray(theta0, dtype=np.float64)
+            if self.theta0.shape != (self.dim,):
+                raise ValueError(f"theta0 must have shape {(self.dim,)}, got {self.theta0.shape}")
 
     def loss(self, params):
         (theta,) = params

@@ -853,6 +853,22 @@ def _bench_module(name: str, monkeypatch):
     return module
 
 
+def test_the_benchmarks_layer_calls_run_on_every_workload(monkeypatch):
+    """perfbench reads the package through these calls (``build_loss``,
+    ``DiagEstimate.values``, ``HutchinsonConfig(seed=)``, ``make_optimizer``'s
+    ``block_size``, ...): a change that drops one fails here, not in every
+    benchmark run. ``tape_nodes`` runs in every run's set-up, the layer
+    timings in every traced run."""
+    layers = _bench_module("layers", monkeypatch)
+    for name, workload in _bench_module("run", monkeypatch).WORKLOADS.items():
+        config = harness.RunConfig(**workload["layer_config"], seed=0)
+        nodes = layers.tape_nodes(config, 0)
+        forward, grad, hvp = (nodes[f"autodiff.nodes_{k}"] for k in ("forward", "grad", "hvp"))
+        assert 0 < forward < grad < hvp, (name, nodes)  # each backward pass extends the tape
+        timings = layers.autodiff_and_problem_layers(config, 0, 1)
+        assert all(value > 0 for value in timings.values()), (name, timings)
+
+
 class TestRepeatedCalls:
     """Calls in one process do the same work: no per-process cache may let a
     later call skip a function the benchmark's spans wrap (its traced runs

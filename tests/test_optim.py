@@ -32,6 +32,28 @@ class TestBlockSpec:
         with pytest.raises(ValueError):
             BlockSpec(2, [4, 0])
 
+    @pytest.mark.parametrize("make,name", [
+        (lambda: BlockSpec(2.7, [4]), "block_size"),
+        (lambda: BlockSpec(2.0, [4]), "block_size"),
+        (lambda: BlockSpec(True, [3]), "block_size"),
+        (lambda: BlockSpec(2, [3.7, 2]), r"group_sizes\[0\]"),
+        (lambda: BlockSpec(2, [3, False]), r"group_sizes\[1\]"),
+        (lambda: SGD(2.9, lr=0.1), "dim"),
+        (lambda: AdaHessian(True, lr=0.1), "dim"),
+        (lambda: make_optimizer("adahessian", 4, lr=0.1, block_size=2.5), "block_size"),
+        (lambda: make_optimizer("adam", 4.0, lr=0.1), "dim"),
+    ], ids=["fractional-block", "float-block", "bool-block", "fractional-group", "bool-group",
+            "fractional-dim", "bool-dim", "make-fractional-block", "make-float-dim"])
+    def test_refuses_sizes_that_are_not_ints(self, make, name):
+        # Refused, never truncated: 2.7 is not a block size of 2.
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+            make()
+
+    def test_takes_numpy_integers(self):
+        spec = BlockSpec(np.int64(2), [np.int32(3), np.int64(2)])
+        assert (spec.block_size, spec.group_sizes) == (2, [3, 2])
+        assert SGD(np.int64(3), lr=0.1).dim == 3
+
     def test_blocks_do_not_straddle_group_boundaries(self):
         # groups [3, 2] with b=2 must split as (0,1), (2,), (3,4)
         spec = BlockSpec(2, [3, 2])

@@ -75,6 +75,17 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="A and c must be finite"):
             pr.QuadraticProblem(A, c, name="bad", spd=True)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"c": np.zeros(3)}, r"c must have shape \(2,\), got \(3,\)"),
+        ({"c": np.zeros((2, 1))}, r"c must have shape \(2,\), got \(2, 1\)"),
+        ({"theta0": (1.0, 2.0, 3.0)}, r"theta0 must have shape \(2,\), got \(3,\)"),
+        ({"theta0": 1.0}, r"theta0 must have shape \(2,\), got \(\)"),
+    ], ids=["long-c", "column-c", "long-theta0", "scalar-theta0"])
+    def test_rejects_a_vector_that_does_not_match_A(self, kwargs, match):
+        # Refused when built, not at the first value or gradient.
+        with pytest.raises(ValueError, match=match):
+            pr.QuadraticProblem(np.eye(2), name="bad", **kwargs)
+
     @pytest.mark.parametrize("condition_number", [np.inf, np.nan, -np.inf])
     def test_random_spd_rejects_non_finite_condition_number(self, condition_number):
         with pytest.raises(ValueError, match="condition_number must be finite"):

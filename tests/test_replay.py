@@ -93,7 +93,7 @@ def test_an_earlier_hvp_keeps_its_own_point():
 @pytest.mark.parametrize("name", problem_names())
 def test_a_tape_keeps_its_own_copy_of_theta(name):
     # Changing theta in place after full_tape changes nothing the hvp reads:
-    # its first probe, recorded after the change, is still the HVP at the
+    # its first probe, replayed after the change, is still the HVP at the
     # tape's point.
     problem = get_problem(name)
     rng = np.random.default_rng(7)
@@ -209,6 +209,20 @@ def test_nonfinite_replays_raise_naming_the_op():
                                   [0.375, 0.375])
 
 
+def test_a_gradient_where_the_hvp_is_singular_warns_of_nothing():
+    # x^1.5 has a finite gradient at 0 and an infinite second derivative.
+    # The tape records its probe with the gradient, at z = 0, where the
+    # probe divides by zero; no RuntimeWarning reaches a first-order call,
+    # and a probe that runs still warns and raises naming the op.
+    problem = _Power(1.5)
+    loss, g = problem.value_and_gradient(np.zeros(2))
+    assert loss == 0.0 and np.all(g == 0.0)
+    _, _, hvp = problem.full_tape(np.zeros(2))
+    with pytest.warns(RuntimeWarning, match="divide by zero"), pytest.raises(
+            ad.NumericError, match=r"sqrt hvp \(produced by op 'pow-0.5'\)"):
+        hvp(np.ones(2))
+
+
 # Random compositions of smooth ops. Every op keeps its input clear of its
 # singularities (log sees 1 + e^2, powers see tanh(e)^2 + 0.5), and no op
 # grows faster than linearly, so values stay small enough for finite
@@ -301,8 +315,6 @@ def test_random_compositions_replay_bit_for_bit_and_match_finite_differences(
     probes = np.random.default_rng(probe_seed).standard_normal((3, D))
     problem.value_and_gradient(first)
     problem.full_tape(first)
-    # The probe program is recorded over a replayed tape: the eager pass
-    # that records it reads the tape's nodes, merged ones included.
     for theta in (third, second):
         loss, g, hvps = eager(problem, theta, None, probes[1:])
         assert as_bytes(*problem.value_and_gradient(theta)) == as_bytes(loss, g)
@@ -329,24 +341,20 @@ def test_equal_constants_merge_only_with_equal_bits():
     assert [kernel for kernel, _ in program.steps].count(np.multiply) == 2
 
 
-def test_a_second_extension_shares_nothing_and_stays_exact():
+def test_a_later_program_of_a_recording_reuses_the_first_ones_steps():
     x = ad.constant(np.array([0.3, -0.7]))
     tape = ad.Program()
-    with tape.recording():
+    with tape.recording() as next_program:
         y = ad.tanh(x)
-    probes = []
-    for _ in range(2):
-        probe = ad.Program(extends=tape)
-        with probe.recording():
-            out = ad.mul(ad.tanh(x), y)
-        probes.append((probe, out))
-    # The first extension takes the tanh from the tape; the second computes it.
-    assert [np.tanh in [kernel for kernel, _ in p.steps] for p, _ in probes] == [False, True]
+        probe = next_program()
+        out = ad.mul(ad.tanh(x), y)
+    # The second program takes the tanh from the first and replays after it.
+    assert [kernel for kernel, _ in tape.steps] == [np.tanh]
+    assert [kernel for kernel, _ in probe.steps] == [np.multiply]
     x.data[...] = [1.5, 2.0]
     tape.replay()
-    for probe, out in probes:
-        probe.replay()
-        assert out.data.tobytes() == (np.tanh(x.data) * np.tanh(x.data)).tobytes()
+    probe.replay()
+    assert out.data.tobytes() == (np.tanh(x.data) * np.tanh(x.data)).tobytes()
 
 
 @pytest.mark.parametrize("name,counts", [("tiny-mlp", (19, 26)), ("logreg", (19, 14)),
