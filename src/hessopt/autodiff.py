@@ -209,6 +209,12 @@ def as_float64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _check_int(name: str, value, expected: str = "an int") -> None:
+    """``value`` is an int and not a bool, or a TypeError names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be {expected}, got {value!r}")
+
+
 def _leaf(data, op: str, needs_grad: bool) -> Tensor:
     node = Tensor.__new__(Tensor)
     node.data = as_float64(data)

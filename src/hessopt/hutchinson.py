@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericError, all_finite, as_float64
+from .autodiff import NumericError, _check_int, all_finite, as_float64
 
 __all__ = [
     "HutchinsonConfig",
@@ -78,7 +78,7 @@ _SIGNS = np.array([-1.0, 1.0])
 class HutchinsonConfig:
     """Estimation schedule and sampling parameters.
 
-    Attributes:
+    Attributes (the three counts are ints, never bools):
         samples_per_estimate: probes averaged per estimate (>= 1).
         frequency: compute a fresh estimate every n-th iteration after warmup.
         warmup_steps: compute every iteration while t <= warmup_steps.
@@ -92,6 +92,8 @@ class HutchinsonConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("samples_per_estimate", "frequency", "warmup_steps"):
+            _check_int(name, getattr(self, name))
         if self.samples_per_estimate < 1:
             raise ValueError("samples_per_estimate must be >= 1")
         if self.frequency < 1:
@@ -258,6 +260,8 @@ def probe_pass(keys: np.ndarray, n: int, d: int):
     buffer that the next chunk overwrites: a key's probes are valid until the
     probes of the next chunk are asked for.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
     if n * d > _BLOCK_ENTRIES:

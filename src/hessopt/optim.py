@@ -39,8 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import NumericError, all_finite, as_float64, c_copyto
-from .problems import _check_int
+from .autodiff import NumericError, _check_int, all_finite, as_float64, c_copyto
 
 __all__ = [
     "BlockSpec",

@@ -65,18 +65,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import _check_int
 from .hutchinson import seed_words
 
 __all__ = [
     "DifferentiableProblem",
     "QuadraticProblem",
     "NoisyParabola",
-    "SyntheticDataset",
     "LogisticRegression",
     "TinyMLPRegression",
     "TinyMLPClassifier",
     "make_fig1_quadratic",
-    "make_noisy_parabola",
     "make_random_spd_quadratic",
     "make_logreg",
     "make_tiny_mlp",
@@ -150,7 +149,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64 = (1 << 64) - 1
 _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 # ``Generator.choice(n, b, replace=False)`` runs Floyd's algorithm for n up to
-# this (beyond it, a tail shuffle once b > n // 50); SyntheticDataset's cap.
+# this (beyond it, a tail shuffle once b > n // 50); the desk scale's cap on n.
 _FLOYD_MAX_N = 10_000
 # Taken-mask entries (lanes x population) that one block of the batch pass holds.
 _BATCH_BLOCK_ENTRIES = 1 << 18
@@ -469,6 +468,8 @@ class QuadraticProblem(DifferentiableProblem):
             self.theta0 = np.asarray(theta0, dtype=np.float64)
             if self.theta0.shape != (self.dim,):
                 raise ValueError(f"theta0 must have shape {(self.dim,)}, got {self.theta0.shape}")
+            if not ad.all_finite(self.theta0):
+                raise ValueError("theta0 must be finite")
 
     def loss(self, params):
         (theta,) = params
@@ -542,12 +543,6 @@ class NoisyParabola(DifferentiableProblem):
         return self.analytic_second_derivative(x) * np.asarray(z, dtype=np.float64)
 
 
-def _check_int(name: str, value, expected: str = "an int") -> None:
-    """``value`` is an int and not a bool, or a TypeError names ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be {expected}, got {value!r}")
-
-
 def _check_batch_size(batch_size, n: int) -> int | None:
     """``batch_size`` as given: None (full batch) or an int in [1, n]."""
     if batch_size is None:
@@ -591,25 +586,12 @@ def _check_layers(layers: Sequence[int]) -> list[int]:
     return layers
 
 
-class SyntheticDataset:
-    """Seeded feature matrix and labels for the small learning problems."""
-
-    def __init__(self, X: np.ndarray, y: np.ndarray, seed: int):
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y must agree on sample count")
-        if X.shape[0] > _DESK_SCALE["n"] or X.shape[1] > _DESK_SCALE["p"]:
-            raise ValueError("dataset exceeds the intended desk scale")
-        self.X = np.asarray(X, dtype=np.float64)
-        self.y = y
-        self.seed = seed
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
+def _check_samples(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Features X and labels y as float64, one row of each per sample."""
+    X, y = ad.as_float64(X), ad.as_float64(y)
+    if len(X) != len(y):
+        raise ValueError("X and y must agree on sample count")
+    return X, y
 
 
 class LogisticRegression(DifferentiableProblem):
@@ -618,16 +600,17 @@ class LogisticRegression(DifferentiableProblem):
     loss(theta) = mean_i log(1 + exp(-y_i x_i^T theta)). At theta = 0 every
     prediction is uniform and the loss is log 2. The Hessian is
     (1/n) X^T S X with S = diag(p_i (1 - p_i)), so its diagonal is
-    nonnegative everywhere.
+    nonnegative everywhere. ``X`` (n by p) and ``y``, as float64, are its
+    ``batch_arrays``.
     """
 
-    def __init__(self, data: SyntheticDataset, name="logreg", batch_size=None):
-        self.data = data
-        self.dim = data.p
+    def __init__(self, X, y, name="logreg", batch_size=None):
+        X, y = _check_samples(X, y)
+        self.dim = X.shape[1]
         self.name = name
-        self.batch_size = _check_batch_size(batch_size, data.n)
+        self.batch_size = _check_batch_size(batch_size, len(X))
         super().__init__()
-        self.batch_arrays = (data.X, data.y)
+        self.batch_arrays = (X, y)
 
     def loss(self, params, X, y):
         (theta,) = params
@@ -658,26 +641,31 @@ def _mlp_shapes(layers: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 class _MLPBase(DifferentiableProblem):
-    """Shared parameter layout and forward pass for the two MLP problems."""
+    """Shared parameter layout and forward pass for the two MLP problems.
+
+    ``X`` (n by ``layers[0]``) and ``y``, as float64, are the
+    ``batch_arrays``; the weights are drawn from ``default_rng(seed + 1)``,
+    the biases are 0.
+    """
 
     activation = "tanh"
 
-    def __init__(self, data: SyntheticDataset, layers: Sequence[int], name, batch_size):
+    def __init__(self, X, y, layers: Sequence[int], name, batch_size, seed: int):
+        X, y = _check_samples(X, y)
         layers = list(layers)
-        if layers[0] != data.p:
+        if layers[0] != X.shape[1]:
             raise ValueError("first layer width must match feature count")
         self.layers = layers
-        self.data = data
         self._shapes = _mlp_shapes(layers)
         sizes = [math.prod(shape) for shape in self._shapes]
         self.dim = sum(sizes)
         self.name = name
-        self.batch_size = _check_batch_size(batch_size, data.n)
+        self.batch_size = _check_batch_size(batch_size, len(X))
         if self.dim > _MAX_DIM:
             raise ValueError(f"tiny MLP exceeds d = {_MAX_DIM}; shrink the layer widths")
         super().__init__()
         self.group_sizes = sizes
-        rng = np.random.default_rng(data.seed + 1)
+        rng = np.random.default_rng(seed + 1)
         init = []
         for shape in self._shapes:
             if len(shape) == 2:
@@ -687,7 +675,7 @@ class _MLPBase(DifferentiableProblem):
                 init.append(np.zeros(shape))
         self.theta0 = np.concatenate(init)
         # The features and what the loss compares the network's output with.
-        self.batch_arrays = (data.X, data.y)
+        self.batch_arrays = (X, y)
 
     def _forward(self, params, X: ad.Tensor, hidden: list | None = None) -> ad.Tensor:
         """Output layer of the network; ``hidden``, if given, collects each
@@ -731,14 +719,15 @@ class TinyMLPClassifier(_MLPBase):
     ReLU is treated as exactly linear away from 0 (zero second derivative),
     so Hessian-vector products are well-defined almost everywhere. The
     oracle's finite-difference checks redraw any point whose perturbations
-    would move a ReLU input (:meth:`relu_inputs`) across its kink.
+    would move a ReLU input (:meth:`relu_inputs`) across its kink. ``y``
+    holds class indices; the loss reads them one-hot.
     """
 
     activation = "relu"
 
-    def __init__(self, data: SyntheticDataset, layers: Sequence[int], name, batch_size):
-        super().__init__(data, layers, name, batch_size)
-        self.batch_arrays = (data.X, np.eye(self.layers[-1])[data.y])  # one-hot labels
+    def __init__(self, X, y, layers: Sequence[int], name, batch_size, seed: int):
+        super().__init__(X, y, layers, name, batch_size, seed)
+        self.batch_arrays = (self.batch_arrays[0], np.eye(self.layers[-1])[y])
 
     def loss(self, params, X, onehot):
         logits = self._forward(params, X)  # (n, classes)
@@ -757,11 +746,8 @@ def make_fig1_quadratic() -> QuadraticProblem:
     )
 
 
-def make_noisy_parabola() -> NoisyParabola:
-    return NoisyParabola()
-
-
-def make_random_spd_quadratic(d: int, condition_number: float, seed: int) -> QuadraticProblem:
+def make_random_spd_quadratic(d: int = 8, condition_number: float = 10.0,
+                              seed: int = 0) -> QuadraticProblem:
     """Random SPD quadratic with exactly the requested eigenvalue spread.
 
     Eigenvalues are spaced linearly in [1, condition_number] and conjugated by
@@ -804,7 +790,7 @@ def make_logreg(n: int = 200, p: int = 8, seed: int = 7, batch_size=None) -> Log
     X = rng.normal(size=(n, p)) * scales
     w_true = rng.normal(size=p) / scales
     y = np.where(X @ w_true + 0.5 * rng.normal(size=n) > 0, 1.0, -1.0)
-    return LogisticRegression(SyntheticDataset(X, y, seed), batch_size=batch_size)
+    return LogisticRegression(X, y, batch_size=batch_size)
 
 
 def make_tiny_mlp(layers: Sequence[int] = (5, 8, 1), seed: int = 3, n: int = 256,
@@ -819,7 +805,7 @@ def make_tiny_mlp(layers: Sequence[int] = (5, 8, 1), seed: int = 3, n: int = 256
     W_t = rng.normal(size=(p, 4))
     w_out = rng.normal(size=4)
     y = np.tanh(X @ W_t) @ w_out + 0.05 * rng.normal(size=n)
-    return TinyMLPRegression(SyntheticDataset(X, y, seed), layers, "tiny-mlp", batch_size)
+    return TinyMLPRegression(X, y, layers, "tiny-mlp", batch_size, seed)
 
 
 def make_tiny_mlp_classifier(layers: Sequence[int] = (4, 6, 3), seed: int = 11, n: int = 240,
@@ -833,15 +819,13 @@ def make_tiny_mlp_classifier(layers: Sequence[int] = (4, 6, 3), seed: int = 11, 
     centers = 2.0 * rng.normal(size=(classes, p))
     y = rng.integers(0, classes, size=n)
     X = centers[y] + rng.normal(size=(n, p))
-    return TinyMLPClassifier(SyntheticDataset(X, y, seed), layers, "tiny-mlp-relu", batch_size)
+    return TinyMLPClassifier(X, y, layers, "tiny-mlp-relu", batch_size, seed)
 
 
 PROBLEM_BUILDERS: dict[str, Callable[..., DifferentiableProblem]] = {
     "fig1-quadratic": make_fig1_quadratic,
-    "noisy-parabola": make_noisy_parabola,
-    "spd-quadratic": lambda d=8, condition_number=10.0, seed=0: make_random_spd_quadratic(
-        d, condition_number, seed
-    ),
+    "noisy-parabola": NoisyParabola,
+    "spd-quadratic": make_random_spd_quadratic,
     "logreg": make_logreg,
     "tiny-mlp": make_tiny_mlp,
     "tiny-mlp-relu": make_tiny_mlp_classifier,

@@ -55,6 +55,22 @@ def test_gain_needs_nine_pairs_in_ten_and_a_drop_beyond_the_parent_iqr(
         wins, gain_shown, all_better)
 
 
+# Ten parent runs with median 1.45 and IQR 0.45: 0.31 of the median, beyond the bound 0.2.
+WIDE = [1.00 + 0.1 * i for i in range(10)]
+
+
+@pytest.mark.parametrize("parent,change,unresolved", [
+    (WIDE, [p - 0.01 for p in WIDE], True),
+    # every change run beats every parent run: resolved however wide the parent
+    (WIDE, [p - 1.0 for p in WIDE], False),
+    # the parent's IQR is 0.044 of its median: a change inside it is resolved
+    (PARENT, [p - 0.001 for p in PARENT], False),
+], ids=["wide-parent", "wide-parent-separated", "narrow-parent"])
+def test_a_metric_whose_parent_spreads_beyond_its_bound_is_unresolved(parent, change, unresolved):
+    runs = [{"parent": result(p), "change": result(c)} for p, c in zip(parent, change)]
+    assert bench_pairs.summarize(runs, SPEC)["metrics"]["call_p50_s"]["unresolved"] is unresolved
+
+
 def test_higher_is_better_metrics_gain_from_a_rise():
     rise = summarize([p + 0.2 for p in PARENT])
     assert rise["iters_per_s"]["change_wins"] == "10/10"

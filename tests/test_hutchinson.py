@@ -39,6 +39,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             HutchinsonConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["samples_per_estimate", "frequency", "warmup_steps"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2"])
+    def test_refuses_counts_that_are_not_ints(self, name, value):
+        # frequency=2.5 would pick every fifth iteration, and a float
+        # samples_per_estimate would fail only inside estimate_diag.
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            HutchinsonConfig(**{name: value})
+
+    @pytest.mark.parametrize("count", [2, np.int64(2), np.uint8(2)])
+    def test_takes_int_counts(self, count):
+        cfg = HutchinsonConfig(samples_per_estimate=count, frequency=count, warmup_steps=count)
+        assert [should_compute(t, cfg) for t in range(1, 7)] == [True] * 3 + [False, True, False]
+
     def test_config_is_immutable(self):
         cfg = HutchinsonConfig()
         with pytest.raises(Exception):
@@ -209,6 +222,11 @@ class TestProbePass:
     def test_rejects_an_empty_probe(self):
         with pytest.raises(ValueError):
             next(probe_pass(probe_keys(0, [1]), 1, 0))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_probe(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            next(probe_pass(probe_keys(0, [1]), n, 3))
 
 
 class TestEstimateDiag:

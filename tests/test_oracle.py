@@ -67,7 +67,7 @@ class TestFiniteDifferences:
     def test_fd_hessian_on_noisy_parabola_second_derivative(self):
         # truncation error at step h is ~(h^2/6) f'''' = (h^2/6) 0.4 (20 pi)^3,
         # so h=1e-4 can only promise ~1.7e-4; halving h buys back the 1e-4 goal
-        p = pr.make_noisy_parabola()
+        p = pr.NoisyParabola()
         want = 2.0 + 4.0 * np.pi
         got_coarse = fd_hessian(p, np.zeros(1), h=1e-4).H[0, 0]
         assert abs(got_coarse - want) < 2e-4

@@ -86,6 +86,12 @@ class TestQuadratic:
         with pytest.raises(ValueError, match=match):
             pr.QuadraticProblem(np.eye(2), name="bad", **kwargs)
 
+    @pytest.mark.parametrize("theta0", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.0)])
+    def test_rejects_a_non_finite_start(self, theta0):
+        # Refused when built, not as a NumericError at the first value.
+        with pytest.raises(ValueError, match="theta0 must be finite"):
+            pr.QuadraticProblem(np.eye(2), name="bad", theta0=theta0)
+
     @pytest.mark.parametrize("condition_number", [np.inf, np.nan, -np.inf])
     def test_random_spd_rejects_non_finite_condition_number(self, condition_number):
         with pytest.raises(ValueError, match="condition_number must be finite"):
@@ -119,7 +125,7 @@ class TestQuadratic:
 
 class TestNoisyParabola:
     def test_values_and_derivatives_at_origin(self):
-        p = pr.make_noisy_parabola()
+        p = pr.NoisyParabola()
         assert p.analytic_value(0.0) == 0.0
         assert p.analytic_gradient(np.array([0.0]))[0] == 0.0
         assert p.analytic_second_derivative(0.0) == pytest.approx(2.0 + 4.0 * np.pi, rel=1e-15)
@@ -127,11 +133,11 @@ class TestNoisyParabola:
 
     def test_value_where_ripple_vanishes(self):
         # at x = 0.05 the sine term is sin(pi) = 0, so f = x^2 exactly
-        p = pr.make_noisy_parabola()
+        p = pr.NoisyParabola()
         assert p.value(np.array([0.05])) == pytest.approx(0.0025, abs=1e-15)
 
     def test_tape_matches_analytic_everywhere(self):
-        p = pr.make_noisy_parabola()
+        p = pr.NoisyParabola()
         for x in [-0.73, -0.1, 0.02, 0.31, 1.0]:
             theta = np.array([x])
             assert p.value(theta) == pytest.approx(p.analytic_value(x), abs=1e-12)
@@ -141,7 +147,7 @@ class TestNoisyParabola:
             assert hz[0] == pytest.approx(p.analytic_second_derivative(x), rel=1e-10)
 
     def test_hvp_scales_linearly_in_probe(self):
-        p = pr.make_noisy_parabola()
+        p = pr.NoisyParabola()
         theta = np.array([0.2])
         h1 = p.hvp(theta, np.array([1.0]), None)
         h3 = p.hvp(theta, np.array([3.0]), None)
@@ -156,7 +162,7 @@ class TestLogisticRegression:
     def test_small_hand_dataset(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        p = pr.LogisticRegression(pr.SyntheticDataset(X, y, seed=0), name="toy")
+        p = pr.LogisticRegression(X, y, name="toy")
         theta = np.array([0.5, -0.25])
         margins = y * (X @ theta)
         want = np.mean(np.log1p(np.exp(-margins)))
@@ -164,6 +170,16 @@ class TestLogisticRegression:
         np.testing.assert_allclose(
             p.gradient(theta, None), p.analytic_gradient(theta), atol=1e-12
         )
+
+    def test_integer_labels_replay_as_float_labels(self):
+        # A batch shape's second call copies rows into the tape's float64 leaves.
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]])
+        ints = pr.LogisticRegression(X, [1, -1, 1], batch_size=2)
+        floats = pr.LogisticRegression(X, np.array([1.0, -1.0, 1.0]), batch_size=2)
+        theta = np.array([0.5, -0.25])
+        for batch in (np.array([0, 1]), np.array([1, 2])):
+            (a, ga), (b, gb) = (p.value_and_gradient(theta, batch) for p in (ints, floats))
+            assert a == b and ga.tobytes() == gb.tobytes()
 
     def test_tape_gradient_matches_analytic(self):
         p = pr.make_logreg()
@@ -324,6 +340,15 @@ class TestBatchPass:
     def test_full_batch_problem_has_no_batches(self):
         assert pr.make_logreg().sample_batches([1, 2], 0) is None
 
+    @pytest.mark.parametrize("n", [1, 2], ids=["one-sample-no-draws", "two-samples"])
+    def test_smallest_populations_equal_sample_batch(self, n):
+        # b == n: a lane of one sample takes no draw at all.
+        problem = pr.LogisticRegression(np.ones((n, 1)), np.ones(n), batch_size=n)
+        ts = [0, 5, 2**40]
+        for seed in (0, 2**64 + 3):
+            np.testing.assert_array_equal(problem.sample_batches(ts, seed),
+                                          reference_batches(problem, ts, seed))
+
 
 class TestTinyMLP:
     def test_dimensions_and_group_sizes(self):
@@ -424,7 +449,16 @@ class TestSharedInterface:
         b_start = w_shape[0] * w_shape[1]
         W = theta[:b_start].reshape(w_shape)
         b = theta[b_start:b_start + b_shape[0]]
-        np.testing.assert_allclose(got, (p.data.X @ W + b).ravel(), rtol=1e-14)
+        np.testing.assert_allclose(got, (p.batch_arrays[0] @ W + b).ravel(), rtol=1e-14)
+
+    @pytest.mark.parametrize("build", [
+        lambda X, y: pr.LogisticRegression(X, y),
+        lambda X, y: pr.TinyMLPRegression(X, y, [2, 3, 1], "mlp", None, 0),
+        lambda X, y: pr.TinyMLPClassifier(X, y, [2, 3, 2], "mlp", None, 0),
+    ], ids=["logreg", "tiny-mlp", "tiny-mlp-relu"])
+    def test_data_problems_refuse_features_and_labels_of_different_lengths(self, build):
+        with pytest.raises(ValueError, match="X and y must agree on sample count"):
+            build(np.ones((4, 2)), np.zeros(3, dtype=np.int64))
 
     def test_unknown_problem_name_raises(self):
         with pytest.raises(KeyError):

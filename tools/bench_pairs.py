@@ -18,8 +18,11 @@ pairs the change won (ties count for neither side), whether the change's
 median is within the metric's bound, whether a gain is shown (``gain_shown``:
 the change won at least 9 pairs in 10 and its median is better than the
 parent's by more than the parent's IQR), whether every run of the change is
-better than every run of the parent (``all_change_runs_better``), and every
-run's value; plus the failed
+better than every run of the parent (``all_change_runs_better``), whether
+the metric is unresolved (``unresolved``: the parent's IQR is more than the
+bound's share of its median, and not every change run is better than every
+parent run, so the runs cannot show the change within its bound or
+unchanged), and every run's value; plus the failed
 and attempted calls of each side, the work counters of each run, and whether
 every run of both sides counted the same work (``counters_equal``: a change of
 kernel must do the same work in less time). When they did not,
@@ -89,6 +92,7 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
         limit = parent["median"] * (1 + m["bound"] if lower else 1 - m["bound"])
         gain = parent["median"] - change["median"]
         gain = gain if lower else -gain
+        all_better = all(better(c, p) for c in values["change"] for p in values["parent"])
         metrics[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": parent, "change": change,
@@ -96,8 +100,8 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
             "change_wins": f"{wins}/{len(runs)}",
             "within_bound": change["median"] <= limit if lower else change["median"] >= limit,
             "gain_shown": 10 * wins >= 9 * len(runs) and gain > parent["iqr"],
-            "all_change_runs_better": all(better(c, p) for c in values["change"]
-                                          for p in values["parent"]),
+            "all_change_runs_better": all_better,
+            "unresolved": parent["iqr"] > m["bound"] * parent["median"] and not all_better,
             "parent_runs": values["parent"], "change_runs": values["change"],
         }
     counters = {side: [r[side]["counters"] for r in runs] for side in SIDES}
@@ -156,7 +160,10 @@ def main(argv: list[str] | None = None) -> int:
                    "by the bound of BENCHMARK.json; gain_shown holds when the change won "
                    "at least 9 pairs in 10 and its median is better than the parent's by "
                    "more than the parent's IQR; all_change_runs_better holds when every "
-                   "change run is better than every parent run; counters_equal holds when "
+                   "change run is better than every parent run; unresolved holds when the "
+                   "parent's IQR exceeds the bound's share of its median and not every "
+                   "change run is better than every parent run, so the metric is neither "
+                   "shown within its bound nor unchanged; counters_equal holds when "
                    "every run of both sides reports the same work counters, and "
                    "counters_changed gives each side's values of every counter that "
                    "differs when they do not; env is each run's machine state from its "
