@@ -54,12 +54,13 @@ product a loss here takes has such operands: node outputs, their
 transposes, reshapes of parameter leaves and batch arrays.
 
 Conventions:
-  - all data is float64; inputs are coerced on construction
+  - all data is float64; ops take :class:`Tensor` inputs only
   - ``relu`` is treated as exactly linear away from 0. Its derivative at 0 is
     taken to be 0, and its second derivative is 0 almost everywhere.
-  - constants (datasets, probe vectors) enter through :func:`constant` and
-    never receive cotangents; neither do the masks and shifts an op computes
-    from its input, which are steps of their own
+  - constants (datasets, probe vectors, scalars such as 0.5) enter only
+    through :func:`constant` and never receive cotangents; neither do the
+    masks and shifts an op computes from its input, which are steps of their
+    own
 """
 
 from __future__ import annotations
@@ -101,12 +102,10 @@ __all__ = [
     "as_float64",
     "variable",
     "constant",
-    "as_tensor",
     "backward",
     "add",
     "sub",
     "mul",
-    "div",
     "neg",
     "power",
     "square",
@@ -242,12 +241,6 @@ def constant(data) -> Tensor:
     return out
 
 
-def as_tensor(value) -> Tensor:
-    if type(value) is Tensor:
-        return value
-    return constant(value)
-
-
 def _sum_to(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Reduce ``t`` back to ``shape`` by summing broadcast axes."""
     if t.data.shape == shape:
@@ -272,18 +265,15 @@ def _derived(fn, a: Tensor) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     vjps = (lambda cot: _sum_to(cot, a.data.shape), lambda cot: _sum_to(cot, b.data.shape))
     return Tensor(np.add, a, b, vjps, "add")
 
 
 def neg(a) -> Tensor:
-    a = as_tensor(a)
     return Tensor(np.negative, a, None, (lambda cot: neg(cot),), "neg")
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     vjps = (
         lambda cot: _sum_to(cot, a.data.shape),
         lambda cot: neg(_sum_to(cot, b.data.shape)),
@@ -292,17 +282,11 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     vjps = (
         lambda cot: _sum_to(mul(cot, b), a.data.shape),
         lambda cot: _sum_to(mul(cot, a), b.data.shape),
     )
     return Tensor(np.multiply, a, b, vjps, "mul")
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return mul(a, power(b, -1.0))
 
 
 # The ufuncs numpy's scalar-power fast paths call for ``x ** p`` at these p.
@@ -322,7 +306,6 @@ def _power_kernel(p: float):
 
 def power(a, exponent: float) -> Tensor:
     """Elementwise ``a ** exponent`` for a constant real exponent."""
-    a = as_tensor(a)
     p = float(exponent)
     if p == 2.0:
         vjp = lambda cot: mul(cot, mul(a, constant(2.0)))  # noqa: E731
@@ -336,7 +319,6 @@ def square(a) -> Tensor:
 
 
 def exp(a) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(np.exp, a, None, (), "exp")
     if out.needs_grad:
         ref = weakref.ref(out)
@@ -345,12 +327,10 @@ def exp(a) -> Tensor:
 
 
 def log(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(np.log, a, None, (lambda cot: div(cot, a),), "log")
+    return Tensor(np.log, a, None, (lambda cot: mul(cot, power(a, -1.0)),), "log")
 
 
 def tanh(a) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(np.tanh, a, None, (), "tanh")
     if out.needs_grad:
         ref = weakref.ref(out)
@@ -359,12 +339,10 @@ def tanh(a) -> Tensor:
 
 
 def sin(a) -> Tensor:
-    a = as_tensor(a)
     return Tensor(np.sin, a, None, (lambda cot: mul(cot, cos(a)),), "sin")
 
 
 def cos(a) -> Tensor:
-    a = as_tensor(a)
     return Tensor(np.cos, a, None, (lambda cot: neg(mul(cot, sin(a))),), "cos")
 
 
@@ -377,7 +355,6 @@ def _clip_negative(x: np.ndarray) -> np.ndarray:
 
 
 def relu(a) -> Tensor:
-    a = as_tensor(a)
     # The mask is derived data: zero curvature almost everywhere, and
     # derivative 0 at exactly 0.
     mask = _derived(_positive, a)
@@ -385,14 +362,12 @@ def relu(a) -> Tensor:
 
 
 def transpose(a) -> Tensor:
-    a = as_tensor(a)
     if a.data.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
     return Tensor(np.ndarray.transpose, a, None, (lambda cot: transpose(cot),), "transpose")
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
     vjp = lambda cot: reshape(cot, a.data.shape)  # noqa: E731
     return Tensor(_reshaper(shape), a, None, (vjp,), "reshape")
 
@@ -417,7 +392,6 @@ _broadcaster = cache(lambda shape: partial(_broadcast, shape))
 
 
 def broadcast_to(a, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
     vjp = lambda cot: _sum_to(cot, a.data.shape)  # noqa: E731
     return Tensor(_broadcaster(shape), a, None, (vjp,), "broadcast")
 
@@ -439,7 +413,6 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
 
 def tsum(a, axis=None) -> Tensor:
     """Sum over ``axis`` (int, tuple, or None for all axes)."""
-    a = as_tensor(a)
     if axis is None:
         axes = tuple(range(a.data.ndim))
     elif isinstance(axis, int):
@@ -458,11 +431,9 @@ def tsum(a, axis=None) -> Tensor:
     return Tensor(kernel, a, None, (vjp,), "sum")
 
 
-def mean(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    total = tsum(a, axis=axis)
-    count = a.data.size // max(total.data.size, 1)
-    return mul(total, constant(1.0 / count))
+def mean(a) -> Tensor:
+    """Mean of every entry."""
+    return mul(tsum(a), constant(1.0 / a.data.size))
 
 
 def dot(a, b) -> Tensor:
@@ -471,7 +442,11 @@ def dot(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    """Matrix product of a 2-D ``a`` with a 2-D or 1-D ``b``.
+
+    The VJPs of these two cases are products of the same two kinds, so every
+    derivative of a product stays within them.
+    """
     an, bn = a.data.ndim, b.data.ndim
     if an == 2 and bn == 2:
         vjps = (
@@ -484,20 +459,13 @@ def matmul(a, b) -> Tensor:
             lambda cot: matmul(reshape(cot, (n, 1)), reshape(b, (1, p))),
             lambda cot: matmul(transpose(a), cot),
         )
-    elif an == 1 and bn == 2:
-        p, m = b.data.shape
-        vjps = (
-            lambda cot: matmul(b, cot),
-            lambda cot: matmul(reshape(a, (p, 1)), reshape(cot, (1, m))),
-        )
     else:
-        raise ValueError(f"matmul supports 2Dx2D, 2Dx1D, 1Dx2D; got {an}D @ {bn}D")
+        raise ValueError(f"matmul supports 2-D @ 2-D and 2-D @ 1-D; got {an}-D @ {bn}-D")
     return Tensor(np.ndarray.dot, a, b, vjps, "matmul")
 
 
 def narrow(a, start: int, length: int) -> Tensor:
     """Contiguous 1-D slice ``a[start:start+length]``."""
-    a = as_tensor(a)
     if a.data.ndim != 1:
         raise ValueError("narrow expects a 1-D tensor")
     total = a.data.shape[0]
@@ -517,7 +485,6 @@ _embedder = cache(lambda start, total: partial(_embedded, start, total))
 
 def embed(a, start: int, total: int) -> Tensor:
     """Place a 1-D tensor into a zero vector of length ``total`` at ``start``."""
-    a = as_tensor(a)
     length = a.data.shape[0]
     vjp = lambda cot: narrow(cot, start, length)  # noqa: E731
     return Tensor(_embedder(start, total), a, None, (vjp,), "embed")
@@ -531,7 +498,6 @@ def softplus(a) -> Tensor:
     every order match the smooth function exactly (first derivative is the
     logistic sigmoid).
     """
-    a = as_tensor(a)
     m = _derived(_clip_negative, a)
     return add(m, log(add(exp(neg(m)), exp(sub(a, m)))))
 
@@ -546,7 +512,6 @@ def _first_column(x: np.ndarray) -> np.ndarray:
 
 def logsumexp_rows(a) -> Tensor:
     """Row-wise ``log(sum(exp(a), axis=1))`` for a 2-D tensor, stably."""
-    a = as_tensor(a)
     m = _derived(_row_max, a)
     shifted = sub(a, m)
     return add(_derived(_first_column, m), log(tsum(exp(shifted), axis=1)))
@@ -773,9 +738,7 @@ def backward(output: Tensor | Sequence[Tensor], wrt: Sequence[Tensor],
         prev = cotangents.get(out)
         cotangents[out] = seed if prev is None else add(prev, seed)
     for node in reversed(_toposort(outputs)):
-        cot = cotangents.get(node)
-        if cot is None:
-            continue
+        cot = cotangents[node]
         for parent, vjp in zip(node.parents, node.vjps):
             if not parent.needs_grad:
                 continue

@@ -79,10 +79,6 @@ class DenseHessian:
     step: float
     asymmetry: float
 
-    @property
-    def dim(self) -> int:
-        return self.H.shape[0]
-
     def diagonal(self) -> np.ndarray:
         return np.diag(self.H).copy()
 
@@ -158,10 +154,9 @@ def all_sign_vectors(d: int) -> np.ndarray:
     return 2.0 * bits.astype(np.float64) - 1.0
 
 
-def exact_hutchinson_expectation(H: np.ndarray | DenseHessian) -> np.ndarray:
-    """Mean of z * (Hz) over every sign vector; equals diag(H) for symmetric H."""
-    if isinstance(H, DenseHessian):
-        H = H.H
+def exact_hutchinson_expectation(H: np.ndarray) -> np.ndarray:
+    """Mean of z * (Hz) over every sign vector of a square matrix ``H``
+    (d <= 12); equals diag(H) for symmetric H."""
     H = np.asarray(H, dtype=np.float64)
     Z = all_sign_vectors(H.shape[0])
     return np.mean(Z * (Z @ H.T), axis=0)

@@ -538,10 +538,6 @@ class NoisyParabola(DifferentiableProblem):
         w = 20.0 * math.pi
         return 2.0 + 0.2 * w * math.cos(w * x) - 0.1 * w * w * x * math.sin(w * x)
 
-    def analytic_hvp(self, theta, z) -> np.ndarray:
-        x = self._check_theta(theta)[0]
-        return self.analytic_second_derivative(x) * np.asarray(z, dtype=np.float64)
-
 
 def _check_batch_size(batch_size, n: int) -> int | None:
     """``batch_size`` as given: None (full batch) or an int in [1, n]."""
@@ -587,10 +583,17 @@ def _check_layers(layers: Sequence[int]) -> list[int]:
 
 
 def _check_samples(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Features X and labels y as float64, one row of each per sample."""
+    """Features X and labels y as float64, finite: X a matrix with a row per
+    sample and at least one of each, y one value per row."""
     X, y = ad.as_float64(X), ad.as_float64(y)
+    if X.ndim != 2 or 0 in X.shape:
+        raise ValueError(f"X must be 2-D with at least one row and column, got shape {X.shape}")
+    if y.ndim != 1:
+        raise ValueError(f"y must hold one value per row of X, got shape {y.shape}")
     if len(X) != len(y):
         raise ValueError("X and y must agree on sample count")
+    if not (ad.all_finite(X) and ad.all_finite(y)):
+        raise ValueError("X and y must be finite")
     return X, y
 
 
@@ -630,9 +633,6 @@ class LogisticRegression(DifferentiableProblem):
         S = p * (1.0 - p)
         return (X.T * S) @ X / X.shape[0]
 
-    def analytic_hvp(self, theta, z, batch=None) -> np.ndarray:
-        return self.analytic_hessian(theta, batch) @ np.asarray(z, dtype=np.float64)
-
 
 def _mlp_shapes(layers: Sequence[int]) -> list[tuple[int, ...]]:
     """The shape of each weight matrix and bias vector, in order."""
@@ -651,8 +651,8 @@ class _MLPBase(DifferentiableProblem):
     activation = "tanh"
 
     def __init__(self, X, y, layers: Sequence[int], name, batch_size, seed: int):
+        layers = _check_layers(layers)
         X, y = _check_samples(X, y)
-        layers = list(layers)
         if layers[0] != X.shape[1]:
             raise ValueError("first layer width must match feature count")
         self.layers = layers
@@ -661,8 +661,6 @@ class _MLPBase(DifferentiableProblem):
         self.dim = sum(sizes)
         self.name = name
         self.batch_size = _check_batch_size(batch_size, len(X))
-        if self.dim > _MAX_DIM:
-            raise ValueError(f"tiny MLP exceeds d = {_MAX_DIM}; shrink the layer widths")
         super().__init__()
         self.group_sizes = sizes
         rng = np.random.default_rng(seed + 1)
@@ -720,14 +718,17 @@ class TinyMLPClassifier(_MLPBase):
     so Hessian-vector products are well-defined almost everywhere. The
     oracle's finite-difference checks redraw any point whose perturbations
     would move a ReLU input (:meth:`relu_inputs`) across its kink. ``y``
-    holds class indices; the loss reads them one-hot.
+    holds class indices, ints in [0, classes); the loss reads them one-hot.
     """
 
     activation = "relu"
 
     def __init__(self, X, y, layers: Sequence[int], name, batch_size, seed: int):
         super().__init__(X, y, layers, name, batch_size, seed)
-        self.batch_arrays = (self.batch_arrays[0], np.eye(self.layers[-1])[y])
+        y, classes = np.asarray(y), self.layers[-1]
+        if y.dtype.kind not in "iu" or not ((0 <= y) & (y < classes)).all():
+            raise ValueError(f"labels must be ints in [0, {classes})")
+        self.batch_arrays = (self.batch_arrays[0], np.eye(classes)[y])
 
     def loss(self, params, X, onehot):
         logits = self._forward(params, X)  # (n, classes)

@@ -116,7 +116,7 @@ def test_broadcast_add_reduces_cotangent():
     np.testing.assert_allclose(gb.data, [5.0, 7.0, 9.0])
 
 
-@pytest.mark.parametrize("shapes", [((3, 4), (4, 2)), ((3, 4), (4,)), ((3,), (3, 5))])
+@pytest.mark.parametrize("shapes", [((3, 4), (4, 2)), ((3, 4), (4,))])
 def test_matmul_gradients(shapes):
     rng = np.random.default_rng(1)
     A = rng.normal(size=shapes[0])
@@ -137,8 +137,9 @@ def test_matmul_gradients(shapes):
 
 
 def test_matmul_rejects_unsupported_ranks():
-    with pytest.raises(ValueError):
-        ad.matmul(ad.constant(np.zeros(3)), ad.constant(np.zeros(3)))
+    for shapes in [(3,), (3,)], [(3,), (3, 5)]:
+        with pytest.raises(ValueError, match="matmul supports"):
+            ad.matmul(*(ad.constant(np.zeros(shape)) for shape in shapes))
 
 
 def _laid_out(rng, shape, layout):
@@ -170,7 +171,7 @@ _SIDES = st.one_of(st.just(1), st.integers(1, 40))  # k = 1 is an outer product
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(["2x2", "2x1", "1x2"]), m=_SIDES, k=_SIDES, n=_SIDES,
+@given(kind=st.sampled_from(["2x2", "2x1"]), m=_SIDES, k=_SIDES, n=_SIDES,
        layouts=st.tuples(_LAYOUTS_2D, _LAYOUTS_2D, st.sampled_from(["c", "strided"])),
        seed=st.integers(0, 2**32 - 1))
 @example(kind="2x2", m=256, k=1, n=8, layouts=("c", "c", "c"), seed=0)  # tiny-mlp's outer products
@@ -180,10 +181,8 @@ def test_dot_kernel_equals_matmul_bit_for_bit(kind, m, k, n, layouts, seed):
     first, second, vector = layouts
     if kind == "2x2":
         a, b = _laid_out(rng, (m, k), first), _laid_out(rng, (k, n), second)
-    elif kind == "2x1":
-        a, b = _laid_out(rng, (m, k), first), _laid_out(rng, (k,), vector)
     else:
-        a, b = _laid_out(rng, (k,), vector), _laid_out(rng, (k, n), second)
+        a, b = _laid_out(rng, (m, k), first), _laid_out(rng, (k,), vector)
     assert _documented_layout(a) and _documented_layout(b)
     expected = np.matmul(a, b)
     assert a.dot(b).tobytes() == expected.tobytes()
@@ -329,7 +328,7 @@ def test_a_failing_vjp_raises_and_later_passes_still_record_a_graph():
     broken = ad.Tensor(np.positive, x, None, (failing_vjp,), "broken")
     with pytest.raises(RuntimeError, match="vjp failed"):
         ad.backward(broken, [x])
-    assert ad.add(x, 1.0).needs_grad
+    assert ad.add(x, ad.constant(1.0)).needs_grad
     f = ad.tsum(ad.power(ad.reshape(x, (1,)), 3.0))
     (g,) = ad.backward(f, [x])
     (h,) = ad.backward(ad.tsum(g), [x])

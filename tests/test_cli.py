@@ -331,6 +331,7 @@ class TestBadInput:
         ("tiny-mlp-relu", '{"n": 10000000000}', "dataset exceeds the intended desk scale"),
         ("tiny-mlp", '{"layers": [10000000000, 1]}', "tiny MLP exceeds d = 64"),
         ("spd-quadratic", '{"d": 100000}', "quadratic problems are limited to d <= 64"),
+        ("spd-quadratic", '{"d": 1}', "d must be at least 2"),
         # a value of the wrong type is named before it is compared or used
         ("spd-quadratic", '{"condition_number": "3"}',
          "condition_number must be a real number, got '3'"),
@@ -358,9 +359,9 @@ class TestBadInput:
             "nan-condition-number-d2", "no-layers", "one-layer", "zero-width-layer",
             "zero-samples", "zero-features", "logreg-samples", "logreg-features",
             "mlp-samples", "mlp-relu-samples", "mlp-input-width", "spd-dimension",
-            "string-condition-number", "bool-condition-number", "string-dimension",
-            "bool-dimension", "float-spd-seed", "float-features", "string-samples",
-            "string-logreg-seed", "string-layers", "string-layer-width", "null-mlp-seed",
+            "spd-one-dimension", "string-condition-number", "bool-condition-number",
+            "string-dimension", "bool-dimension", "float-spd-seed", "float-features",
+            "string-samples", "string-logreg-seed", "string-layers", "string-layer-width", "null-mlp-seed",
             "negative-spd-seed", "negative-logreg-seed", "negative-mlp-seed",
             "negative-mlp-relu-seed", "overflowing-spd-matrix"])
     def test_problem_param_value_rejected_by_builder(self, tmp_path, capsys, problem,
@@ -652,6 +653,15 @@ class TestReportCommand:
         proc = subprocess.run([sys.executable, "-m", "hessopt.cli", "report", str(path)],
                               env=env, capture_output=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"\\ud800: 1\n", b"")
+
+    def test_a_trajectory_of_only_its_header(self, finished_run, capsys):
+        # What a run that fails at iteration 1 writes.
+        path = finished_run / "demo.trajectory.jsonl"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "iterations_run: 0" in out and "t=" not in out
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 1

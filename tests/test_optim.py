@@ -31,6 +31,8 @@ class TestBlockSpec:
             BlockSpec(0, [4])
         with pytest.raises(ValueError):
             BlockSpec(2, [4, 0])
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            SGD(0, lr=0.1)
 
     @pytest.mark.parametrize("make,name", [
         (lambda: BlockSpec(2.7, [4]), "block_size"),
@@ -693,6 +695,8 @@ class TestSchedules:
             make_schedule("step_decay", milestones=[10], factor=1.5)
         with pytest.raises(ValueError):
             make_schedule("linear_warmup_then_decay", warmup_steps=10, total_steps=10)
+        with pytest.raises(ValueError, match="warmup_steps must be >= 1"):
+            make_schedule("linear_warmup_then_decay", warmup_steps=0, total_steps=10)
 
     @pytest.mark.parametrize("params", [
         {"milestones": [float("inf")]},

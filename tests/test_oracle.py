@@ -87,6 +87,14 @@ class TestFiniteDifferences:
         dense = fd_hessian(p, theta)
         np.testing.assert_allclose(dense.H, p.analytic_hessian(theta), atol=1e-5)
 
+    def test_fd_hessian_rejects_non_finite_entries(self):
+        class NaNGradient:
+            def gradient(self, theta, batch=None):
+                return np.array([np.nan, 1.0])
+
+        with pytest.raises(ValueError, match=r"non-finite entries at \[\(0, 0\), \(0, 1\)\]"):
+            fd_hessian(NaNGradient(), np.zeros(2))
+
     def test_fd_hessian_rejects_large_dimension(self):
         p = pr.QuadraticProblem(np.eye(64), np.zeros(64), name="big")
 

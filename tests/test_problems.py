@@ -49,6 +49,12 @@ class TestQuadratic:
         p = pr.QuadraticProblem(A, c, name="q")
         np.testing.assert_allclose(p.gradient(np.zeros(2), None), c, atol=1e-12)
 
+    @pytest.mark.parametrize("A", [np.ones((2, 3)), np.ones(2), np.ones((2, 2, 2))],
+                             ids=["wide", "vector", "three-axes"])
+    def test_rejects_a_matrix_that_is_not_square(self, A):
+        with pytest.raises(ValueError, match="A must be square"):
+            pr.QuadraticProblem(A, name="bad")
+
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError):
             pr.QuadraticProblem(np.array([[1.0, 5.0], [0.0, 1.0]]), np.zeros(2), name="bad")
@@ -360,6 +366,29 @@ class TestTinyMLP:
         assert q.dim == 51
         assert sum(q.group_sizes) == q.dim
 
+    @pytest.mark.parametrize("cls", [pr.TinyMLPRegression, pr.TinyMLPClassifier],
+                             ids=["tiny-mlp", "tiny-mlp-relu"])
+    @pytest.mark.parametrize("layers,error,match", [
+        ([5], ValueError, "layers needs an input and an output width"),
+        ([5, 0, 1], ValueError, "layer widths must be at least 1"),
+        ([5, 2.5, 1], TypeError, r"layers\[1\] must be an int, got 2.5"),
+        ([5, 8, 8, 1], ValueError, "tiny MLP exceeds d = 64"),
+        ([4, 3, 1], ValueError, "first layer width must match feature count"),
+    ], ids=["one-layer", "zero-width", "fractional-width", "too-many-parameters",
+            "input-width"])
+    def test_constructors_check_layers(self, cls, layers, error, match):
+        # The builders check first, before any draw; a direct build checks too.
+        with pytest.raises(error, match=match):
+            cls(np.ones((10, 5)), np.zeros(10, dtype=np.int64), layers, "m", None, 0)
+
+    @pytest.mark.parametrize("labels", [[0, 1, -1], [0, 1, 2], [0.0, 1.0, 0.5], [0.0, 1.0, 1.0],
+                                        [True, False, True]],
+                             ids=["negative", "too-large", "fraction", "whole-floats", "bools"])
+    def test_classifier_refuses_labels_that_are_not_class_indices(self, labels):
+        # -1 would train as the last class, and 2 or 0.5 would fail as an index.
+        with pytest.raises(ValueError, match=r"labels must be ints in \[0, 2\)"):
+            pr.TinyMLPClassifier(np.ones((3, 2)), np.array(labels), [2, 3, 2], "mlp", None, 0)
+
     def test_gradient_matches_finite_differences(self):
         p = pr.make_tiny_mlp()
         rng = np.random.default_rng(9)
@@ -459,6 +488,26 @@ class TestSharedInterface:
     def test_data_problems_refuse_features_and_labels_of_different_lengths(self, build):
         with pytest.raises(ValueError, match="X and y must agree on sample count"):
             build(np.ones((4, 2)), np.zeros(3, dtype=np.int64))
+
+    @pytest.mark.parametrize("build", [
+        lambda X, y: pr.LogisticRegression(X, y),
+        lambda X, y: pr.TinyMLPRegression(X, y, [2, 3, 1], "mlp", None, 0),
+        lambda X, y: pr.TinyMLPClassifier(X, y, [2, 3, 2], "mlp", None, 0),
+    ], ids=["logreg", "tiny-mlp", "tiny-mlp-relu"])
+    @pytest.mark.parametrize("X,y,match", [
+        (np.ones(5), np.zeros(5, dtype=np.int64), "X must be 2-D with at least one row"),
+        (np.ones((0, 2)), np.zeros(0, dtype=np.int64), "X must be 2-D with at least one row"),
+        (np.ones((5, 0)), np.zeros(5, dtype=np.int64), "X must be 2-D with at least one row"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2, dtype=np.int64),
+         "X and y must be finite"),
+        (np.ones((2, 2)), np.array([0.0, np.inf]), "X and y must be finite"),
+        (np.ones((5, 2)), np.zeros((5, 3), dtype=np.int64), "y must hold one value per row"),
+    ], ids=["vector-X", "no-rows", "no-columns", "nan-X", "inf-y", "matrix-y"])
+    def test_data_problems_refuse_malformed_samples(self, build, X, y, match):
+        # Refused when built, not as an IndexError, a ZeroDivisionError or a
+        # NumericError at the first value.
+        with pytest.raises(ValueError, match=match):
+            build(X, y)
 
     def test_unknown_problem_name_raises(self):
         with pytest.raises(KeyError):

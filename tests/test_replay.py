@@ -239,8 +239,8 @@ UNARY = {
     "exp-sin": lambda e: ad.exp(ad.sin(e)),
     "softplus": ad.softplus,
     "neg": ad.neg,
-    "scale": lambda e: ad.mul(e, 0.7),
-    "log1p-square": lambda e: ad.log(ad.add(ad.square(e), 1.0)),
+    "scale": lambda e: ad.mul(e, ad.constant(0.7)),
+    "log1p-square": lambda e: ad.log(ad.add(ad.square(e), ad.constant(1.0))),
     "square-tanh": lambda e: ad.square(ad.tanh(e)),
     "mix": lambda e: ad.matmul(MIX, e),
     "shift": lambda e: ad.embed(ad.narrow(e, 1, D - 1), 0, D),
@@ -250,21 +250,23 @@ UNARY = {
                                     ad.embed(ad.narrow(e, 1, 2), 1, D)),
                              ad.embed(ad.sin(ad.narrow(e, 3, 1)), 3, D)),
     "tile-reversed": lambda e: ad.add(ad.embed(ad.narrow(e, 2, 2), 2, D),
-                                      ad.embed(ad.mul(ad.narrow(e, 0, 2), -0.0), 0, D)),
+                                      ad.embed(ad.mul(ad.narrow(e, 0, 2), ad.constant(-0.0)),
+                                               0, D)),
     # Axis-0 sums of a C-contiguous (3, D) matrix, forward and backward.
     "rows": lambda e: ad.tsum(ad.mul(ad.constant(ROWS), ad.reshape(e, (1, D))), axis=0),
     # Constants made in the recording: a step folded from them, and one
     # made twice so that both products are one merged step.
     "fold": lambda e: ad.mul(e, ad.exp(ad.tanh(ad.constant(0.4)))),
-    "twice": lambda e: ad.add(ad.mul(e, 0.5), ad.mul(e, 0.5)),
-    **{f"pow{p:g}": (lambda p: lambda e: ad.power(ad.add(ad.square(ad.tanh(e)), 0.5), p))(p)
+    "twice": lambda e: ad.add(ad.mul(e, ad.constant(0.5)), ad.mul(e, ad.constant(0.5))),
+    **{f"pow{p:g}": (lambda p: lambda e: ad.power(
+        ad.add(ad.square(ad.tanh(e)), ad.constant(0.5)), p))(p)
        for p in (0.5, -1.0, 1.5, 0.7)},
 }
 BINARY = {
     "add": ad.add,
     "sub": ad.sub,
     "mul": lambda a, b: ad.mul(ad.tanh(a), b),
-    "div": lambda a, b: ad.div(a, ad.add(ad.square(b), 1.0)),
+    "div": lambda a, b: ad.mul(a, ad.power(ad.add(ad.square(b), ad.constant(1.0)), -1.0)),
 }
 REDUCE = {
     "sum": ad.tsum,
@@ -332,8 +334,8 @@ def test_equal_constants_merge_only_with_equal_bits():
     program = ad.Program()
     x = ad.constant(np.array([-1.0, 2.0]))
     with program.recording():
-        plus, minus = ad.mul(x, 0.0), ad.mul(x, -0.0)
-        again = ad.mul(x, 0.0)
+        plus, minus = ad.mul(x, ad.constant(0.0)), ad.mul(x, ad.constant(-0.0))
+        again = ad.mul(x, ad.constant(0.0))
     x.data[...] = [3.0, -4.0]
     program.replay()
     assert as_bytes(plus.data, minus.data, again.data) == as_bytes(
